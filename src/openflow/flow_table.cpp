@@ -44,10 +44,13 @@ Status<Error> FlowTable::add(FlowEntry entry) {
   if (full()) {
     return makeError(strFormat("flow table full (%zu entries)", capacity_));
   }
-  // Insert after all entries of >= priority, preserving stable order.
-  const auto pos = std::find_if(entries_.begin(), entries_.end(), [&](const FlowEntry& e) {
-    return e.priority < entry.priority;
-  });
+  // Insert after all entries of >= priority, preserving stable order. The
+  // vector is sorted by descending priority, so that slot is a partition
+  // point and a binary search finds it.
+  const auto pos = std::partition_point(entries_.begin(), entries_.end(),
+                                        [&](const FlowEntry& e) {
+                                          return e.priority >= entry.priority;
+                                        });
   entries_.insert(pos, std::move(entry));
   indexDirty_ = true;
   ++addsTotal_;

@@ -151,8 +151,11 @@ class FlowTable {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] bool full() const { return entries_.size() >= capacity_; }
 
-  /// Insert; fails when the table is full (the controller's capacity
-  /// checker must prevent this, §VII-C).
+  /// Insert after every entry of equal or higher priority; fails when the
+  /// table is full (the controller's capacity checker must prevent this,
+  /// §VII-C). Finding the slot is a binary search, O(log n). An insert at
+  /// the lowest priority present (or below it) is an amortized O(1) append;
+  /// a higher-priority insert still shifts every entry behind its slot.
   Status<Error> add(FlowEntry entry);
 
   /// Remove all entries with the given cookie; returns how many.

@@ -73,6 +73,13 @@ TEST(Deadlock, AdaptiveDragonflyUnionOfModes) {
   auto minimalMode = AdaptiveDragonflyRouting::create(df);
   auto valiantMode = AdaptiveDragonflyRouting::create(df);
   ASSERT_TRUE(minimalMode.ok() && valiantMode.ok());
+  // The algorithm as the controller deploys it ("dragonfly-adaptive", no
+  // congestion oracle): exact report, so a change to the walk shows up.
+  const DeadlockReport deployed = analyzeDeadlock(df, *minimalMode.value());
+  EXPECT_TRUE(deployed.error.empty()) << deployed.error;
+  EXPECT_TRUE(deployed.deadlockFree);
+  EXPECT_EQ(deployed.channelsUsed, 288);
+  EXPECT_EQ(deployed.dependencyEdges, 432);
   valiantMode.value()->setBias(-1.0);
   valiantMode.value()->setCongestionOracle([](topo::SwitchId, topo::PortId) {
     return 1.0;
@@ -81,6 +88,8 @@ TEST(Deadlock, AdaptiveDragonflyUnionOfModes) {
       df, {minimalMode.value().get(), valiantMode.value().get()});
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_TRUE(r.deadlockFree) << "cycle of " << r.cycle.size() << " channels";
+  EXPECT_EQ(r.channelsUsed, 288);
+  EXPECT_EQ(r.dependencyEdges, 432);
 }
 
 // Positive control: single-VC routing around a ring that always travels
@@ -121,6 +130,57 @@ TEST(Deadlock, ShortestPathOnRingIsUnsafe) {
   const DeadlockReport r = analyzeDeadlock(ring, algo);
   EXPECT_TRUE(r.error.empty()) << r.error;
   EXPECT_FALSE(r.deadlockFree);
+  EXPECT_EQ(r.channelsUsed, 12);  // 6 links x 2 directions x 1 VC
+  EXPECT_EQ(r.dependencyEdges, 12);
+  // The exact witness: channel ids follow discovery order and adjacency is
+  // sorted, so the DFS always closes the same cycle (every link a->b).
+  const std::vector<Channel> witness{{5, 0, 0}, {0, 0, 0}, {1, 0, 0},
+                                     {2, 0, 0}, {3, 0, 0}, {4, 0, 0}};
+  EXPECT_EQ(r.cycle, witness);
+}
+
+TEST(Deadlock, ShortestPathOnTorusWitnessIsPinned) {
+  // Here the witness depends on the order the DFS takes each channel's
+  // successors in (ascending channel id), not only on the graph.
+  const topo::Topology torus = topo::makeTorus2D(5, 5);
+  ShortestPathRouting algo(torus);
+  const DeadlockReport r = analyzeDeadlock(torus, algo);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  EXPECT_FALSE(r.deadlockFree);
+  EXPECT_EQ(r.channelsUsed, 100);
+  EXPECT_EQ(r.dependencyEdges, 300);
+  const std::vector<Channel> witness{
+      {24, 0, 0}, {20, 0, 0}, {21, 0, 0}, {22, 0, 0}, {23, 0, 0}};
+  EXPECT_EQ(r.cycle, witness);
+}
+
+// Clockwise everywhere except at one switch, which sends every packet out
+// of a fixed port; used to probe ports that carry no fabric link.
+class BadPortAtOneSwitch : public ClockwiseRingRouting {
+ public:
+  BadPortAtOneSwitch(const topo::Topology& topo, topo::SwitchId sw, int port)
+      : ClockwiseRingRouting(topo), sw_(sw), port_(port) {}
+  [[nodiscard]] Result<Hop> nextHop(topo::SwitchId sw, topo::HostId dst, int vc,
+                                    std::uint64_t flowHash) const override {
+    if (sw == sw_) return Hop{port_, vc};
+    return ClockwiseRingRouting::nextHop(sw, dst, vc, flowHash);
+  }
+
+ private:
+  topo::SwitchId sw_;
+  int port_;
+};
+
+TEST(Deadlock, HopViaNonFabricPortIsAnError) {
+  const topo::Topology ring = topo::makeRing(6);
+  const topo::HostId host = ring.hostsOf(2).front();
+  // The host port, one past the last port, and a negative port.
+  for (const int port : {ring.hostLink(host).attach.port, ring.radix(2), -1}) {
+    BadPortAtOneSwitch algo(ring, 2, port);
+    const DeadlockReport r = analyzeDeadlock(ring, algo);
+    EXPECT_FALSE(r.deadlockFree) << "port " << port;
+    EXPECT_EQ(r.error, "hop via unused port (switch 2 port " + std::to_string(port) + ")");
+  }
 }
 
 TEST(Deadlock, ReportCountsChannels) {
@@ -128,10 +188,10 @@ TEST(Deadlock, ReportCountsChannels) {
   auto algo = DimensionOrderRouting::create(m);
   ASSERT_TRUE(algo.ok());
   const DeadlockReport r = analyzeDeadlock(m, *algo.value());
-  // 12 links x 2 directions x 1 VC = 24 possible channels; DOR uses most.
-  EXPECT_GT(r.channelsUsed, 10);
-  EXPECT_LE(r.channelsUsed, 24);
-  EXPECT_GT(r.dependencyEdges, 0);
+  // 12 links x 2 directions x 1 VC = 24 possible channels; DOR uses all.
+  EXPECT_TRUE(r.deadlockFree);
+  EXPECT_EQ(r.channelsUsed, 24);
+  EXPECT_EQ(r.dependencyEdges, 28);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // lookup path must return exactly the entry a pure priority-ordered linear
 // scan would, on both controller-compiled tables (the (inPort, dstAddr)
 // shape the index is built for) and adversarial synthetic tables full of
-// wildcards, priority ties, and mid-stream mutations.
+// wildcards, priority ties, epoch-stamped rules, and mid-stream mutations.
+// They also pin the table order add() produces.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "controller/controller.hpp"
@@ -15,12 +18,29 @@ namespace sdt::openflow {
 namespace {
 
 /// The pre-index semantics, verbatim: entries are kept sorted by descending
-/// priority with stable insertion order, so the first match wins.
+/// priority with stable insertion order, so the first match wins. A
+/// stamped header only sees rules of its own epoch or of epoch 0.
 const FlowEntry* referenceLookup(const FlowTable& table, const PacketHeader& h) {
   for (const FlowEntry& e : table.entries()) {
-    if (e.match.matches(h)) return &e;
+    const std::uint32_t ruleEpoch = cookieEpoch(e.cookie);
+    const bool epochOk = h.epoch == 0 || ruleEpoch == 0 || ruleEpoch == h.epoch;
+    if (epochOk && e.match.matches(h)) return &e;
   }
   return nullptr;
+}
+
+/// add() keeps the table sorted by descending priority and stable in
+/// insertion order: exactly a stable sort of the insertion sequence.
+void expectInsertionOrder(const FlowTable& table, std::vector<FlowEntry> inserted) {
+  std::stable_sort(inserted.begin(), inserted.end(),
+                   [](const FlowEntry& a, const FlowEntry& b) { return a.priority > b.priority; });
+  ASSERT_EQ(table.entries().size(), inserted.size());
+  for (std::size_t i = 0; i < inserted.size(); ++i) {
+    ASSERT_TRUE(sameRule(table.entries()[i], inserted[i]))
+        << "position " << i << ": table has priority " << table.entries()[i].priority
+        << " cookie " << table.entries()[i].cookie << ", expected priority "
+        << inserted[i].priority << " cookie " << inserted[i].cookie;
+  }
 }
 
 /// Build a header that matches `e` on every concrete field, with random
@@ -47,12 +67,16 @@ PacketHeader headerNear(const FlowEntry& e, Rng& rng, bool perturb) {
   return h;
 }
 
-void checkDifferential(const FlowTable& table, Rng& rng, int probes) {
+/// Probe `table` near random entries; each header is stamped with an epoch
+/// drawn from `stamps` (unstamped when it is empty).
+void checkDifferential(const FlowTable& table, Rng& rng, int probes,
+                       const std::vector<std::uint32_t>& stamps = {}) {
   ASSERT_GT(table.size(), 0u);
   for (int i = 0; i < probes; ++i) {
     const FlowEntry& seed =
         table.entries()[rng.below(table.entries().size())];
-    const PacketHeader h = headerNear(seed, rng, rng.below(2) == 0);
+    PacketHeader h = headerNear(seed, rng, rng.below(2) == 0);
+    if (!stamps.empty()) h.epoch = stamps[rng.below(stamps.size())];
     const FlowEntry* expect = referenceLookup(table, h);
     const FlowEntry* got = table.lookup(h);
     ASSERT_EQ(got, expect) << "probe " << i << " diverged: indexed lookup "
@@ -84,11 +108,65 @@ TEST(FlowIndex, MatchesLinearScanOnRandomizedTables) {
   Rng rng(0xF10D1F10Du);
   for (int trial = 0; trial < 8; ++trial) {
     FlowTable table(4096);
+    std::vector<FlowEntry> inserted;
     const std::size_t n = 32 + rng.below(480);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(table.add(randomEntry(rng, i)).ok());
+      inserted.push_back(randomEntry(rng, i));
+      ASSERT_TRUE(table.add(inserted.back()).ok());
     }
+    expectInsertionOrder(table, inserted);
     checkDifferential(table, rng, 2000);  // 16k probes across the trials
+  }
+
+  // The compiled-SDT shape: a large table of one priority. A higher
+  // priority goes in front of all of it, an equal one behind all of it,
+  // and a lower one at the very end.
+  FlowTable table(4096);
+  std::vector<FlowEntry> inserted;
+  for (std::size_t i = 0; i < 2048; ++i) {
+    inserted.push_back(randomEntry(rng, i));
+    inserted.back().priority = 100;
+    ASSERT_TRUE(table.add(inserted.back()).ok());
+  }
+  for (const int priority : {200, 100, 50, 100, 200, 150}) {
+    inserted.push_back(randomEntry(rng, inserted.size()));
+    inserted.back().priority = priority;
+    ASSERT_TRUE(table.add(inserted.back()).ok());
+  }
+  EXPECT_EQ(table.entries().front().priority, 200);
+  EXPECT_EQ(table.entries().front().cookie, 2048u);
+  EXPECT_EQ(table.entries().back().priority, 50);
+  expectInsertionOrder(table, inserted);
+  checkDifferential(table, rng, 2000);
+}
+
+TEST(FlowIndex, EpochGateMatchesReferenceOnTwoEpochTables) {
+  // What a ReconfigTransaction leaves on a switch between install and GC:
+  // the epoch-N rules, the epoch-N+1 rules that replace them (same matches,
+  // new actions), and a few epoch-0 rules that match every stamp.
+  Rng rng(0xE90C4E90u);
+  for (const std::uint32_t epoch : {1u, 41u, makeScopedEpoch(3, 9)}) {
+    FlowTable table(4096);
+    std::vector<FlowEntry> inserted;
+    const std::size_t n = 64 + rng.below(400);
+    for (std::size_t i = 0; i < n; ++i) {
+      FlowEntry e = randomEntry(rng, 0);
+      e.cookie = makeCookie(rng.below(8) == 0 ? 0 : epoch, static_cast<std::uint32_t>(i));
+      inserted.push_back(e);
+      ASSERT_TRUE(table.add(std::move(e)).ok());
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      FlowEntry e = inserted[i];
+      if (cookieEpoch(e.cookie) == 0) continue;
+      e.cookie = makeCookie(epoch + 1, static_cast<std::uint32_t>(i));
+      e.actions = {Action::output(static_cast<int>(rng.below(16)))};
+      inserted.push_back(e);
+      ASSERT_TRUE(table.add(std::move(e)).ok());
+    }
+    ASSERT_GT(table.countEpoch(epoch), 0u);
+    ASSERT_EQ(table.countEpoch(epoch), table.countEpoch(epoch + 1));
+    expectInsertionOrder(table, inserted);
+    checkDifferential(table, rng, 3000, {0, epoch, epoch + 1});
   }
 }
 

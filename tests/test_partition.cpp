@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "partition/partitioner.hpp"
 #include "topo/generators.hpp"
@@ -92,9 +94,11 @@ TEST(Partition, ExactRefusesOversizedGraphs) {
 
 // Property sweep: on every paper topology, the partitioner must produce a
 // valid, reasonably balanced split for 2 and 3 parts (the plant sizes the
-// paper uses).
+// paper uses). The topology name is a std::string, not a const char*: gtest
+// prints a pointer parameter with its address, so the test's name would
+// change from one build (and one run) to the next.
 class PartitionSweep
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(PartitionSweep, BalancedAndComplete) {
   const auto [name, parts] = GetParam();
