@@ -84,7 +84,7 @@ RecoveryOutcome runCrashRecover(std::uint64_t seed, controller::CrashPoint crash
 
   controller::RecoveryOptions ropt;
   ropt.journal = &journal;
-  ropt.retry.seed = seed;
+  ropt.retrySeed = seed;
   controller::RecoveryRun recovery(sim, channel, dep.switches,
                                    std::move(rplanR).value(), ropt);
   recovery.start();

@@ -65,7 +65,7 @@ FailoverOutcome runFailover(std::uint64_t seed, controller::CrashPoint crashAt,
 
   controller::HaConfig hcfg;
   hcfg.deploy.requireDeadlockFree = false;
-  hcfg.retry.seed = seed;
+  hcfg.retrySeed = seed;
   if (leaseInterval > 0) hcfg.leaseInterval = leaseInterval;
   controller::ReplicatedController ha(sim, ctl, fabric, repl, 3, hcfg);
   controller::IntentCatalog catalog;

@@ -1,10 +1,11 @@
 // Topology reconfiguration without rewiring — the core SDT pitch (Fig. 2).
 //
 // One plant is planned for a *set* of topologies (§IV-B: reserve the maximum
-// inter-switch links over all of them); the controller then cycles through
-// them, and each switch-over is pure flow-table work with a sub-second
-// modeled reconfiguration time. A pingpong runs after every deployment to
-// show the new topology is live.
+// inter-switch links over all of them); the controller then deploys each in
+// turn, and each switch-over is pure flow-table work with a sub-second
+// modeled install time. A pingpong runs after every deployment to show the
+// new topology is live. (For a live, consistency-preserving switch-over see
+// SdtController::planUpdate and controller/transaction.hpp.)
 #include <cstdio>
 
 #include "common/strings.hpp"
@@ -49,8 +50,6 @@ int main() {
     return 1;
   }
 
-  controller::Deployment previous;
-  bool first = true;
   for (const topo::Topology& t : topologies) {
     auto routing = routing::makeRouting(t.name().rfind("fattree", 0) == 0
                                             ? "fattree-dfs"
@@ -66,14 +65,13 @@ int main() {
     // The 12-ring's shortest-path CDG has the classic ring cycle; it runs
     // lossy (PFC off), so skip the lossless-fabric gate for it.
     dopt.requireDeadlockFree = t.name().rfind("ring", 0) != 0;
-    auto deployment = first ? ctl.deploy(t, *routing.value(), dopt)
-                            : ctl.reconfigure(previous, t, *routing.value(), dopt);
+    auto deployment = ctl.deploy(t, *routing.value(), dopt);
     if (!deployment) {
       std::fprintf(stderr, "deploy %s: %s\n", t.name().c_str(),
                    deployment.error().message.c_str());
       return 1;
     }
-    std::printf("%-14s -> %4d flow entries, reconfig %-10s (no cables moved)",
+    std::printf("%-14s -> %4d flow entries, install %-10s (no cables moved)",
                 t.name().c_str(), deployment.value().totalFlowEntries,
                 humanTime(deployment.value().reconfigTime).c_str());
 
@@ -90,9 +88,6 @@ int main() {
     const testbed::RunResult run = testbed::runWorkload(
         inst.value(), workloads::imbPingpong(t.numHosts(), 1024, iters));
     std::printf(" | pingpong RTT %.2f us\n", nsToUs(run.act) / iters);
-
-    previous = std::move(deployment).value();
-    first = false;
   }
   std::printf("\nthree topologies, zero manual rewiring: that is SDT.\n");
   return 0;

@@ -40,10 +40,12 @@
 //                                             deploy, switch-crash repair, a
 //                                             live transactional update (with
 //                                             a second config), and a
-//                                             journal-driven recovery audit;
-//                                             print the spans with per-phase
-//                                             timings (--json for
-//                                             machine-readable output)
+//                                             journal-driven recovery audit
+//                                             (--reboot-switch N power-cycles
+//                                             a switch before it); print the
+//                                             spans with per-phase timings
+//                                             (--json for machine-readable
+//                                             output)
 //
 // Common flags: --switches N (default 2), --spec 64|128|h3c (default 128),
 //               --flex P (add P optical flex pairs per switch, §VII-A)
@@ -475,7 +477,7 @@ int cmdRecover(const std::vector<controller::ExperimentConfig>& configs,
   }
   controller::RecoveryOptions ropt;
   ropt.journal = &journal;
-  ropt.retry.seed = seed;
+  ropt.retrySeed = seed;
   controller::RecoveryRun recovery(sim, channel, deployment.switches,
                                    std::move(rplan).value(), ropt);
   recovery.start();
@@ -601,16 +603,12 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
   controller::Deployment deployment = std::move(dep).value();
 
   // Repair demo: power-cycle switch 0 (table gone) and let repair()
-  // reinstall it over a control channel that fails each first send, so the
-  // repair span carries real retry counters.
+  // reinstall it.
   {
     deployment.switches[0]->table().clear();
     controller::FailureSet failures;
     failures.crashedSwitches = {0};
-    controller::RepairOptions ropt;
-    ropt.controlChannel = [](int attempt) { return attempt >= 2; };
-    auto rep = ctl.repair(deployment, from.topology, *routingA.value(), failures,
-                          ropt);
+    auto rep = ctl.repair(deployment, from.topology, *routingA.value(), failures);
     if (!rep) {
       std::fprintf(stderr, "repair: %s\n", rep.error().message.c_str());
       return 1;
@@ -667,8 +665,13 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
   }
 
   // Recovery demo: a successor controller replays the journal and
-  // anti-entropies the fabric (a no-drift audit here — readback, converge,
-  // verify — since nothing was lost).
+  // anti-entropies the fabric. On a clean fabric that is one readback round
+  // with zero drift; --reboot-switch N power-cycles a switch first, so the
+  // run also converges it and verifies.
+  if (opt.rebootSwitch >= 0 &&
+      opt.rebootSwitch < static_cast<int>(deployment.switches.size())) {
+    deployment.switches[static_cast<std::size_t>(opt.rebootSwitch)]->reboot();
+  }
   {
     auto rplan = controller::planRecovery(ctl, journal, catalog, dopt);
     if (!rplan) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -226,6 +227,14 @@ const Value& Value::at(const std::string& key) const {
   if (!isObject()) return kNullValue;
   const auto it = obj_.find(key);
   return it == obj_.end() ? kNullValue : it->second;
+}
+
+std::int64_t Value::asInt() const {
+  constexpr double kTwo63 = 9223372036854775808.0;  // exact as a double
+  if (std::isnan(num_)) return 0;
+  if (num_ >= kTwo63) return std::numeric_limits<std::int64_t>::max();
+  if (num_ < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(num_);
 }
 
 std::int64_t Value::getInt(const std::string& key, std::int64_t fallback) const {

@@ -48,7 +48,9 @@ class Value {
 
   [[nodiscard]] bool asBool() const { return bool_; }
   [[nodiscard]] double asDouble() const { return num_; }
-  [[nodiscard]] std::int64_t asInt() const { return static_cast<std::int64_t>(num_); }
+  /// The number truncated toward zero and saturated to the int64 range (NaN
+  /// reads as 0): untrusted input must not reach the undefined plain cast.
+  [[nodiscard]] std::int64_t asInt() const;
   [[nodiscard]] const std::string& asString() const { return str_; }
   [[nodiscard]] const Array& asArray() const { return arr_; }
   [[nodiscard]] Array& asArray() { return arr_; }

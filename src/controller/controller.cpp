@@ -177,8 +177,8 @@ namespace {
 /// RAII root span for one controller operation. The controller's work is
 /// instantaneous in simulated time, so the span starts at the obs clock's
 /// reading and its phases advance only through the *modeled* durations the
-/// op computes (reconfigTime, retry backoff); a destructor-time finish
-/// stamps early error returns with outcome=error.
+/// op computes (reconfigTime); a destructor-time finish stamps early error
+/// returns with outcome=error.
 class ScopedOpSpan {
  public:
   ScopedOpSpan(const SdtController::ObsContext& obs, const char* name)
@@ -449,37 +449,6 @@ Result<Deployment> SdtController::deploy(const topo::Topology& topo,
   return deployment;
 }
 
-Result<Deployment> SdtController::reconfigure(const Deployment& previous,
-                                              const topo::Topology& next,
-                                              const routing::RoutingAlgorithm& routing,
-                                              const DeployOptions& options) const {
-  ScopedOpSpan span(obs_, "reconfigure_offline");
-  span.annotate("topology", next.name());
-  span.phase("reconfigure_offline.compile");
-  auto deployment = deploy(next, routing, options);
-  if (!deployment) return deployment;
-  // Incremental install: per switch, only the multiset difference between
-  // the previous live table and the recompiled one costs flow-mods. The
-  // per-entry flow-mod cost stays the dominant reconfiguration term (Table
-  // II), so shrinking the mod count is exactly what shrinks the downtime.
-  span.phase("reconfigure_offline.diff");
-  int mods = 0;
-  for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
-    const TableDiff diff =
-        diffEntries(previous.switches[psw]->table().entries(),
-                    deployment.value().switches[psw]->table().entries());
-    mods += static_cast<int>(diff.toRemove.size() + diff.toAdd.size());
-  }
-  deployment.value().reconfigFlowMods = mods;
-  deployment.value().reconfigTime =
-      projection::reconfigTime(projection::TpMethod::kSDT, mods);
-  span.phase("reconfigure_offline.install");
-  span.advance(deployment.value().reconfigTime);
-  span.annotate("flow_mods", std::to_string(mods));
-  span.finish("ok");
-  return deployment;
-}
-
 Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
                                              const topo::Topology& next,
                                              const routing::RoutingAlgorithm& routing,
@@ -564,7 +533,7 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
                                            const topo::Topology& topo,
                                            const routing::RoutingAlgorithm& routing,
                                            const FailureSet& failures,
-                                           const RepairOptions& options) const {
+                                           const DeployOptions& options) const {
   ScopedOpSpan span(obs_, "repair");
   span.annotate("failed_ports", std::to_string(failures.ports.size()));
   span.annotate("crashed_switches", std::to_string(failures.crashedSwitches.size()));
@@ -660,15 +629,20 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
     }
   }
 
-  auto tables = compileFlowTables(topo, proj, plant_, *effective, options.deploy,
+  // Recompile with the deployment's own salt (as planRecovery does with the
+  // journaled one): any other salt re-routes every ECMP choice, and the
+  // diff would churn rules no failure touched.
+  DeployOptions compileOptions = options;
+  compileOptions.ecmpSalt = deployment.ecmpSalt;
+  auto tables = compileFlowTables(topo, proj, plant_, *effective, compileOptions,
                                   deployment.epoch,
                                   report.degraded ? &severedMask : nullptr);
   if (!tables) return tables.error();
 
   // Phase 3 — incremental install: per switch, a multiset diff of the live
   // table against the recompiled one, applied as strict-delete + add
-  // flow-mods over the (possibly flaky) control channel. A crashed switch's
-  // live table is empty, so the diff reinstalls its exact fresh set.
+  // flow-mods. A crashed switch's live table is empty, so the diff
+  // reinstalls its exact fresh set.
   span.phase("repair.install");
   // Tenant containment: a scoped deployment (epoch carries a tenant id) may
   // only ever touch its own rules on the shared switches — crash cleanup and
@@ -682,8 +656,6 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
     }
   }
   int newTotal = 0;
-  std::uint64_t stream = 0;
-  retry::RetryCounters retryCounters;
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     openflow::FlowTable& live = deployment.switches[psw]->table();
     const std::vector<openflow::FlowEntry>& desired = tables.value()[psw];
@@ -697,29 +669,8 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
     }
     const TableDiff diff =
         diffEntries(tenant != 0 ? ownedLive : live.entries(), desired);
-
-    const auto install = [&](const char* what) -> Status<Error> {
-      const auto attempt = [&](int n) {
-        return options.controlChannel ? options.controlChannel(n) : true;
-      };
-      const retry::RetryResult rr =
-          retry::retryWithBackoff(options.retry, stream++, attempt, &retryCounters);
-      report.installRetries += rr.attempts - 1;
-      report.retryBackoffTime += rr.elapsed;
-      if (!rr.succeeded) {
-        return makeError(strFormat(
-            "repair: switch %d unreachable over control channel (%s flow-mod "
-            "failed after %d attempts)",
-            psw, what, rr.attempts));
-      }
-      return {};
-    };
-    for (const openflow::FlowEntry& e : diff.toRemove) {
-      if (auto s = install("strict-delete"); !s) return s.error();
-      live.removeExact(e);
-    }
+    for (const openflow::FlowEntry& e : diff.toRemove) live.removeExact(e);
     for (const openflow::FlowEntry* e : diff.toAdd) {
-      if (auto s = install("add"); !s) return s.error();
       openflow::FlowEntry fresh = *e;
       fresh.packetCount = 0;
       fresh.byteCount = 0;
@@ -739,20 +690,12 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
   }
   report.fullRedeployFlowMods = oldTotal + newTotal;
   report.repairTime =
-      projection::reconfigTime(projection::TpMethod::kSDT, report.flowMods()) +
-      report.retryBackoffTime;
-  if (obs_.metrics != nullptr && retryCounters.retries > 0) {
-    obs_.metrics
-        ->counter("sdt_controller_retry_attempts_total",
-                  {{"op", "repair"}, {"phase", "install"}},
-                  "Control-channel resends beyond the first attempt")
-        .inc(retryCounters.retries);
-  }
+      projection::reconfigTime(projection::TpMethod::kSDT, report.flowMods());
   span.advance(report.repairTime);  // install covers the modeled repair time
 
   // Phase 4 — deadlock re-check on the degraded topology. Advisory: a
   // detour-induced CDG cycle is reported, not fatal (see RepairReport).
-  if (report.degraded && options.deploy.requireDeadlockFree) {
+  if (report.degraded && options.requireDeadlockFree) {
     span.phase("repair.deadlock_check");
     report.deadlockChecked = true;
     const routing::DeadlockReport dl = routing::analyzeDeadlock(topo, *degradedRouting);

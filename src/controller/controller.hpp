@@ -17,8 +17,11 @@
 //  - Network Monitor: see controller/monitor.hpp.
 //
 // The paper's controller is Ryu/Python driving real H3C switches; here the
-// "switches" are openflow::Switch models and the control channel is a
-// modeled reconfiguration-time estimate (projection::reconfigTime).
+// "switches" are openflow::Switch models. deploy() and repair() write their
+// tables directly and charge a modeled install time
+// (projection::reconfigTime); the live protocols — transactional updates and
+// crash recovery — run over the lossy sim::ControlChannel through a
+// SwitchSession (controller/session.hpp).
 #pragma once
 
 #include <functional>
@@ -28,7 +31,6 @@
 
 #include "admission/admission.hpp"
 #include "common/result.hpp"
-#include "common/retry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/of_switch.hpp"
@@ -69,10 +71,6 @@ struct Deployment {
   /// onto ingress packets). deploy() starts at 1; each committed
   /// transactional reconfiguration bumps it.
   std::uint32_t epoch = 1;
-  /// reconfigure() only: flow-mods the incremental diff actually issued —
-  /// strictly fewer than the previous.total + next.total a full
-  /// teardown+redeploy would send whenever the tables overlap.
-  int reconfigFlowMods = 0;
   /// Intent identity, journaled for crash recovery: the names are the keys a
   /// restarted controller uses to look up the topology and routing objects
   /// (recovery::IntentCatalog) and recompile exactly these tables, so the
@@ -102,16 +100,6 @@ struct FailureSet {
   std::vector<int> crashedSwitches;
 
   [[nodiscard]] bool empty() const { return ports.empty() && crashedSwitches.empty(); }
-};
-
-struct RepairOptions {
-  DeployOptions deploy;
-  /// Backoff policy for modeled flow-mod installs over a flaky control
-  /// channel (common/retry.hpp).
-  retry::RetryPolicy retry;
-  /// Per-attempt success oracle (sim::FaultInjector::controlChannel());
-  /// null means the control channel never fails.
-  std::function<bool(int)> controlChannel;
 };
 
 /// Compiled-but-not-installed next configuration: everything a transactional
@@ -163,19 +151,16 @@ struct RepairReport {
   bool degraded = false;  ///< some logical links stayed severed
 
   // Incremental flow-table delta (strict-delete + add flow-mods), vs. what a
-  // full reconfigure() teardown+reinstall would have cost.
+  // full teardown+reinstall would have cost.
   int flowModsRemoved = 0;
   int flowModsAdded = 0;
   int fullRedeployFlowMods = 0;
   [[nodiscard]] int flowMods() const { return flowModsRemoved + flowModsAdded; }
-
-  // Control-channel accounting (modeled time, folded into repairTime).
-  int installRetries = 0;  ///< attempts beyond the first, summed over installs
-  TimeNs retryBackoffTime = 0;
-  TimeNs repairTime = 0;  ///< modeled reconfiguration time of the repair
+  /// Modeled install time of the delta: reconfigTime(kSDT, flowMods()).
+  TimeNs repairTime = 0;
 
   // Deadlock re-check on the degraded topology (runs when links were severed
-  // and deploy.requireDeadlockFree is set). A cycle is reported, not fatal:
+  // and options.requireDeadlockFree is set). A cycle is reported, not fatal:
   // degraded connectivity with a PFC-storm risk still beats no connectivity.
   bool deadlockChecked = false;
   bool deadlockFree = true;
@@ -201,9 +186,8 @@ class SdtController {
   [[nodiscard]] const projection::Plant& plant() const { return plant_; }
 
   /// Attach (or detach, with a default-constructed context) metric/trace
-  /// sinks. Every deploy/reconfigure/planUpdate/repair afterwards emits a
-  /// root span named after the op with per-phase child spans, plus
-  /// sdt_controller_retry_attempts_total counters where retries happen.
+  /// sinks. Every deploy/planUpdate/repair afterwards emits a root span
+  /// named after the op with per-phase child spans.
   void setObservability(ObsContext obs) { obs_ = std::move(obs); }
   [[nodiscard]] const ObsContext& observability() const { return obs_; }
 
@@ -220,20 +204,6 @@ class SdtController {
   [[nodiscard]] Result<Deployment> deploy(const topo::Topology& topo,
                                           const routing::RoutingAlgorithm& routing,
                                           const DeployOptions& options = {}) const;
-
-  /// Offline reconfiguration from `previous` to `next` (no cable ever moves,
-  /// the SDT claim). Instead of a full teardown+reinstall, the controller
-  /// diffs the previous live tables against the recompiled ones per switch
-  /// (the same multiset diff repair() uses) and only issues flow-mods for
-  /// the difference: reconfigTime and reconfigFlowMods in the returned
-  /// deployment cover exactly those mods — strictly fewer than
-  /// previous.total + next.total whenever the configurations share rules.
-  /// For a consistency-preserving *live* update, use planUpdate() plus
-  /// controller/transaction.hpp instead.
-  [[nodiscard]] Result<Deployment> reconfigure(const Deployment& previous,
-                                               const topo::Topology& next,
-                                               const routing::RoutingAlgorithm& routing,
-                                               const DeployOptions& options = {}) const;
 
   /// Prepare phase of a transactional (two-phase, Reitblatt-style) live
   /// reconfiguration: compile `next` into epoch-(current.epoch + 1) flow
@@ -259,12 +229,14 @@ class SdtController {
   /// in place. When no spare exists the logical link is severed: surviving
   /// traffic is re-routed around it (routing::DegradedRouting) and the
   /// report lists the severed links and newly unreachable host pairs.
-  /// `routing` must be the algorithm the deployment was compiled with.
+  /// `routing` must be the algorithm the deployment was compiled with; the
+  /// recompile uses the deployment's own ECMP salt, so an unchanged fabric
+  /// costs zero flow-mods whatever `options.ecmpSalt` says.
   [[nodiscard]] Result<RepairReport> repair(Deployment& deployment,
                                             const topo::Topology& topo,
                                             const routing::RoutingAlgorithm& routing,
                                             const FailureSet& failures,
-                                            const RepairOptions& options = {}) const;
+                                            const DeployOptions& options = {}) const;
 
   /// Admission-policy distribution: validate `policy` and push it to the
   /// fabric-edge admission controller (the overload analogue of a table

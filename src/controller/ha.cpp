@@ -421,7 +421,7 @@ void ReplicatedController::startFailoverRecovery(int id) {
     return;
   }
   RecoveryOptions options;
-  options.retry = config_.retry;
+  options.retrySeed = config_.retrySeed;
   options.maxRounds = config_.recoveryMaxRounds;
   options.term = s.term;
   options.leaderId = id;

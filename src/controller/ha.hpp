@@ -59,7 +59,6 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "common/retry.hpp"
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
 #include "controller/recovery.hpp"
@@ -94,8 +93,8 @@ struct HaConfig {
   /// snapshot catch-up, which tolerates arbitrary loss. Clamped to
   /// >= ackWindow.
   int sendQueueCap = 1024;
-  /// Retry/backoff shape for the failover RecoveryRun's rounds.
-  retry::RetryPolicy retry;
+  /// Backoff jitter seed of the failover RecoveryRun (RecoveryOptions).
+  std::uint64_t retrySeed = SwitchSession::kDefaultSeed;
   /// Anti-entropy round cap for the failover RecoveryRun.
   int recoveryMaxRounds = 8;
   /// Recompile knobs handed to planRecovery on takeover.

@@ -2,7 +2,9 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <limits>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 
 namespace sdt::controller {
@@ -10,15 +12,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x4A544453;  // "SDTJ" little-endian
 constexpr std::size_t kHeaderBytes = 12;      // magic + length + checksum
-
-std::uint32_t fnv1a32(std::string_view bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 void putU32(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v & 0xFF));
@@ -45,13 +38,16 @@ std::string frameRecord(const JournalRecord& record) {
   frame.reserve(kHeaderBytes + payload.size());
   putU32(frame, kMagic);
   putU32(frame, static_cast<std::uint32_t>(payload.size()));
-  putU32(frame, fnv1a32(payload));
+  putU32(frame, hash::fnv1a32(payload));
   frame += payload;
   return frame;
 }
 
 Result<std::uint64_t> parseHexU64(const std::string& s) {
   if (s.empty()) return makeError("empty u64 hex field");
+  if (s.size() > 16) {
+    return makeError(strFormat("u64 hex field '%s' has over 16 digits", s.c_str()));
+  }
   std::uint64_t v = 0;
   for (const char c : s) {
     std::uint64_t digit = 0;
@@ -111,11 +107,21 @@ Result<JournalRecord> JournalRecord::fromJson(const json::Value& doc) {
   auto kind = kindFromName(doc.getString("kind", ""));
   if (!kind) return kind.error();
   rec.kind = kind.value();
-  rec.seq = static_cast<std::uint64_t>(doc.getInt("seq", 0));
+  // Range-checked, not cast: a forged frame must not wrap into a
+  // valid-looking sequence number or epoch.
+  const std::int64_t seq = doc.getInt("seq", 0);
+  if (seq < 0) return makeError("journal record has a negative seq");
+  rec.seq = static_cast<std::uint64_t>(seq);
   rec.at = doc.getInt("at", 0);
-  rec.epoch = static_cast<std::uint32_t>(doc.getInt("epoch", 0));
-  rec.fromEpoch = static_cast<std::uint32_t>(doc.getInt("fromEpoch", 0));
-  rec.toEpoch = static_cast<std::uint32_t>(doc.getInt("toEpoch", 0));
+  for (const auto& [key, field] : {std::pair{"epoch", &rec.epoch},
+                                   std::pair{"fromEpoch", &rec.fromEpoch},
+                                   std::pair{"toEpoch", &rec.toEpoch}}) {
+    const std::int64_t v = doc.getInt(key, 0);
+    if (v < 0 || v > std::numeric_limits<std::uint32_t>::max()) {
+      return makeError(strFormat("journal record %s out of range", key));
+    }
+    *field = static_cast<std::uint32_t>(v);
+  }
   rec.topology = doc.getString("topology", "");
   rec.routing = doc.getString("routing", "");
   auto salt = parseHexU64(doc.getString("ecmpSalt", "0"));
@@ -359,7 +365,7 @@ Result<JournalReplay> Journal::replay() const {
     const std::uint32_t checksum = getU32(data, pos + 8);
     if (data.size() - pos - kHeaderBytes < len) break;  // torn tail
     const std::string_view payload(data.data() + pos + kHeaderBytes, len);
-    if (fnv1a32(payload) != checksum) break;
+    if (hash::fnv1a32(payload) != checksum) break;
     auto doc = json::parse(payload);
     if (!doc) break;
     auto rec = JournalRecord::fromJson(doc.value());

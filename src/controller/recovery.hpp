@@ -15,7 +15,8 @@
 //            recompiles that intent's flow tables from the journaled
 //            topology/routing names and ECMP salt (recovery::IntentCatalog).
 //   readback The controller trusts switches, not memory: a flow-stats
-//            request per switch over the lossy ControlChannel (with
+//            request per switch over the lossy ControlChannel (a
+//            SwitchSession round, controller/session.hpp, with its
 //            retry/backoff) returns each table + ingress epoch verbatim.
 //            A rebooted switch shows up as an empty table stamping epoch 0.
 //   converge Per switch, the epoch-insensitive multiset diff
@@ -43,10 +44,9 @@
 
 #include "common/json.hpp"
 #include "common/result.hpp"
-#include "common/retry.hpp"
-#include "common/rng.hpp"
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
+#include "controller/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
@@ -110,12 +110,11 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
                                   const DeployOptions& options = {});
 
 struct RecoveryOptions {
-  /// Retry budget and backoff shape per readback / converge attempt.
-  retry::RetryPolicy retry;
-  /// Per-switch attempt backstop for a single round (like
-  /// ReconfigOptions::commitAttempts): recovery never gives up early, but a
-  /// channel that never delivers must not hang the simulation.
-  int convergeAttempts = 1000;
+  /// Seed of the per-switch backoff jitter streams. Recovery never gives up
+  /// early: every round runs to the session's attempt backstop
+  /// (SwitchSession::kBackstopAttempts), so a channel that never delivers
+  /// fails the run instead of hanging the simulation.
+  std::uint64_t retrySeed = SwitchSession::kDefaultSeed;
   /// Anti-entropy iteration cap: readback -> converge -> readback ... until
   /// a verify round is clean everywhere or this many rounds have run.
   int maxRounds = 8;
@@ -220,9 +219,8 @@ class RecoveryRun {
   /// the monitor does not stay suppressed forever. Idempotent; a no-op on
   /// a finished run.
   void cancel();
-  [[nodiscard]] bool cancelled() const { return cancelled_; }
 
-  [[nodiscard]] bool finished() const { return finished_; }
+  [[nodiscard]] bool finished() const { return session_.closed(); }
   [[nodiscard]] const RecoveryReport& report() const { return report_; }
 
   /// The deployment the converged fabric now implements (valid only after a
@@ -255,11 +253,10 @@ class RecoveryRun {
   /// Ports whose ingress stamp this recovery owns on `sw`, or nullptr for
   /// the whole switch (plan_.flipPorts empty or its inner list empty).
   [[nodiscard]] const std::vector<int>* flipPortsFor(int sw) const;
-  void startRound(int sw, Round round, int attempt);
+  /// The session's request for `sw` in the current round.
+  SwitchSession::Request request(int sw);
   void onSnapshot(int sw, const openflow::TableSnapshot& snap);
   void onConvergeAck(int sw);
-  void onRoundTimeout(int sw, Round round, int attempt, std::uint64_t gen);
-  [[nodiscard]] TimeNs backoffDelay(int sw, int attempt);
   void completeSwitch(int sw);
   void beginConverge();
   void beginVerify();
@@ -268,37 +265,27 @@ class RecoveryRun {
   void finishSuccess();
   void finishFailure(const std::string& why);
   void finish();
-  /// Close the current phase span and open `name` under the root (no-op
-  /// without a tracer).
-  void tracePhase(const char* name);
-  /// Close both spans and stamp the root with the outcome.
-  void traceFinish(const char* outcome);
+  /// End the run, finished or cancelled: stamp the report, close the
+  /// session with `outcome`, lift the monitor guards.
+  void end(const char* outcome);
 
   sim::Simulator* sim_;
-  sim::ControlChannel* channel_;
   std::vector<std::shared_ptr<openflow::Switch>> switches_;
   RecoveryPlan plan_;
   RecoveryOptions options_;
   DoneFn done_;
+  SwitchSession session_;
 
   Round currentRound_ = Round::kReadback;
   int roundIndex_ = 0;       ///< anti-entropy iteration counter (xid salt)
-  bool finished_ = false;
-  bool cancelled_ = false;
-  std::uint64_t gen_ = 0;    ///< bumped on round change; stale timers no-op
   RecoveryReport report_;
   Deployment deployment_;
   std::vector<ConvergeOps> pending_;      ///< per switch, refreshed per readback
   std::vector<openflow::TableSnapshot> lastSnap_;
-  std::vector<char> roundComplete_;
-  std::vector<Rng> backoffRng_;
-  int roundAcks_ = 0;
   bool firstReadback_ = true;  ///< drift accounting happens once
   /// epochTenant(plan_.targetEpoch): non-zero scopes every diff, restamp,
   /// purity check, and deployment total to this tenant's own rules.
   std::uint16_t tenant_ = 0;
-  obs::SpanId spanRun_ = obs::kNoSpan;    ///< root span (tracer only)
-  obs::SpanId spanPhase_ = obs::kNoSpan;  ///< currently open phase child
 };
 
 /// Append the kDeploy intent record for a fresh deployment. deploy() itself

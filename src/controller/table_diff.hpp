@@ -1,13 +1,11 @@
 // Shared flow-table compilation and diff machinery (controller internals).
 //
-// deploy(), reconfigure(), repair(), and crash recovery all need the same two
-// primitives: compile a routing strategy into per-physical-switch flow
-// entries, and compute the multiset difference between a live table and a
-// desired one. They were private to controller.cpp until crash recovery
-// (controller/recovery.hpp) needed to recompile journaled intent and diff it
-// against tables *read back* from the switches — state the controller no
-// longer owns in memory. The `detail` namespace marks them as internals with
-// stable semantics but no API promise to code outside src/controller.
+// deploy(), planUpdate(), repair(), and crash recovery all compile a routing
+// strategy into per-physical-switch flow entries; repair() and recovery's
+// converge rounds also compute the multiset difference between a live table
+// (recovery's is *read back* from the switch) and the desired one. The
+// `detail` namespace marks them as internals with stable semantics but no
+// API promise to code outside src/controller.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +42,7 @@ std::string ruleKey(const openflow::FlowEntry& e);
 
 /// Per-switch multiset diff of a live entry list against the desired one:
 /// what an incremental update must strict-delete and add. Shared by
-/// repair(), the diff-based reconfigure(), and recovery convergence.
+/// repair() and recovery convergence.
 struct TableDiff {
   std::vector<openflow::FlowEntry> toRemove;        ///< copies of live entries
   std::vector<const openflow::FlowEntry*> toAdd;    ///< pointers into desired

@@ -86,26 +86,27 @@ ReconfigTransaction::ReconfigTransaction(sim::Simulator& sim,
                                          Deployment& deployment, UpdatePlan plan,
                                          ReconfigOptions options, DoneFn done)
     : sim_(&sim),
-      channel_(&channel),
       deployment_(&deployment),
       plan_(std::move(plan)),
       options_(std::move(options)),
-      done_(std::move(done)) {
-  const auto n = static_cast<std::size_t>(numSwitches());
+      done_(std::move(done)),
+      session_(sim, channel, static_cast<int>(deployment.switches.size()),
+               {.op = "reconfigure",
+                .seed = options_.retry.seed,
+                .salt = 0x7C0FF1E5ULL,
+                .tracer = options_.tracer,
+                .metrics = options_.metrics,
+                .request = [this](int sw) { return request(sw); },
+                .exhausted = [this](int sw, int n) { onExhausted(sw, n); }}) {
+  const std::size_t n = deployment.switches.size();
   acked_.resize(n);
-  applied_.resize(n);
-  roundComplete_.assign(n, 0);
-  backoffRng_.reserve(n);
-  for (std::size_t sw = 0; sw < n; ++sw) {
-    std::uint64_t mix = options_.retry.seed ^ (0x7C0FF1E5ULL + sw);
-    backoffRng_.emplace_back(sdt::detail::splitmix64(mix));
-  }
+  rolledBack_.assign(n, 0);
   report_.fromEpoch = plan_.fromEpoch;
   report_.toEpoch = plan_.toEpoch;
   scope_ = plan_.scope;
   if (scope_.empty()) {
     scope_.reserve(n);
-    for (int sw = 0; sw < numSwitches(); ++sw) scope_.push_back(sw);
+    for (std::size_t sw = 0; sw < n; ++sw) scope_.push_back(static_cast<int>(sw));
   }
   flipPortsBySwitch_.resize(n);
   for (std::size_t i = 0; i < plan_.scope.size() && i < plan_.flipPorts.size(); ++i) {
@@ -125,178 +126,77 @@ bool* ReconfigTransaction::ackedFlag(int sw, Round round) {
   return nullptr;
 }
 
-bool* ReconfigTransaction::appliedFlag(int sw, Round round) {
-  SwitchTxState& s = applied_[static_cast<std::size_t>(sw)];
-  switch (round) {
-    case Round::kInstall: return &s.installAcked;
-    case Round::kBarrier: return &s.barrierAcked;
-    case Round::kFlip: return &s.flipAcked;
-    case Round::kGc: return &s.gcAcked;
-    case Round::kRollback: return &s.rollbackAcked;
-  }
-  return nullptr;
-}
-
-const char* ReconfigTransaction::roundName(Round round) {
-  switch (round) {
-    case Round::kInstall: return "install";
-    case Round::kBarrier: return "barrier";
-    case Round::kFlip: return "flip";
-    case Round::kGc: return "gc";
-    case Round::kRollback: return "rollback";
-  }
-  return "?";
-}
-
-void ReconfigTransaction::tracePhase(const char* name) {
-  if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) options_.tracer->end(spanPhase_, now);
-  spanPhase_ = options_.tracer->begin(std::string("reconfigure.") + name, now, spanTx_);
-}
-
-void ReconfigTransaction::traceFinish(const char* outcome) {
-  if (options_.tracer == nullptr) return;
-  const TimeNs now = sim_->now();
-  if (spanPhase_ != obs::kNoSpan) {
-    options_.tracer->end(spanPhase_, now);
-    spanPhase_ = obs::kNoSpan;
-  }
-  if (spanTx_ == obs::kNoSpan) return;
-  options_.tracer->annotate(spanTx_, "outcome", outcome);
-  options_.tracer->annotate(spanTx_, "retries", std::to_string(report_.retriesTotal));
-  if (!report_.failure.empty()) {
-    options_.tracer->annotate(spanTx_, "failure", report_.failure);
-  }
-  options_.tracer->end(spanTx_, now);
-  spanTx_ = obs::kNoSpan;
-}
-
 void ReconfigTransaction::start() {
   report_.startedAt = sim_->now();
-  if (options_.tracer != nullptr) {
-    spanTx_ = options_.tracer->begin("reconfigure", report_.startedAt);
-    options_.tracer->annotate(spanTx_, "topology", plan_.topology);
-    options_.tracer->annotate(spanTx_, "from_epoch", std::to_string(plan_.fromEpoch));
-    options_.tracer->annotate(spanTx_, "to_epoch", std::to_string(plan_.toEpoch));
-    options_.tracer->annotate(spanTx_, "rules", std::to_string(plan_.totalEntries));
-  }
-  tracePhase("prepare");
+  session_.open({{"topology", plan_.topology},
+                 {"from_epoch", std::to_string(plan_.fromEpoch)},
+                 {"to_epoch", std::to_string(plan_.toEpoch)},
+                 {"rules", std::to_string(plan_.totalEntries)}});
+  session_.phase("prepare");
   // WAL discipline: the prepare record hits the journal before the first
   // install leaves the controller, so any later crash finds an open
   // transaction with its full target intent.
   journalMark(JournalRecordKind::kTxPrepare);
   if (maybeCrash(CrashPoint::kPrepare)) return;
-  phase_ = ReconfigPhase::kInstall;
   report_.phaseReached = ReconfigPhase::kInstall;
-  currentRound_ = Round::kInstall;
-  tracePhase("install");
+  session_.phase("install");
   if (options_.monitor != nullptr) {
     for (const int sw : scope_) options_.monitor->guardSwitch(sw);
   }
-  for (const int sw : scope_) startRound(sw, Round::kInstall, 1);
+  beginRound(Round::kInstall);
 }
 
-TimeNs ReconfigTransaction::backoffDelay(int sw, int attempt) {
-  // attempt is the one that just failed (1-based); mirror retryWithBackoff's
-  // capped exponential with deterministic jitter, but event-driven. The cap
-  // is applied in double, *before* the cast: commitAttempts is in the
-  // hundreds, the uncapped exponential exceeds 2^63 within ~64 attempts
-  // (eventually inf — well-defined for doubles), and casting such a value
-  // to TimeNs is undefined behavior.
-  double wait = static_cast<double>(options_.retry.baseBackoff);
-  for (int i = 1; i < attempt; ++i) wait *= options_.retry.backoffMultiplier;
-  if (options_.retry.jitter > 0.0) {
-    wait *= 1.0 - options_.retry.jitter *
-                      backoffRng_[static_cast<std::size_t>(sw)].uniform();
-  }
-  const double maxBackoff = static_cast<double>(options_.retry.maxBackoff);
-  if (!(wait < maxBackoff)) wait = maxBackoff;
-  return static_cast<TimeNs>(wait);
+void ReconfigTransaction::beginRound(Round round) {
+  currentRound_ = round;
+  // Only install and barrier may give up: before the first flip, rollback
+  // is always safe. Past it the protocol only moves forward.
+  const bool abortable = round == Round::kInstall || round == Round::kBarrier;
+  session_.beginRound(roundName(round), abortable ? options_.retry.maxAttempts
+                                                  : SwitchSession::kBackstopAttempts);
+  for (const int sw : scope_) session_.send(sw);
 }
 
-void ReconfigTransaction::startRound(int sw, Round round, int attempt) {
-  if (finished_ || roundComplete_[static_cast<std::size_t>(sw)] != 0) return;
-  if (attempt > 1) {
-    ++report_.retriesTotal;
-    ++acked_[static_cast<std::size_t>(sw)].retries;
-    if (options_.metrics != nullptr) {
-      options_.metrics
-          ->counter("sdt_controller_retry_attempts_total",
-                    {{"op", "reconfigure"}, {"phase", roundName(round)}},
-                    "Control-channel resends beyond the first attempt")
-          .inc();
-    }
-  }
-  // Request travels to the switch; every delivered copy re-sends the ack
-  // (the *apply* is idempotent, the ack is not — a lost ack must be
-  // recoverable by retransmitting the request).
-  channel_->send(sw, [this, sw, round]() {
+SwitchSession::Request ReconfigTransaction::request(int sw) {
+  const Round round = currentRound_;
+  return [this, sw, round]() -> SwitchSession::Reply {
     // A fenced bundle (stale leader term) is dropped without an ack — the
     // real agent would answer with an error the dead session never reads.
-    if (!applyAtSwitch(sw, round)) return;
-    channel_->send(sw, [this, sw, round]() { onAck(sw, round); });
-  });
-  const std::uint64_t gen = gen_;
-  sim_->schedule(options_.retry.attemptTimeout,
-                 [this, sw, round, attempt, gen]() {
-                   onRoundTimeout(sw, round, attempt, gen);
-                 });
+    if (!applyAtSwitch(sw, round)) return nullptr;
+    return [this, sw, round]() { onAck(sw, round); };
+  };
 }
 
-void ReconfigTransaction::onRoundTimeout(int sw, Round round, int attempt,
-                                         std::uint64_t gen) {
-  if (finished_ || gen != gen_ || roundComplete_[static_cast<std::size_t>(sw)] != 0) {
+void ReconfigTransaction::onExhausted(int sw, int attempts) {
+  // Bounded rounds before the commit point abort the whole transaction; the
+  // forward-only rounds give up on this switch and let finish() report the
+  // unverified state.
+  if (currentRound_ == Round::kInstall || currentRound_ == Round::kBarrier) {
+    abort(currentRound_ == Round::kInstall ? ReconfigPhase::kInstall
+                                           : ReconfigPhase::kBarrier,
+          strFormat("switch %d unreachable in %s phase after %d attempts", sw,
+                    roundName(currentRound_), attempts));
     return;
   }
-  const bool boundless = round == Round::kFlip || round == Round::kRollback ||
-                         round == Round::kGc;
-  const int cap = boundless ? options_.commitAttempts : options_.retry.maxAttempts;
-  if (attempt >= cap) {
-    // Budget exhausted. Bounded phases before the commit point abort the
-    // whole transaction; the forward-only phases give up on this switch and
-    // let finish() report the unverified state.
-    if (round == Round::kInstall || round == Round::kBarrier) {
-      abort(round == Round::kInstall ? ReconfigPhase::kInstall
-                                     : ReconfigPhase::kBarrier,
-            strFormat("switch %d unreachable in %s phase after %d attempts", sw,
-                      round == Round::kInstall ? "install" : "barrier", attempt));
-      return;
-    }
-    stuck_ = true;
-    if (round == Round::kGc) report_.gcIncomplete = true;
-    roundComplete_[static_cast<std::size_t>(sw)] = 1;
-    ++roundAcks_;
-    if (roundAcks_ == scopeSize()) advancePhase();
-    return;
-  }
-  const TimeNs backoff = backoffDelay(sw, attempt);
-  sim_->schedule(backoff, [this, sw, round, attempt, gen]() {
-    if (finished_ || gen != gen_ ||
-        roundComplete_[static_cast<std::size_t>(sw)] != 0) {
-      return;
-    }
-    startRound(sw, round, attempt + 1);
-  });
+  stuck_ = true;
+  if (currentRound_ == Round::kGc) report_.gcIncomplete = true;
+  if (session_.complete(sw) == scopeSize()) advancePhase();
 }
 
 bool ReconfigTransaction::applyAtSwitch(int sw, Round round) {
-  if (finished_) return true;
+  if (finished()) return true;
   openflow::Switch& ofs = *deployment_->switches[static_cast<std::size_t>(sw)];
   // Term fence first: a bundle from a deposed leader must not touch the
   // table, consume an xid, or even bump the barrier counter.
   if (!ofs.admitTerm(options_.term, options_.leaderId)) return false;
-  SwitchTxState& done = applied_[static_cast<std::size_t>(sw)];
   // Mutating bundles carry an OpenFlow xid; the switch itself refuses
   // re-application (openflow::Switch::acceptXid), which is what makes the
-  // at-least-once channel safe — see the dedup note on acceptXid(). The
-  // applied_ flags stay as cross-round fences and report bookkeeping.
+  // at-least-once channel safe — see the dedup note on acceptXid().
   const std::uint64_t xid = txXid(plan_.toEpoch, static_cast<int>(round), sw);
   switch (round) {
     case Round::kInstall: {
       // A request that limps in after this switch already processed the
       // abort must not resurrect the new epoch's rules.
-      if (done.rollbackAcked) break;
+      if (rolledBack_[static_cast<std::size_t>(sw)] != 0) break;
       if (!ofs.acceptXid(xid)) break;
       for (const openflow::FlowEntry& e : plan_.tables[static_cast<std::size_t>(sw)]) {
         if (auto s = ofs.table().add(e); !s) {
@@ -307,7 +207,6 @@ bool ReconfigTransaction::applyAtSwitch(int sw, Round round) {
         }
         ++report_.flowModsInstalled;
       }
-      done.installAcked = true;
       break;
     }
     case Round::kBarrier:
@@ -329,27 +228,25 @@ bool ReconfigTransaction::applyAtSwitch(int sw, Round round) {
           ofs.setPortIngressEpoch(p, plan_.toEpoch);
         }
       }
-      done.flipAcked = true;
       break;
     }
     case Round::kGc:
       if (!ofs.acceptXid(xid)) break;
       report_.flowModsGarbageCollected +=
           static_cast<int>(ofs.table().removeByEpoch(plan_.fromEpoch));
-      done.gcAcked = true;
       break;
     case Round::kRollback:
       if (!ofs.acceptXid(xid)) break;
       report_.flowModsRolledBack +=
           static_cast<int>(ofs.table().removeByEpoch(plan_.toEpoch));
-      done.rollbackAcked = true;
+      rolledBack_[static_cast<std::size_t>(sw)] = 1;
       break;
   }
   return true;
 }
 
 void ReconfigTransaction::onAck(int sw, Round round) {
-  if (finished_) return;
+  if (finished()) return;
   bool* flag = ackedFlag(sw, round);
   if (*flag) return;  // duplicate or retransmitted ack
   *flag = true;
@@ -357,33 +254,25 @@ void ReconfigTransaction::onAck(int sw, Round round) {
   // Only acks for the round in progress advance the protocol; a stale ack
   // from an earlier phase (or one arriving after this switch's give-up was
   // recorded) just updates the bookkeeping above.
-  if (round != currentRound_ || roundComplete_[static_cast<std::size_t>(sw)] != 0) {
-    return;
-  }
-  roundComplete_[static_cast<std::size_t>(sw)] = 1;
-  ++roundAcks_;
+  if (round != currentRound_ || session_.done(sw)) return;
+  const int acks = session_.complete(sw);
   // Mid-phase crash points fire on the *first* ack of their round: the
   // moment the fabric is most asymmetric (one switch has acted, the rest
   // have not), which is the hardest state recovery must untangle.
-  if (roundAcks_ == 1) {
+  if (acks == 1) {
     if (round == Round::kInstall && maybeCrash(CrashPoint::kMidInstall)) return;
     if (round == Round::kFlip && maybeCrash(CrashPoint::kPostFlip)) return;
     if (round == Round::kGc && maybeCrash(CrashPoint::kMidGc)) return;
   }
-  if (roundAcks_ == scopeSize()) advancePhase();
+  if (acks == scopeSize()) advancePhase();
 }
 
 void ReconfigTransaction::advancePhase() {
-  ++gen_;
-  std::fill(roundComplete_.begin(), roundComplete_.end(), 0);
-  roundAcks_ = 0;
   switch (currentRound_) {
     case Round::kInstall:
-      phase_ = ReconfigPhase::kBarrier;
       report_.phaseReached = ReconfigPhase::kBarrier;
-      currentRound_ = Round::kBarrier;
-      tracePhase("barrier");
-      for (const int sw : scope_) startRound(sw, Round::kBarrier, 1);
+      session_.phase("barrier");
+      beginRound(Round::kBarrier);
       break;
     case Round::kBarrier:
       // Commit point: the first flip message may stamp a packet with the new
@@ -393,20 +282,19 @@ void ReconfigTransaction::advancePhase() {
       // may (must) roll back.
       if (maybeCrash(CrashPoint::kPreFlip)) return;
       journalMark(JournalRecordKind::kTxFlip);
-      phase_ = ReconfigPhase::kFlip;
       report_.phaseReached = ReconfigPhase::kFlip;
-      currentRound_ = Round::kFlip;
-      tracePhase("flip");
-      for (const int sw : scope_) startRound(sw, Round::kFlip, 1);
+      session_.phase("flip");
+      beginRound(Round::kFlip);
       break;
     case Round::kFlip: {
       report_.updateWindowEnd = sim_->now();
-      phase_ = ReconfigPhase::kDrain;
       report_.phaseReached = ReconfigPhase::kDrain;
-      tracePhase("drain");
-      const std::uint64_t gen = gen_;
+      session_.phase("drain");
+      // An abort or crash during the drain starts a new session generation,
+      // which cancels the gc.
+      const std::uint64_t gen = session_.generation();
       sim_->schedule(options_.drainDelay, [this, gen]() {
-        if (!finished_ && gen == gen_) beginGc();
+        if (session_.current(gen)) beginGc();
       });
       break;
     }
@@ -425,30 +313,22 @@ void ReconfigTransaction::advancePhase() {
 
 void ReconfigTransaction::beginGc() {
   journalMark(JournalRecordKind::kTxGc);
-  ++gen_;
-  phase_ = ReconfigPhase::kGc;
   report_.phaseReached = ReconfigPhase::kGc;
-  currentRound_ = Round::kGc;
-  tracePhase("gc");
-  std::fill(roundComplete_.begin(), roundComplete_.end(), 0);
-  roundAcks_ = 0;
-  for (const int sw : scope_) startRound(sw, Round::kGc, 1);
+  session_.phase("gc");
+  beginRound(Round::kGc);
 }
 
 void ReconfigTransaction::abort(ReconfigPhase at, const std::string& why) {
-  if (aborting_ || finished_) return;
+  if (aborting_ || finished()) return;
   aborting_ = true;
   if (static_cast<int>(at) > static_cast<int>(report_.phaseReached)) {
     report_.phaseReached = at;
   }
   report_.failure = why;
   abortAt_ = sim_->now();
-  ++gen_;  // cancels every outstanding install/barrier retry
-  std::fill(roundComplete_.begin(), roundComplete_.end(), 0);
-  roundAcks_ = 0;
-  currentRound_ = Round::kRollback;
-  tracePhase("rollback");
-  for (const int sw : scope_) startRound(sw, Round::kRollback, 1);
+  session_.phase("rollback");
+  // The new round cancels every outstanding install/barrier retry.
+  beginRound(Round::kRollback);
 }
 
 void ReconfigTransaction::journalMark(JournalRecordKind kind) {
@@ -469,25 +349,31 @@ void ReconfigTransaction::journalMark(JournalRecordKind kind) {
 }
 
 bool ReconfigTransaction::maybeCrash(CrashPoint point) {
-  if (options_.crashAt != point || crashed_ || finished_) return false;
+  if (options_.crashAt != point || crashed_ || finished()) return false;
   crashed_ = true;
-  finished_ = true;  // the fence: every callback checks this first
-  ++gen_;            // cancels outstanding retry timers deterministically
-  report_.finishedAt = sim_->now();
   report_.failure = strFormat("controller crashed at %s", crashPointName(point));
-  report_.switches = acked_;
   // No journal record, no monitor unguard, no done callback: a killed
   // process runs no cleanup. The guards the transaction took stay in place
   // until recovery re-takes and releases them. The trace, though, is the
-  // *observer's* record, not the dead controller's — it closes out.
-  traceFinish("crashed");
+  // *observer's* record, not the dead controller's — it closes out. Closing
+  // the session is the fence: every callback checks finished() first.
+  closeReport("crashed");
   if (options_.onCrash) options_.onCrash();
   return true;
 }
 
-void ReconfigTransaction::finish() {
-  finished_ = true;
+void ReconfigTransaction::closeReport(const char* outcome) {
   report_.finishedAt = sim_->now();
+  report_.switches = acked_;
+  report_.retriesTotal = session_.retries();
+  for (std::size_t sw = 0; sw < report_.switches.size(); ++sw) {
+    report_.switches[sw].retries = session_.retries(static_cast<int>(sw));
+  }
+  session_.close(outcome, {}, report_.failure);
+}
+
+void ReconfigTransaction::finish() {
+  closeReport(report_.committed ? "committed" : "rolled_back");
   journalMark(report_.committed ? JournalRecordKind::kTxCommit
                                 : JournalRecordKind::kTxAbort);
 
@@ -520,6 +406,9 @@ void ReconfigTransaction::finish() {
   if (report_.committed) {
     deployment_->projection = plan_.projection;
     deployment_->epoch = plan_.toEpoch;
+    deployment_->topology = plan_.topology;
+    deployment_->routing = plan_.routing;
+    deployment_->ecmpSalt = plan_.ecmpSalt;
     deployment_->totalFlowEntries = 0;
     deployment_->maxEntriesPerSwitch = 0;
     if (plan_.scope.empty()) {
@@ -542,8 +431,6 @@ void ReconfigTransaction::finish() {
   if (options_.monitor != nullptr) {
     for (const int sw : scope_) options_.monitor->unguardSwitch(sw);
   }
-  report_.switches = acked_;
-  traceFinish(report_.committed ? "committed" : "rolled_back");
   if (done_) done_(report_);
 }
 

@@ -1,8 +1,7 @@
 // Transactional (two-phase, Reitblatt-style) live reconfiguration over an
 // unreliable control channel.
 //
-// The offline reconfigure() path swaps tables while no traffic flows; this
-// module changes the topology *under live traffic* while preserving
+// This module changes the topology *under live traffic* while preserving
 // per-packet consistency: every packet is forwarded end-to-end by exactly
 // one configuration epoch's rules. The protocol, driven entirely by
 // simulator events so it interleaves with data-plane traffic:
@@ -30,15 +29,18 @@
 //             kMidPathMiss).
 //   gc        Bulk-delete epoch N on every switch (one flow-mod each).
 //             Forward-only like flip: there is no rollback from a committed
-//             state, so gc retries to the commitAttempts backstop. Only if
-//             that backstop trips does the transaction finish committed with
-//             gcIncomplete set for the garbage-bearing switch.
+//             state, so gc retries to the session's attempt backstop. Only
+//             if that backstop trips does the transaction finish committed
+//             with gcIncomplete set for the garbage-bearing switch.
 //
-// Message semantics: requests and acks both traverse the ControlChannel, so
-// either can be dropped, duplicated, reordered, or delayed. Switch-side
-// application is idempotent (per-(switch, phase) applied flags, modeling
-// OpenFlow xid dedup), so duplicates and retries of already-applied requests
-// are harmless.
+// Every round runs through a SwitchSession (controller/session.hpp), which
+// owns timeouts, backoff, attempt caps, retry counts and spans; this class
+// holds only what a round sends, what the switch applies, and what an ack
+// means. Requests and acks both traverse the ControlChannel, so either can
+// be dropped, duplicated, reordered, or delayed. Table-changing bundles
+// carry an OpenFlow xid that the switch applies at most once
+// (openflow::Switch::acceptXid), and barriers and flips are idempotent, so
+// duplicates and retries of an already-applied request are harmless.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +49,8 @@
 #include <vector>
 
 #include "common/json.hpp"
-#include "common/retry.hpp"
-#include "common/rng.hpp"
 #include "controller/controller.hpp"
+#include "controller/session.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
@@ -91,17 +92,19 @@ enum class CrashPoint : std::uint8_t {
 const char* crashPointName(CrashPoint point);
 
 struct ReconfigOptions {
-  /// Retry budget and backoff shape for the bounded phases (install,
-  /// barrier, gc). attemptTimeout doubles as the controller's ack wait.
-  retry::RetryPolicy retry;
+  struct Retry {
+    /// Per-switch attempt budget of the abortable rounds (install, barrier).
+    /// Flip, gc and rollback must not give up, so they run to the session's
+    /// backstop (SwitchSession::kBackstopAttempts); reaching it is reported
+    /// as unverified state.
+    int maxAttempts = 4;
+    /// Seed of the per-switch backoff jitter streams.
+    std::uint64_t seed = SwitchSession::kDefaultSeed;
+  };
+  Retry retry;
   /// Grace period between the last flip ack and garbage collection, for
   /// in-flight old-epoch packets to drain out of the fabric.
   TimeNs drainDelay = msToNs(1.0);
-  /// Per-switch attempt cap for flip and rollback rounds. These phases must
-  /// not give up (flip: past the commit point; rollback: purity depends on
-  /// it), so the cap is only a termination backstop for simulations whose
-  /// channel never delivers; reaching it is reported as unverified state.
-  int commitAttempts = 1000;
   /// When set, the monitor suppresses failure detection for every switch
   /// for the duration of the transaction (reconfiguration makes counters
   /// stall and queues wobble in ways that mimic the failure signatures).
@@ -203,31 +206,29 @@ class ReconfigTransaction {
   /// then runs concurrently with whatever traffic the simulation carries).
   void start();
 
-  [[nodiscard]] bool finished() const { return finished_; }
+  [[nodiscard]] bool finished() const { return session_.closed(); }
   /// True when an injected CrashPoint fired: the transaction is dead but
   /// *unresolved* — finished() is also true (nothing will run again), yet
   /// neither committed nor rolledBack is set and done was never called.
   /// The fabric is in whatever mixed state the crash left; recovery's job.
   [[nodiscard]] bool crashed() const { return crashed_; }
-  [[nodiscard]] ReconfigPhase phase() const { return phase_; }
   [[nodiscard]] const ReconfigReport& report() const { return report_; }
 
  private:
   enum class Round : std::uint8_t { kInstall, kBarrier, kFlip, kGc, kRollback };
 
-  [[nodiscard]] int numSwitches() const {
-    return static_cast<int>(deployment_->switches.size());
-  }
   /// Switches this transaction touches (resolved from plan_.scope). Every
   /// phase barrier counts acks against this set only.
   [[nodiscard]] int scopeSize() const { return static_cast<int>(scope_.size()); }
-  void startRound(int sw, Round round, int attempt);
+  /// Start `round` on every scoped switch.
+  void beginRound(Round round);
+  /// The session's request for `sw` in the current round.
+  SwitchSession::Request request(int sw);
   /// Returns false when the switch's term fence rejected the bundle (the
   /// delivered request is dropped on the floor: no apply, no ack).
   bool applyAtSwitch(int sw, Round round);
   void onAck(int sw, Round round);
-  void onRoundTimeout(int sw, Round round, int attempt, std::uint64_t gen);
-  [[nodiscard]] TimeNs backoffDelay(int sw, int attempt);
+  void onExhausted(int sw, int attempts);
   void advancePhase();
   void abort(ReconfigPhase at, const std::string& why);
   void beginGc();
@@ -237,33 +238,33 @@ class ReconfigTransaction {
   /// Fire the injected crash if `point` is the configured one. Returns true
   /// when the controller just died (caller must stop immediately).
   bool maybeCrash(CrashPoint point);
+  /// Stamp the report (finish time, ack flags, retry counts) and close the
+  /// session with `outcome`.
+  void closeReport(const char* outcome);
   [[nodiscard]] bool* ackedFlag(int sw, Round round);
-  [[nodiscard]] bool* appliedFlag(int sw, Round round);
-  [[nodiscard]] static const char* roundName(Round round);
-  /// Close the current phase span and open `name` under the root (no-op
-  /// without a tracer).
-  void tracePhase(const char* name);
-  /// Close both spans and stamp the root with the outcome.
-  void traceFinish(const char* outcome);
+  /// The round's name: its retry-counter phase label and abort wording.
+  [[nodiscard]] static const char* roundName(Round round) {
+    constexpr const char* kNames[] = {"install", "barrier", "flip", "gc", "rollback"};
+    return kNames[static_cast<int>(round)];
+  }
 
   sim::Simulator* sim_;
-  sim::ControlChannel* channel_;
   Deployment* deployment_;
   UpdatePlan plan_;
   ReconfigOptions options_;
   DoneFn done_;
+  SwitchSession session_;
 
-  ReconfigPhase phase_ = ReconfigPhase::kPrepare;
   Round currentRound_ = Round::kInstall;
   bool aborting_ = false;
-  bool finished_ = false;
   bool crashed_ = false;  ///< injected crash fence (see crashed())
   bool stuck_ = false;  ///< some forward-only round exhausted its backstop
-  std::uint64_t gen_ = 0;  ///< bumped on phase change; stale timeouts no-op
   TimeNs abortAt_ = 0;
   ReconfigReport report_;
-  std::vector<SwitchTxState> acked_;    ///< controller-side ack bookkeeping
-  std::vector<SwitchTxState> applied_;  ///< switch-side idempotency flags
+  std::vector<SwitchTxState> acked_;  ///< controller-side ack bookkeeping
+  /// Switch-side: the abort's delete already ran here, so a late install
+  /// request must not resurrect the new epoch's rules.
+  std::vector<char> rolledBack_;
   /// Resolved scope: plan_.scope when non-empty (a tenant slice's share of
   /// the plant), otherwise every deployment switch. Out-of-scope switches
   /// are never sent a message, guarded, or audited.
@@ -272,11 +273,6 @@ class ReconfigTransaction {
   /// for scoped plans (legacy unscoped plans flip the whole switch); an
   /// empty inner vector there means a mid-path switch with nothing to flip.
   std::vector<std::vector<int>> flipPortsBySwitch_;
-  std::vector<char> roundComplete_;     ///< per-switch, reset each phase
-  std::vector<Rng> backoffRng_;         ///< deterministic jitter per switch
-  int roundAcks_ = 0;  ///< switches done with the current global phase
-  obs::SpanId spanTx_ = obs::kNoSpan;     ///< root span (tracer only)
-  obs::SpanId spanPhase_ = obs::kNoSpan;  ///< currently open phase child
 };
 
 }  // namespace sdt::controller

@@ -22,7 +22,7 @@ const char* faultKindName(FaultKind kind) {
 }
 
 FaultInjector::FaultInjector(Simulator& sim, Network& net, std::uint64_t seed)
-    : sim_(&sim), net_(&net), controlRng_(seed ^ 0xC0A70CC5ULL) {
+    : sim_(&sim), net_(&net) {
   net_->seedFaultRng(seed);
 }
 
@@ -94,13 +94,6 @@ void FaultInjector::apply(const FaultSpec& spec) {
       break;
   }
   trace_.push_back(record);
-}
-
-std::function<bool(int)> FaultInjector::controlChannel() {
-  return [this](int /*attempt*/) {
-    if (controlFailureProb_ <= 0.0) return true;
-    return controlRng_.uniform() >= controlFailureProb_;
-  };
 }
 
 }  // namespace sdt::sim

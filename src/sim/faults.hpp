@@ -13,12 +13,8 @@
 // run with a fault schedule stays bit-identical across repeats and across
 // serial vs. SweepRunner-parallel sweeps (tests/test_faults.cpp holds us to
 // that). Probabilistic impairment draws come from the Network's dedicated
-// fault RNG, seeded here, consumed in event order.
-//
-// The injector also models the *control channel* between controller and
-// switches: flow-mod installs can transiently fail with a configured
-// probability. controller::SdtController::repair() absorbs those through the
-// common/retry.hpp policy.
+// fault RNG, seeded here, consumed in event order. Impairments of the
+// controller<->switch management network are sim::ControlChannel's job.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "openflow/of_switch.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -82,8 +77,8 @@ struct AppliedFault {
 
 class FaultInjector {
  public:
-  /// `seed` drives the network's impairment draws and the control-channel
-  /// failure model. The injector must outlive arm()'d schedules' execution.
+  /// `seed` drives the network's impairment draws. The injector must outlive
+  /// arm()'d schedules' execution.
   FaultInjector(Simulator& sim, Network& net, std::uint64_t seed = 0x5D7C0FFEEULL);
 
   /// Give the injector the controller-programmed switch models so
@@ -166,13 +161,6 @@ class FaultInjector {
   /// same seed and schedule must produce identical traces.
   [[nodiscard]] const std::vector<AppliedFault>& trace() const { return trace_; }
 
-  // -- Control-channel model ------------------------------------------------
-  /// Probability that one modeled flow-mod install attempt fails in flight.
-  void setControlFailureProb(double p) { controlFailureProb_ = p; }
-  /// Deterministic attempt oracle for retry::retryWithBackoff / repair():
-  /// returns true when the attempt succeeds. Draws from the injector's RNG.
-  [[nodiscard]] std::function<bool(int)> controlChannel();
-
  private:
   Simulator* sim_;
   Network* net_;
@@ -180,8 +168,6 @@ class FaultInjector {
   std::vector<FaultSpec> schedule_;
   std::size_t armed_ = 0;  ///< schedule_ prefix already handed to the engine
   std::vector<AppliedFault> trace_;
-  Rng controlRng_;
-  double controlFailureProb_ = 0.0;
   std::function<void(const FaultSpec&)> overloadSink_;
 };
 

@@ -455,8 +455,7 @@ void TenantManager::scopeRecovery(std::uint16_t id,
 }
 
 Result<controller::RepairReport> TenantManager::repairSlice(
-    std::uint16_t id, const controller::FailureSet& failures,
-    const controller::RepairOptions& options) {
+    std::uint16_t id, const controller::FailureSet& failures) {
   const auto it = slices_.find(id);
   if (it == slices_.end()) {
     return makeError(strFormat("tenant repairSlice: no tenant %u", id));
@@ -472,10 +471,8 @@ Result<controller::RepairReport> TenantManager::repairSlice(
     if (tenantOwningPort(p) == id) scoped.ports.push_back(p);
   }
   if (scoped.empty()) return controller::RepairReport{};
-  controller::RepairOptions opts = options;
-  opts.deploy = slice.deployOptions;
   auto repaired = slice.controller->repair(slice.deployment, *slice.topology,
-                                           *slice.routing, scoped, opts);
+                                           *slice.routing, scoped, slice.deployOptions);
   if (repaired) {
     refreshSlice(slice);
     recomputeReservations();

@@ -173,9 +173,8 @@ class TenantManager {
   /// Tenant-scoped self-healing: keep only failures on ports this slice
   /// owns and repair within the slice plant (its own spares). Failures on
   /// other tenants' cables are ignored here — their owners repair them.
-  Result<controller::RepairReport> repairSlice(
-      std::uint16_t id, const controller::FailureSet& failures,
-      const controller::RepairOptions& options = {});
+  Result<controller::RepairReport> repairSlice(std::uint16_t id,
+                                               const controller::FailureSet& failures);
 
   /// Build ONE shared data plane executing every admitted slice: all fixed
   /// cables wired (spares carry no entries), per-switch forwarding through

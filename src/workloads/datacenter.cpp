@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "common/hash.hpp"
+
 namespace sdt::workloads {
 
 namespace {
@@ -14,16 +16,6 @@ namespace {
 std::uint64_t sourceSeed(std::uint64_t base, std::size_t idx) {
   std::uint64_t mix = base ^ ((idx + 1) * 0x9E3779B97F4A7C15ULL);
   return detail::splitmix64(mix);
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnvMix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= kFnvPrime;
-  }
 }
 
 }  // namespace
@@ -404,22 +396,22 @@ ServingRuntime::ClassStats ServingRuntime::totalStats() const {
 }
 
 std::uint64_t ServingRuntime::statsDigest() const {
-  std::uint64_t h = kFnvOffset;
+  hash::Fnv64 h;
   for (int c = 0; c < admission::kNumPriorities; ++c) {
     const ClassStats s = classStats(static_cast<Priority>(c));
-    fnvMix(h, s.offered);
-    fnvMix(h, s.admitted);
-    fnvMix(h, s.deferRetries);
-    fnvMix(h, s.shed);
-    fnvMix(h, s.completed);
-    fnvMix(h, s.sloHit);
-    fnvMix(h, s.sloMiss);
-    fnvMix(h, static_cast<std::uint64_t>(s.completedBytes));
-    fnvMix(h, static_cast<std::uint64_t>(s.sloGoodBytes));
-    fnvMix(h, s.latencySumNs);
-    fnvMix(h, static_cast<std::uint64_t>(s.maxLatencyNs));
+    h.mix(s.offered)
+        .mix(s.admitted)
+        .mix(s.deferRetries)
+        .mix(s.shed)
+        .mix(s.completed)
+        .mix(s.sloHit)
+        .mix(s.sloMiss)
+        .mix(static_cast<std::uint64_t>(s.completedBytes))
+        .mix(static_cast<std::uint64_t>(s.sloGoodBytes))
+        .mix(s.latencySumNs)
+        .mix(static_cast<std::uint64_t>(s.maxLatencyNs));
   }
-  return h;
+  return h.value();
 }
 
 // ---- MPI-style closed-loop equivalents ------------------------------------

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "admission/admission.hpp"
+#include "common/hash.hpp"
 #include "controller/controller.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/faults.hpp"
@@ -412,29 +413,21 @@ class ShardEnvGuard {
   std::optional<std::string> savedWorkers_ = snapshot("SDT_SIM_WORKERS");
 };
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 /// Everything observable about one overload run, folded to one word.
 std::uint64_t overloadFingerprint(const OverloadOutcome& out) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  h = fnv1a(h, out.statsDigest);
-  h = fnv1a(h, out.events);
-  h = fnv1a(h, out.drops);
-  h = fnv1a(h, out.sheds);
-  h = fnv1a(h, out.samples);
-  h = fnv1a(h, static_cast<std::uint64_t>(out.peakPressure * 1e9));
-  h = fnv1a(h, out.totals.offered);
-  h = fnv1a(h, out.totals.completed);
-  h = fnv1a(h, out.totals.sloHit);
-  h = fnv1a(h, out.totals.sloMiss);
-  h = fnv1a(h, out.totals.latencySumNs);
-  return h;
+  return hash::Fnv64()
+      .mix(out.statsDigest)
+      .mix(out.events)
+      .mix(out.drops)
+      .mix(out.sheds)
+      .mix(out.samples)
+      .mix(static_cast<std::uint64_t>(out.peakPressure * 1e9))
+      .mix(out.totals.offered)
+      .mix(out.totals.completed)
+      .mix(out.totals.sloHit)
+      .mix(out.totals.sloMiss)
+      .mix(out.totals.latencySumNs)
+      .value();
 }
 
 TEST(OverloadDeterminism, IncastBitIdenticalSerialVsParallelAtSameK) {

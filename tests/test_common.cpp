@@ -1,12 +1,12 @@
-// Unit tests: common utilities (units, Result, RNG, retry, strings, JSON).
+// Unit tests: common utilities (units, Result, RNG, hash, strings, JSON).
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <set>
 
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/result.hpp"
-#include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
@@ -133,85 +133,17 @@ TEST(Rng, BetweenFullInt64RangeIsDefined) {
   EXPECT_LE(y, hi - 1);
 }
 
-TEST(Retry, SucceedsWithoutBackoffOnFirstTry) {
-  retry::RetryPolicy policy;
-  const auto r = retry::retryWithBackoff(policy, 0, [](int) { return true; });
-  EXPECT_TRUE(r.succeeded);
-  EXPECT_EQ(r.attempts, 1);
-  EXPECT_EQ(r.elapsed, 0);
-}
-
-// Regression: backoff grew unclamped as a double (`backoff *= multiplier`
-// every attempt), exceeding 2^63 within ~64 attempts; casting that to
-// TimeNs is UB. With the clamp, 64 exhausted attempts stay bounded by
-// maxAttempts * (attemptTimeout + maxBackoff).
-TEST(Retry, SixtyFourAttemptsStayClamped) {
-  retry::RetryPolicy policy;
-  policy.maxAttempts = 64;
-  policy.jitter = 0.0;  // deterministic: every wait is the clamped backoff
-  retry::RetryCounters counters;
-  const auto r = retry::retryWithBackoff(policy, 1, [](int) { return false; },
-                                         &counters);
-  EXPECT_FALSE(r.succeeded);
-  EXPECT_EQ(r.attempts, 64);
-  const TimeNs bound = 64 * (policy.attemptTimeout + policy.maxBackoff);
-  EXPECT_GT(r.elapsed, 0);
-  EXPECT_LE(r.elapsed, bound);
-  EXPECT_EQ(counters.attempts, 64u);
-  EXPECT_EQ(counters.retries, 63u);  // the last failure does not wait
-  EXPECT_EQ(counters.exhausted, 1u);
-  EXPECT_LE(counters.backoffNs,
-            static_cast<std::uint64_t>(63 * policy.maxBackoff));
-}
-
-TEST(Retry, CountersAccumulateAcrossExchanges) {
-  retry::RetryPolicy policy;
-  policy.maxAttempts = 3;
-  retry::RetryCounters counters;
-  // First exchange succeeds on attempt 2, second exhausts all 3.
-  retry::retryWithBackoff(policy, 0, [](int i) { return i == 2; }, &counters);
-  retry::retryWithBackoff(policy, 1, [](int) { return false; }, &counters);
-  EXPECT_EQ(counters.attempts, 5u);
-  EXPECT_EQ(counters.retries, 3u);
-  EXPECT_EQ(counters.exhausted, 1u);
-}
-
-// Regression: maxAttempts < 1 used to fall straight through the loop and
-// return {succeeded=false, attempts=0} — indistinguishable from "tried and
-// the switch never answered". The guard makes the degenerate policy explicit.
-TEST(Retry, ZeroAttemptBudgetIsNeverAttempted) {
-  retry::RetryPolicy policy;
-  retry::RetryCounters counters;
-  for (const int budget : {0, -1, -100}) {
-    policy.maxAttempts = budget;
-    int calls = 0;
-    const auto r = retry::retryWithBackoff(
-        policy, 7, [&](int) { ++calls; return true; }, &counters);
-    EXPECT_FALSE(r.succeeded) << budget;
-    EXPECT_TRUE(r.neverAttempted) << budget;
-    EXPECT_EQ(r.attempts, 0) << budget;
-    EXPECT_EQ(r.elapsed, 0) << budget;
-    EXPECT_EQ(calls, 0) << "attempt fn ran under a zero budget";
-  }
-  EXPECT_EQ(counters.attempts, 0u);
-  EXPECT_EQ(counters.retries, 0u);
-  EXPECT_EQ(counters.exhausted, 3u);  // each empty exchange counts as exhausted
-  // A normal exhausted exchange is distinguishable: it *did* attempt.
-  policy.maxAttempts = 2;
-  const auto r = retry::retryWithBackoff(policy, 7, [](int) { return false; });
-  EXPECT_FALSE(r.succeeded);
-  EXPECT_FALSE(r.neverAttempted);
-  EXPECT_EQ(r.attempts, 2);
-}
-
-TEST(Retry, DeterministicAcrossRuns) {
-  retry::RetryPolicy policy;
-  policy.maxAttempts = 6;
-  const auto a = retry::retryWithBackoff(policy, 42, [](int) { return false; });
-  const auto b = retry::retryWithBackoff(policy, 42, [](int) { return false; });
-  EXPECT_EQ(a.elapsed, b.elapsed);
-  const auto c = retry::retryWithBackoff(policy, 43, [](int) { return false; });
-  EXPECT_NE(a.elapsed, c.elapsed);  // stream id decorrelates jitter
+TEST(Hash, FnvMatchesPublishedVectors) {
+  // Reference values of the FNV-1a specification.
+  EXPECT_EQ(hash::fnv1a32(""), 0x811C9DC5u);
+  EXPECT_EQ(hash::fnv1a32("a"), 0xE40C292Cu);
+  EXPECT_EQ(hash::fnv1a32("foobar"), 0xBF9CF968u);
+  EXPECT_EQ(hash::Fnv64().value(), 0xCBF29CE484222325ULL);
+  EXPECT_EQ(hash::Fnv64().bytes("a").value(), 0xAF63DC4C8601EC8CULL);
+  EXPECT_EQ(hash::Fnv64().bytes("foobar").value(), 0x85944171F73967E8ULL);
+  // mix() folds a word little-endian: the same bytes, the same hash.
+  EXPECT_EQ(hash::Fnv64().mix(0x0807060504030201ULL).value(),
+            hash::Fnv64().bytes("\x01\x02\x03\x04\x05\x06\x07\x08").value());
 }
 
 TEST(Strings, Split) {
@@ -286,6 +218,29 @@ TEST(Json, DumpRoundTrip) {
   auto round = json::parse(v.value().dump());
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round.value().dump(), v.value().dump());
+}
+
+// Regression: asInt() was a plain double -> int64 cast, which is undefined
+// behaviour outside the int64 range (UBSan: "-5e+19 is outside the range of
+// representable values of type 'long int'"). Config and journal JSON is
+// untrusted, so it saturates instead.
+TEST(Json, AsIntSaturatesOutOfRange) {
+  auto v =
+      json::parse(R"([-5e19, 5e19, 1e999, -1e999, 9.2e18, -9223372036854775808, 2.9])");
+  ASSERT_TRUE(v.ok()) << v.error().message;
+  const json::Array& a = v.value().asArray();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(a[0].asInt(), kMin);
+  EXPECT_EQ(a[1].asInt(), kMax);
+  EXPECT_EQ(a[2].asInt(), kMax);
+  EXPECT_EQ(a[3].asInt(), kMin);
+  EXPECT_EQ(a[4].asInt(), 9'200'000'000'000'000'000);
+  EXPECT_EQ(a[5].asInt(), kMin);  // -2^63 itself is representable
+  EXPECT_EQ(a[6].asInt(), 2);     // truncates toward zero, as before
+  auto cfg = json::parse(R"({"switches": -5e19})");
+  ASSERT_TRUE(cfg.ok());
+  EXPECT_EQ(cfg.value().getInt("switches", 0), kMin);
 }
 
 TEST(Json, NegativeAndExponentNumbers) {

@@ -1,5 +1,5 @@
 // Tests: SDT controller — config loading, checking function, deployment
-// (flow-table compilation, capacity guard, deadlock gate), reconfiguration.
+// (flow-table compilation, capacity guard, deadlock gate), repair.
 #include <gtest/gtest.h>
 
 #include "controller/config.hpp"
@@ -176,38 +176,35 @@ TEST(Controller, CheckFlagsInfeasibleTopology) {
   ASSERT_FALSE(report.problems.empty());
 }
 
-TEST(Controller, ReconfigureNeverMovesCables) {
-  // Deploy A, then B on the same plant: pure table work. The reconfig cost
-  // is the incremental per-switch diff, which must be strictly cheaper than
-  // the teardown+reinstall it replaced (line and ring share most rules).
-  const topo::Topology a = topo::makeLine(8);
-  const topo::Topology b = topo::makeRing(8);
-  routing::ShortestPathRouting ra(a);
-  routing::ShortestPathRouting rb(b);
-  SdtController ctl(plantOf(2, 8, 8));
-  auto da = ctl.deploy(a, ra, {.requireDeadlockFree = true});
-  ASSERT_TRUE(da.ok());
-  auto db = ctl.reconfigure(da.value(), b, rb, {.requireDeadlockFree = false});
-  ASSERT_TRUE(db.ok()) << db.error().message;
-  EXPECT_GT(db.value().reconfigFlowMods, 0);
-  EXPECT_LT(db.value().reconfigFlowMods,
-            da.value().totalFlowEntries + db.value().totalFlowEntries);
-  EXPECT_GT(db.value().reconfigTime, 0);
-  EXPECT_LE(db.value().reconfigTime, secToNs(1.5));
-}
+// Regression: repair() recompiled with the caller's DeployOptions salt, not
+// the deployment's own. On FT-k4 deployed with ecmpSalt 1, a repair with no
+// failures and default options strict-deleted and re-added 624 of its 960
+// rules, silently re-routing the fabric.
+TEST(Controller, RepairRecompilesWithTheDeployedEcmpSalt) {
+  const topo::Topology topo = topo::makeFatTree(4);
+  routing::ShortestPathRouting routing(topo);
+  auto plant = projection::planPlant({&topo}, {.numSwitches = 3});
+  ASSERT_TRUE(plant.ok());
+  SdtController ctl(plant.value());
+  DeployOptions salted;
+  salted.ecmpSalt = 1;
+  auto dep = ctl.deploy(topo, routing, salted);
+  ASSERT_TRUE(dep.ok()) << dep.error().message;
+  std::vector<std::vector<openflow::FlowEntry>> before;
+  for (const auto& ofs : dep.value().switches) before.push_back(ofs->table().entries());
 
-TEST(Controller, ReconfigureToSameTopologyIsFree) {
-  // The diff of a deployment against an identical recompile is empty: zero
-  // flow-mods, only the fixed barrier round-trip cost of the update model.
-  const topo::Topology a = topo::makeLine(8);
-  routing::ShortestPathRouting ra(a);
-  SdtController ctl(plantOf(2, 8, 8));
-  auto da = ctl.deploy(a, ra);
-  ASSERT_TRUE(da.ok());
-  auto again = ctl.reconfigure(da.value(), a, ra);
-  ASSERT_TRUE(again.ok()) << again.error().message;
-  EXPECT_EQ(again.value().reconfigFlowMods, 0);
-  EXPECT_LE(again.value().reconfigTime, da.value().reconfigTime);
+  auto rep = ctl.repair(dep.value(), topo, routing, FailureSet{});
+  ASSERT_TRUE(rep.ok()) << rep.error().message;
+  EXPECT_EQ(rep.value().flowMods(), 0);
+  for (std::size_t sw = 0; sw < before.size(); ++sw) {
+    const std::vector<openflow::FlowEntry>& after =
+        dep.value().switches[sw]->table().entries();
+    ASSERT_EQ(after.size(), before[sw].size()) << "switch " << sw;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      EXPECT_TRUE(openflow::sameRule(after[i], before[sw][i]))
+          << "switch " << sw << " entry " << i;
+    }
+  }
 }
 
 TEST(Controller, EntriesScaleIsSane) {

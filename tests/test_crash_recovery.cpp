@@ -183,7 +183,7 @@ MatrixOutcome runMatrixCell(controller::CrashPoint crashAt, Disturbance disturb,
 
   controller::RecoveryOptions ropt;
   ropt.journal = &journal;
-  ropt.retry.seed = seed;
+  ropt.retrySeed = seed;
   controller::RecoveryRun recovery(sim, channel, dep.switches,
                                    std::move(rplanR).value(), ropt);
   recovery.start();
@@ -580,7 +580,7 @@ FuzzOutcome runFuzzSchedule(std::uint64_t seed) {
 
   controller::RecoveryOptions ropt;
   ropt.journal = &journal;
-  ropt.retry.seed = seed;
+  ropt.retrySeed = seed;
   controller::RecoveryRun recovery(sim, channel, dep.switches,
                                    std::move(rplanR).value(), ropt);
   // Half the schedules also sever one switch's management link across the

@@ -10,8 +10,10 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 
+#include "common/hash.hpp"
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
 #include "controller/recovery.hpp"
@@ -44,29 +46,21 @@ struct Fingerprint {
   bool operator==(const Fingerprint&) const = default;
 };
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 std::uint64_t hashPorts(sim::Network& net) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  hash::Fnv64 h;
   for (int sw = 0; sw < net.numSwitches(); ++sw) {
     for (int p = 0; p < net.switchPortCount(sw); ++p) {
       const sim::PortCounters& c = net.switchPortCounters(sw, p);
-      h = fnv1a(h, c.txPackets);
-      h = fnv1a(h, c.txBytes);
-      h = fnv1a(h, c.rxPackets);
-      h = fnv1a(h, c.rxBytes);
-      h = fnv1a(h, c.drops);
-      h = fnv1a(h, c.pausesSent);
-      h = fnv1a(h, c.ecnMarks);
+      h.mix(c.txPackets)
+          .mix(c.txBytes)
+          .mix(c.rxPackets)
+          .mix(c.rxBytes)
+          .mix(c.drops)
+          .mix(c.pausesSent)
+          .mix(c.ecnMarks);
     }
   }
-  return h;
+  return h.value();
 }
 
 /// One full SDT-mode experiment (projection + flow tables + transport), so
@@ -295,6 +289,10 @@ TEST(Determinism, PointSeedsAreStableAndDistinct) {
   EXPECT_NE(SweepRunner::pointSeed(base, 0), SweepRunner::pointSeed(base + 1, 0));
 }
 
+std::uint64_t hashBytes(const std::string& bytes) {
+  return hash::Fnv64().bytes(bytes).value();
+}
+
 /// Everything observable about one live reconfiguration under a lossy
 /// control channel: the protocol trace, the data-plane counters, and the
 /// consistency checker's view.
@@ -312,6 +310,9 @@ struct ReconfigFingerprint {
   std::size_t stamped = 0;
   std::uint64_t lookups = 0;
   std::uint64_t portHash = 0;
+  std::uint64_t channelSent = 0;
+  std::uint64_t channelDelivered = 0;
+  std::uint64_t reportHash = 0;  ///< FNV-1a over report().toJson().dump()
 
   bool operator==(const ReconfigFingerprint&) const = default;
 };
@@ -373,6 +374,9 @@ ReconfigFingerprint runReconfigPoint(std::uint64_t seed) {
   fp.stamped = checker.stampedPackets();
   fp.lookups = checker.lookups();
   fp.portHash = hashPorts(*built.net);
+  fp.channelSent = channel.stats().sent;
+  fp.channelDelivered = channel.stats().delivered;
+  fp.reportHash = hashBytes(r.toJson().dump());
   return fp;
 }
 
@@ -421,18 +425,13 @@ struct CrashRecoveryFingerprint {
   TimeNs recoveredAt = 0;
   std::uint64_t journalHash = 0;  ///< FNV-1a over the raw journal bytes
   std::uint64_t portHash = 0;
+  std::uint64_t channelSent = 0;
+  std::uint64_t channelDelivered = 0;
+  std::uint64_t txReportHash = 0;  ///< FNV-1a over the crashed tx's report JSON
+  std::uint64_t reportHash = 0;    ///< FNV-1a over the recovery report JSON
 
   bool operator==(const CrashRecoveryFingerprint&) const = default;
 };
-
-std::uint64_t hashBytes(const std::string& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 CrashRecoveryFingerprint runCrashRecoverPoint(std::uint64_t seed,
                                               controller::CrashPoint crashAt) {
@@ -493,7 +492,7 @@ CrashRecoveryFingerprint runCrashRecoverPoint(std::uint64_t seed,
   fp.targetEpoch = rplanR.value().targetEpoch;
   controller::RecoveryOptions ropt;
   ropt.journal = &journal;
-  ropt.retry.seed = seed;
+  ropt.retrySeed = seed;
   controller::RecoveryRun recovery(sim, channel, dep.switches,
                                    std::move(rplanR).value(), ropt);
   recovery.start();
@@ -509,6 +508,10 @@ CrashRecoveryFingerprint runCrashRecoverPoint(std::uint64_t seed,
   fp.recoveredAt = r.finishedAt;
   fp.journalHash = hashBytes(storage.bytes());
   fp.portHash = hashPorts(*built.net);
+  fp.channelSent = channel.stats().sent;
+  fp.channelDelivered = channel.stats().delivered;
+  fp.txReportHash = hashBytes(tx.report().toJson().dump());
+  fp.reportHash = hashBytes(r.toJson().dump());
   return fp;
 }
 
@@ -548,6 +551,151 @@ TEST(Determinism, CrashRecoveryBitIdenticalSerialVsThreaded) {
     anyDiffer = anyDiffer || serial[i].journalHash != serial[0].journalHash;
   }
   EXPECT_TRUE(anyDiffer);
+}
+
+void PrintTo(const ReconfigFingerprint& f, std::ostream* os) {
+  *os << "{committed=" << f.committed << " rolledBack=" << f.rolledBack
+      << " installed=" << f.flowModsInstalled
+      << " rolledBackMods=" << f.flowModsRolledBack
+      << " gc=" << f.flowModsGarbageCollected << " barriers=" << f.barrierRoundTrips
+      << " retries=" << f.retriesTotal << " windowEnd=" << f.updateWindowEnd
+      << " finishedAt=" << f.finishedAt << " violations=" << f.violations
+      << " stamped=" << f.stamped << " lookups=" << f.lookups << " sent=" << f.channelSent
+      << " delivered=" << f.channelDelivered << std::hex << " portHash=0x" << f.portHash
+      << " reportHash=0x" << f.reportHash << std::dec << "}";
+}
+
+void PrintTo(const CrashRecoveryFingerprint& f, std::ostream* os) {
+  *os << "{crashed=" << f.crashed << " decision=" << f.decision
+      << " converged=" << f.converged << " targetEpoch=" << f.targetEpoch
+      << " flowMods=" << f.flowMods << " statsRounds=" << f.statsRounds
+      << " retries=" << f.retriesTotal << " drifted=" << f.switchesDrifted
+      << " rebooted=" << f.switchesRebooted << " recoveredAt=" << f.recoveredAt
+      << " sent=" << f.channelSent << " delivered=" << f.channelDelivered << std::hex
+      << " journalHash=0x" << f.journalHash << " portHash=0x" << f.portHash
+      << " txReportHash=0x" << f.txReportHash << " reportHash=0x" << f.reportHash
+      << std::dec << "}";
+}
+
+// Recorded control-plane output. Every send, timer and jitter draw of the
+// transaction and recovery protocols feeds these numbers, so any change to
+// their round, retry or backoff machinery must reproduce them exactly.
+// portHash is zeroed before comparing: data-plane counters depend on
+// SDT_SHARDS, while every field pinned here reads the same at 1, 2 and 4
+// shards.
+TEST(Determinism, ControlPlaneMatchesRecordedValues) {
+  const std::pair<std::uint64_t, ReconfigFingerprint> reconfig[] = {
+      {11,
+       {true, false, 72, 0, 60, 2, 3, 410913, 1425576, 0, 768, 3072, 0, 22, 21,
+        0x1239786040769634}},
+      {22,
+       {true, false, 72, 0, 60, 2, 6, 465800, 1619068, 0, 768, 3072, 0, 27, 23,
+        0x7445dae69ea1d11c}},
+      {33,
+       {true, false, 72, 0, 60, 2, 4, 711519, 1725947, 0, 768, 3072, 0, 23, 21,
+        0x3e74c6fe2d492d11}},
+      {44,
+       {true, false, 72, 0, 60, 2, 11, 3473327, 4783835, 0, 768, 3072, 0, 32, 23,
+        0xdd0f6cc7a84f5a86}},
+  };
+  for (const auto& [seed, want] : reconfig) {
+    ReconfigFingerprint got = runReconfigPoint(seed);
+    got.portHash = 0;
+    EXPECT_EQ(got, want) << "reconfig seed " << seed;
+  }
+
+  const controller::CrashPoint points[] = {
+      controller::CrashPoint::kPrepare, controller::CrashPoint::kMidInstall,
+      controller::CrashPoint::kPreFlip, controller::CrashPoint::kPostFlip,
+      controller::CrashPoint::kMidGc};
+  struct CrashPin {
+    std::uint64_t seed;
+    int point;  ///< index into points
+    CrashRecoveryFingerprint want;
+  };
+  const CrashPin crash[] = {
+      {11, 0,
+       {true, 2, true, 1, 31, 2, 2, 1, 1, 80372915, 0x1a838c4fd77734c6, 0, 14, 14,
+        0xedc2aa27d05b3b6c, 0x0403adfc4461a8fb}},
+      {11, 1,
+       {true, 2, true, 1, 67, 2, 3, 2, 1, 80317638, 0x9208427baecad0a3, 0, 22, 21,
+        0x06fa9fd9a41efec0, 0x19197bee5125d0ae}},
+      {11, 2,
+       {true, 2, true, 1, 67, 2, 1, 2, 1, 80154387, 0x107f2c9f48b2a663, 0, 26, 25,
+        0x8a5bf34f1c12a6a3, 0x066248ab9d4ced06}},
+      {11, 3,
+       {true, 1, true, 2, 68, 2, 0, 2, 1, 80025634, 0x3b65b42a33533814, 0, 28, 27,
+        0xb725e87a4ca1efae, 0x696c8733ba7ba6aa}},
+      {11, 4,
+       {true, 1, true, 2, 37, 2, 0, 1, 1, 80024591, 0x22154c3be0536e7f, 0, 33, 33,
+        0xbc9182cb1c822db8, 0xbe04e1efeea132ff}},
+      {22, 0,
+       {true, 2, true, 1, 31, 2, 1, 1, 1, 80160639, 0x25db9f11896889b9, 0, 13, 13,
+        0xedc2aa27d05b3b6c, 0x37a120e1e8ef5e85}},
+      {22, 1,
+       {true, 2, true, 1, 67, 2, 1, 2, 1, 80152785, 0x87d17b10a960769d, 0, 17, 17,
+        0x2bde3a05b1209e85, 0xdc8aa33ff2b243a2}},
+      {22, 2,
+       {true, 2, true, 1, 67, 2, 3, 2, 1, 80481103, 0xa2dd1955bd14ac9b, 0, 24, 22,
+        0x0d94b729d1ed6ef8, 0xda0b6b0bbe49b3e0}},
+      {22, 3,
+       {true, 1, true, 2, 68, 2, 2, 2, 1, 80162162, 0x84b428bde90c9a7e, 0, 26, 26,
+        0x8c5ae812101ece18, 0x991f10d0f7926f64}},
+      {22, 4,
+       {true, 1, true, 2, 37, 2, 6, 1, 1, 81202239, 0xea35f09c187c4d57, 0, 37, 33,
+        0x07c4b17c2826c89a, 0x65965f7c652ba47b}},
+      {33, 0,
+       {true, 2, true, 1, 31, 2, 1, 1, 1, 80180771, 0x807a7783827612c9, 0, 11, 10,
+        0xedc2aa27d05b3b6c, 0x538f7244d5fa0191}},
+      {33, 1,
+       {true, 2, true, 1, 67, 2, 2, 2, 1, 80278709, 0x45aeda56d82a7a7a, 0, 22, 22,
+        0xd254635ccc20d7f1, 0x06e60bd7e2f994e2}},
+      {33, 2,
+       {true, 2, true, 1, 67, 2, 3, 2, 1, 80432938, 0xd596f92d39593e8e, 0, 31, 30,
+        0x7a2032b7459a0165, 0xf5131cb34a477c88}},
+      {33, 3,
+       {true, 1, true, 2, 69, 2, 2, 2, 1, 80320656, 0x89920797cef60dfc, 0, 31, 30,
+        0xc96bff8014beddc0, 0xc03441c5c0c9c68d}},
+      {33, 4,
+       {true, 1, true, 2, 37, 2, 4, 1, 1, 80574717, 0x41db255abfc4c123, 0, 41, 40,
+        0xf264ad0554ac2236, 0x259f3640fcbb4f63}},
+      {44, 0,
+       {true, 2, true, 1, 31, 2, 1, 1, 1, 80176150, 0x1ca0613626680ed0, 0, 11, 11,
+        0xedc2aa27d05b3b6c, 0xf02c009eb46b45d1}},
+      {44, 1,
+       {true, 2, true, 1, 31, 2, 5, 1, 1, 80866019, 0xaaa07f36cfa9a3c3, 0, 23, 20,
+        0xb4e805beb6a09525, 0x65e09fde7f4d9213}},
+      {44, 2,
+       {true, 2, true, 1, 67, 2, 7, 2, 1, 81044100, 0xa278add35474c8e1, 0, 32, 27,
+        0xef29ac1f7fce45e3, 0xc79fa86438e1a45a}},
+      {44, 3,
+       {true, 1, true, 2, 69, 2, 8, 2, 1, 81439050, 0x5f01f4ed2a2592dc, 0, 39, 32,
+        0x1e36af7bcc6ba027, 0x03b8bf0aa8ed8ae7}},
+      {44, 4,
+       {true, 1, true, 2, 68, 2, 10, 2, 1, 81739291, 0x1a0ac6e451a4dcf1, 0, 45, 36,
+        0x9bd67cfc1ee5fd9d, 0x49a299ee43706f7f}},
+      {55, 0,
+       {true, 2, true, 1, 31, 2, 1, 1, 1, 80145554, 0xdcecd493fd6f7cac, 0, 11, 10,
+        0xedc2aa27d05b3b6c, 0xcc081c58286b8419}},
+      {55, 1,
+       {true, 2, true, 1, 67, 2, 1, 2, 1, 80145796, 0x6f690b89b0b439c6, 0, 17, 15,
+        0x354f2f6e6f195c83, 0x08cad630fd5ff612}},
+      {55, 2,
+       {true, 2, true, 1, 67, 2, 4, 2, 1, 80712921, 0xb3ceeb6449d4e786, 0, 28, 26,
+        0xab8d1f16a7fa0700, 0x95f7cf2e4e1f81d2}},
+      {55, 3,
+       {true, 1, true, 2, 68, 2, 4, 2, 1, 80712601, 0x5e10710c408269f7, 0, 33, 32,
+        0xf7c999e4a21d3ba0, 0x89317da2014a1b92}},
+      {55, 4,
+       {true, 1, true, 2, 37, 2, 3, 1, 1, 80475734, 0x65c2bf0705c74f1e, 0, 31, 30,
+        0x1328d32220709c6b, 0x8200f6e949295f57}},
+  };
+  for (const CrashPin& pin : crash) {
+    CrashRecoveryFingerprint got = runCrashRecoverPoint(pin.seed, points[pin.point]);
+    got.portHash = 0;
+    EXPECT_EQ(got, pin.want) << "crash seed " << pin.seed << " at "
+                             << controller::crashPointName(points[pin.point]);
+  }
 }
 
 /// One fully instrumented live update: registry fed by the data-plane and

@@ -10,7 +10,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/retry.hpp"
+#include "common/hash.hpp"
 #include "controller/controller.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/builder.hpp"
@@ -38,14 +38,6 @@ struct FaultFingerprint {
 
   bool operator==(const FaultFingerprint&) const = default;
 };
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 /// One SDT-mode experiment under a fixed fault schedule: a cable cut that
 /// heals, a wedged transceiver, and an impaired host-facing port, with TCP
@@ -99,7 +91,7 @@ FaultFingerprint runFaultPoint(std::uint64_t seed, std::int64_t flowBytes) {
 
   for (const std::uint64_t id : flows) fp.delivered += tm.tcpDeliveredBytes(id);
   fp.faultDrops = inst.net().faultDrops();
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  hash::Fnv64 h;
   sim::Network& net = inst.net();
   for (int sw = 0; sw < net.numSwitches(); ++sw) {
     for (int p = 0; p < net.switchPortCount(sw); ++p) {
@@ -107,22 +99,22 @@ FaultFingerprint runFaultPoint(std::uint64_t seed, std::int64_t flowBytes) {
       for (const std::uint64_t v :
            {c.txPackets, c.txBytes, c.rxPackets, c.rxBytes, c.drops, c.pausesSent,
             c.ecnMarks, c.faultDrops, c.corruptedPackets}) {
-        h = fnv1a(h, v);
+        h.mix(v);
       }
       fp.corrupted += c.corruptedPackets;
     }
   }
-  fp.portHash = h;
-  std::uint64_t t = 0xCBF29CE484222325ULL;
+  fp.portHash = h.value();
+  hash::Fnv64 t;
   for (const sim::AppliedFault& f : inj.trace()) {
-    t = fnv1a(t, static_cast<std::uint64_t>(f.at));
-    t = fnv1a(t, static_cast<std::uint64_t>(f.kind));
-    t = fnv1a(t, static_cast<std::uint64_t>(f.sw));
-    t = fnv1a(t, static_cast<std::uint64_t>(f.port));
-    t = fnv1a(t, static_cast<std::uint64_t>(f.peerSw));
-    t = fnv1a(t, static_cast<std::uint64_t>(f.peerPort));
+    t.mix(static_cast<std::uint64_t>(f.at))
+        .mix(static_cast<std::uint64_t>(f.kind))
+        .mix(static_cast<std::uint64_t>(f.sw))
+        .mix(static_cast<std::uint64_t>(f.port))
+        .mix(static_cast<std::uint64_t>(f.peerSw))
+        .mix(static_cast<std::uint64_t>(f.peerPort));
   }
-  fp.traceHash = t;
+  fp.traceHash = t.value();
   return fp;
 }
 
@@ -239,82 +231,8 @@ TEST(Faults, SwitchCrashRepairReinstallsExactTable) {
   EXPECT_EQ(report.flowModsRemoved, 0);
   EXPECT_EQ(report.flowModsAdded, static_cast<int>(fresh.size()));
   EXPECT_LT(report.flowMods(), report.fullRedeployFlowMods);
-  EXPECT_GT(report.repairTime, 0);
-}
-
-TEST(Faults, RetryBackoffIsDeterministicAndBounded) {
-  retry::RetryPolicy policy;
-  policy.maxAttempts = 5;
-  int calls = 0;
-  const retry::RetryResult r1 =
-      retry::retryWithBackoff(policy, 7, [&](int) { return ++calls == 3; });
-  EXPECT_TRUE(r1.succeeded);
-  EXPECT_EQ(r1.attempts, 3);
-  EXPECT_GT(r1.elapsed, 0);
-  calls = 0;
-  const retry::RetryResult r2 =
-      retry::retryWithBackoff(policy, 7, [&](int) { return ++calls == 3; });
-  EXPECT_EQ(r1.elapsed, r2.elapsed);  // same stream id -> same jitter draws
-  const retry::RetryResult fail =
-      retry::retryWithBackoff(policy, 9, [](int) { return false; });
-  EXPECT_FALSE(fail.succeeded);
-  EXPECT_EQ(fail.attempts, 5);
-  const retry::RetryResult instant =
-      retry::retryWithBackoff(policy, 11, [](int) { return true; });
-  EXPECT_EQ(instant.attempts, 1);
-  EXPECT_EQ(instant.elapsed, 0);  // success on attempt 1 costs nothing extra
-}
-
-TEST(Faults, ControlChannelRetriesAreAccounted) {
-  const topo::Topology topo = topo::makeLine(4);
-  routing::ShortestPathRouting routing(topo);
-  projection::PlantConfig cfg;
-  cfg.numSwitches = 1;
-  cfg.hostPortsPerSwitch = 4;
-  cfg.interLinksPerPair = 0;
-  auto plant = projection::buildPlant(cfg);
-  ASSERT_TRUE(plant.ok());
-  controller::SdtController ctl(plant.value());
-  auto depR = ctl.deploy(topo, routing);
-  ASSERT_TRUE(depR.ok()) << depR.error().message;
-  controller::Deployment dep = std::move(depR).value();
-  dep.switches[0]->table().clear();
-
-  controller::FailureSet failures;
-  failures.crashedSwitches = {0};
-  controller::RepairOptions options;
-  options.controlChannel = [](int attempt) { return attempt >= 2; };  // fail once each
-  auto repR = ctl.repair(dep, topo, routing, failures, options);
-  ASSERT_TRUE(repR.ok()) << repR.error().message;
-  EXPECT_GT(repR.value().flowModsAdded, 0);
-  EXPECT_EQ(repR.value().installRetries, repR.value().flowModsAdded);
-  EXPECT_GT(repR.value().retryBackoffTime, 0);
-  EXPECT_GT(repR.value().repairTime, repR.value().retryBackoffTime);
-}
-
-TEST(Faults, UnreachableControlChannelFailsRepair) {
-  const topo::Topology topo = topo::makeLine(4);
-  routing::ShortestPathRouting routing(topo);
-  projection::PlantConfig cfg;
-  cfg.numSwitches = 1;
-  cfg.hostPortsPerSwitch = 4;
-  cfg.interLinksPerPair = 0;
-  auto plant = projection::buildPlant(cfg);
-  ASSERT_TRUE(plant.ok());
-  controller::SdtController ctl(plant.value());
-  auto depR = ctl.deploy(topo, routing);
-  ASSERT_TRUE(depR.ok()) << depR.error().message;
-  controller::Deployment dep = std::move(depR).value();
-  dep.switches[0]->table().clear();
-
-  controller::FailureSet failures;
-  failures.crashedSwitches = {0};
-  controller::RepairOptions options;
-  options.retry.maxAttempts = 3;
-  options.controlChannel = [](int) { return false; };  // switch is gone
-  auto repR = ctl.repair(dep, topo, routing, failures, options);
-  ASSERT_FALSE(repR.ok());
-  EXPECT_NE(repR.error().message.find("control channel"), std::string::npos);
+  EXPECT_EQ(report.repairTime,
+            projection::reconfigTime(projection::TpMethod::kSDT, report.flowMods()));
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "controller/ha.hpp"
 #include "controller/journal.hpp"
 #include "controller/monitor.hpp"
@@ -42,15 +43,7 @@ std::uint64_t faultSeed() {
 
 // -- Fabric fingerprint ------------------------------------------------------
 
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-};
+using Fnv = hash::Fnv64;
 
 std::uint64_t entryHash(const openflow::FlowEntry& e) {
   Fnv f;
@@ -71,7 +64,7 @@ std::uint64_t entryHash(const openflow::FlowEntry& e) {
     f.mix(static_cast<std::uint64_t>(a.arg));
   }
   f.mix(e.cookie);
-  return f.h;
+  return f.value();
 }
 
 /// Order-insensitive but otherwise exact (cookie/epoch included) fingerprint
@@ -91,7 +84,7 @@ std::uint64_t fabricFingerprint(
     for (const std::uint64_t h : hashes) f.mix(h);
     f.mix(sw->ingressEpoch());
   }
-  return f.h;
+  return f.value();
 }
 
 /// Every switch holds rules of exactly `epoch` and stamps it at ingress.
@@ -189,7 +182,7 @@ HaOutcome runHaCell(controller::CrashPoint crashAt, bool lossyFabric,
 
   controller::HaConfig hcfg;
   hcfg.deploy.requireDeadlockFree = false;
-  hcfg.retry.seed = seed;
+  hcfg.retrySeed = seed;
   controller::ReplicatedController ha(sim, ctl, fabric, repl, 3, hcfg);
   controller::IntentCatalog catalog;
   catalog[from.name()] = {&from, &rFrom};

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "controller/journal.hpp"
 
 namespace sdt::controller {
@@ -119,6 +120,66 @@ TEST(Journal, CorruptPayloadByteEndsReplayAtThatRecord) {
   ASSERT_EQ(replayed.value().records.size(), 1u);
   EXPECT_EQ(replayed.value().records[0].kind, JournalRecordKind::kDeploy);
   EXPECT_EQ(replayed.value().droppedBytes, storage.bytes().size() - durable);
+}
+
+/// A frame laid out exactly as Journal::append writes one, around an
+/// arbitrary payload: its checksum is valid, so only field validation can
+/// refuse it.
+std::string forgeFrame(const std::string& payload) {
+  std::string frame;
+  for (const std::uint32_t word :
+       {0x4A544453u /* "SDTJ" */, static_cast<std::uint32_t>(payload.size()),
+        hash::fnv1a32(payload)}) {
+    for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>(word >> (8 * i)));
+  }
+  return frame + payload;
+}
+
+// Regression: fromJson truncated epochs to uint32 (a forged epoch 2^32 + 1
+// replayed as epoch 1), accepted a negative seq, and parseHexU64 silently
+// dropped digits past the 16th. Each now ends the replay at that frame,
+// like any other bad frame.
+TEST(Journal, OutOfRangeFieldsEndReplayAtTheForgedFrame) {
+  const std::string tail = R"("at":0,"topology":"ring6","routing":"ecmp")";
+  const auto record = [&](const std::string& fields, const std::string& salt) {
+    return "{" + fields + "," + tail + R"(,"ecmpSalt":")" + salt + R"("})";
+  };
+  const std::string forged[] = {
+      record(R"("kind":"deploy","seq":2,"epoch":4294967297)", "0"),
+      record(R"("kind":"deploy","seq":2,"epoch":-5e19)", "0"),
+      record(R"("kind":"deploy","seq":-5,"epoch":4)", "0"),
+      record(R"("kind":"tx-prepare","seq":2,"epoch":3,"fromEpoch":-1,"toEpoch":4)",
+             "0"),
+      record(R"("kind":"tx-prepare","seq":2,"epoch":3,"fromEpoch":3,)"
+             R"("toEpoch":4294967296)",
+             "0"),
+      record(R"("kind":"deploy","seq":2,"epoch":4)", "10000000000000000"),
+  };
+  for (const std::string& payload : forged) {
+    MemoryJournalStorage storage;
+    Journal journal(storage);
+    ASSERT_TRUE(journal.append(deployRecord(3, "line6")).ok());
+    const std::size_t intact = storage.bytes().size();
+    storage.bytes() += forgeFrame(payload);
+    auto replayed = journal.replay();
+    ASSERT_TRUE(replayed.ok()) << replayed.error().message;
+    EXPECT_EQ(replayed.value().records.size(), 1u) << payload;
+    EXPECT_EQ(replayed.value().droppedBytes, storage.bytes().size() - intact) << payload;
+    EXPECT_EQ(replayed.value().state.epoch, 3u) << payload;
+    EXPECT_EQ(replayed.value().state.topology, "line6") << payload;
+  }
+  // Control: the same frame with in-range fields replays.
+  MemoryJournalStorage storage;
+  Journal journal(storage);
+  ASSERT_TRUE(journal.append(deployRecord(3, "line6")).ok());
+  storage.bytes() += forgeFrame(
+      record(R"("kind":"deploy","seq":2,"epoch":4294967295)", "ffffffffffffffff"));
+  auto replayed = journal.replay();
+  ASSERT_TRUE(replayed.ok());
+  ASSERT_EQ(replayed.value().records.size(), 2u);
+  EXPECT_EQ(replayed.value().droppedBytes, 0u);
+  EXPECT_EQ(replayed.value().state.epoch, 4294967295u);
+  EXPECT_EQ(replayed.value().state.ecmpSalt, ~std::uint64_t{0});
 }
 
 TEST(Journal, SequenceNumberingContinuesAcrossRebind) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/rng.hpp"
 #include "controller/controller.hpp"
 #include "controller/monitor.hpp"
+#include "controller/session.hpp"
 #include "controller/transaction.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/builder.hpp"
@@ -235,6 +237,65 @@ TEST_F(LiveReconfig, MonitorGuardSuppressesSpuriousFailuresDuringTransaction) {
   EXPECT_FALSE(monitor.guarded(0));
   EXPECT_FALSE(monitor.guarded(1));
   EXPECT_TRUE(monitor.portFailures().empty());
+}
+
+// A committed transaction hands the deployment its new intent (topology,
+// routing, ECMP salt), so repair() recompiles the committed tables rather
+// than the ones the deployment started with.
+TEST_F(LiveReconfig, CommitAdoptsTheNewIntentForRepair) {
+  controller::DeployOptions opt;
+  opt.requireDeadlockFree = false;
+  opt.ecmpSalt = 7;
+  auto planR = ctl_->planUpdate(dep_, to_, *routingTo_, opt);
+  ASSERT_TRUE(planR.ok()) << planR.error().message;
+  sim::ControlChannel channel(sim_, faultSeed());
+  controller::ReconfigTransaction tx(sim_, channel, dep_, std::move(planR).value());
+  tx.start();
+  sim_.runUntil(msToNs(40.0));
+  ASSERT_TRUE(tx.finished());
+  ASSERT_TRUE(tx.report().committed);
+  EXPECT_EQ(dep_.topology, to_.name());
+  EXPECT_EQ(dep_.routing, routingTo_->name());
+  EXPECT_EQ(dep_.ecmpSalt, 7u);
+
+  auto rep = ctl_->repair(dep_, to_, *routingTo_, controller::FailureSet{});
+  ASSERT_TRUE(rep.ok()) << rep.error().message;
+  EXPECT_EQ(rep.value().flowMods(), 0);
+  expectPureEpoch(dep_, 2);
+}
+
+// Regression: the doubling backoff passes 2^63 ns within ~64 attempts, and
+// casting a larger double to TimeNs is undefined. Backstop rounds run to
+// SwitchSession::kBackstopAttempts, so every attempt count must give a
+// finite wait within the cap — and the same seed and switch the same wait.
+TEST(SwitchSession, BackoffStaysClampedAndDeterministic) {
+  using controller::SwitchSession;
+  const auto stream = [](int sw) {
+    return SwitchSession::jitterStream(SwitchSession::kDefaultSeed, 0x7C0FF1E5ULL, sw);
+  };
+  Rng a = stream(3);
+  Rng b = stream(3);
+  Rng other = stream(4);
+  bool differs = false;
+  for (const int attempt :
+       {1, 2, 3, 8, 63, 64, 65, 1000, std::numeric_limits<int>::max()}) {
+    const TimeNs wait = SwitchSession::backoff(attempt, a);
+    EXPECT_GT(wait, 0) << "attempt " << attempt;
+    EXPECT_LE(wait, SwitchSession::kMaxBackoff) << "attempt " << attempt;
+    EXPECT_EQ(wait, SwitchSession::backoff(attempt, b)) << "attempt " << attempt;
+    differs = differs || wait != SwitchSession::backoff(attempt, other);
+  }
+  EXPECT_TRUE(differs) << "switches share one jitter stream";
+
+  // Below the cap each wait sits in its doubling step's jitter band.
+  Rng c = stream(0);
+  for (const int attempt : {1, 2, 3}) {
+    const TimeNs step = SwitchSession::kBaseBackoff << (attempt - 1);
+    const TimeNs wait = SwitchSession::backoff(attempt, c);
+    EXPECT_GE(wait, static_cast<TimeNs>(static_cast<double>(step) *
+                                        (1.0 - SwitchSession::kJitter)));
+    EXPECT_LE(wait, step);
+  }
 }
 
 TEST(Reconfig, PlanUpdateAbortsCleanlyWhenBothVersionsExceedCapacity) {

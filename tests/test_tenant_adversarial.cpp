@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "controller/journal.hpp"
 #include "controller/recovery.hpp"
 #include "controller/transaction.hpp"
@@ -32,15 +33,7 @@ namespace {
 
 // -- Victim trace fingerprint ------------------------------------------------
 
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ULL;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
-  }
-};
+using Fnv = hash::Fnv64;
 
 // -- Shared world ------------------------------------------------------------
 
@@ -158,7 +151,7 @@ struct World {
                       mgr->switches()[pp.sw]->portIngressEpoch(pp.port))
                 : ~0ULL);
     }
-    return d.h;
+    return d.value();
   }
 };
 
@@ -176,7 +169,7 @@ RunResult runWorld(const std::function<void(World&)>& attack) {
   if (attack) attack(w);
   w.sim.runUntil(msToNs(60.0));
   RunResult out;
-  out.trace = w.victimTrace.h;
+  out.trace = w.victimTrace.value();
   out.state = w.victimStateDigest();
   out.delivered = w.victimDelivered;
   return out;
