@@ -787,7 +787,6 @@ struct ServeHa {
   sim::Simulator sim;
   std::unique_ptr<sim::ControlChannel> fabric;
   std::unique_ptr<sim::ControlChannel> repl;
-  controller::IntentCatalog catalog;
   std::unique_ptr<controller::ReplicatedController> ha;
 };
 
@@ -807,19 +806,10 @@ std::unique_ptr<ServeHa> serveHaAttach(tenant::TenantManager& mgr,
   hcfg.deploy = slice->deployOptions;
   s->ha = std::make_unique<controller::ReplicatedController>(
       s->sim, *slice->controller, *s->fabric, *s->repl, standbys + 1, hcfg);
-  s->catalog[slice->topology->name()] = {slice->topology, slice->routing};
-  s->ha->setCatalog(s->catalog);
-  // Takeover recompiles run against the tenant's slice controller and are
-  // re-scoped so a new leader can only ever touch this tenant's namespace.
-  const std::uint16_t id = t.id;
-  s->ha->setPlanner([&mgr, id, raw = s.get()](const controller::Journal& journal)
-                        -> Result<controller::RecoveryPlan> {
-    auto plan = controller::planRecovery(*mgr.slice(id)->controller, journal,
-                                         raw->catalog,
-                                         mgr.slice(id)->deployOptions);
-    if (plan) mgr.scopeRecovery(id, plan.value());
-    return plan;
-  });
+  // Takeover recompiles run against the tenant's slice controller with its
+  // deploy options; the plan scopes itself to the tenant its journaled epoch
+  // names, so a new leader can only ever touch this tenant's namespace.
+  s->ha->setCatalog({{slice->topology->name(), {slice->topology, slice->routing}}});
   if (auto adopted = s->ha->adoptDeployment(slice->deployment); !adopted) {
     std::printf("ha: cannot adopt tenant '%s' deployment: %s\n", t.name.c_str(),
                 adopted.error().message.c_str());

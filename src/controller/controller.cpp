@@ -12,6 +12,38 @@
 
 namespace sdt::controller {
 
+namespace {
+
+/// Connected-component label per logical switch over the links `severedMask`
+/// leaves standing (null = every link). Components are numbered in order of
+/// their lowest switch id.
+std::vector<int> componentLabels(const topo::Topology& topo,
+                                 const std::vector<char>* severedMask) {
+  std::vector<int> component(static_cast<std::size_t>(topo.numSwitches()), -1);
+  int label = 0;
+  for (int start = 0; start < topo.numSwitches(); ++start) {
+    if (component[start] != -1) continue;
+    std::vector<int> frontier{start};
+    component[start] = label;
+    while (!frontier.empty()) {
+      const int sw = frontier.back();
+      frontier.pop_back();
+      for (const int li : topo.linksOf(sw)) {
+        if (severedMask != nullptr && (*severedMask)[li]) continue;
+        const int peer = topo.link(li).peerOf(sw).sw;
+        if (component[peer] == -1) {
+          component[peer] = label;
+          frontier.push_back(peer);
+        }
+      }
+    }
+    ++label;
+  }
+  return component;
+}
+
+}  // namespace
+
 // Shared with crash recovery via controller/table_diff.hpp; doc comments
 // live on the declarations there.
 namespace detail {
@@ -30,39 +62,7 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
   // so cross-island packets die on table miss — isolation by construction.
   // A degraded topology may also have split: components follow the
   // *surviving* links.
-  std::vector<int> component(static_cast<std::size_t>(topo.numSwitches()), -1);
-  if (severedMask == nullptr) {
-    const topo::Graph g = topo.switchGraph();
-    int label = 0;
-    for (int start = 0; start < g.numVertices(); ++start) {
-      if (component[start] != -1) continue;
-      const auto dist = g.bfsDistances(start);
-      for (int v = 0; v < g.numVertices(); ++v) {
-        if (dist[v] >= 0) component[v] = label;
-      }
-      ++label;
-    }
-  } else {
-    int label = 0;
-    for (int start = 0; start < topo.numSwitches(); ++start) {
-      if (component[start] != -1) continue;
-      std::vector<int> frontier{start};
-      component[start] = label;
-      while (!frontier.empty()) {
-        const int sw = frontier.back();
-        frontier.pop_back();
-        for (const int li : topo.linksOf(sw)) {
-          if ((*severedMask)[li]) continue;
-          const int peer = topo.link(li).peerOf(sw).sw;
-          if (component[peer] == -1) {
-            component[peer] = label;
-            frontier.push_back(peer);
-          }
-        }
-      }
-      ++label;
-    }
-  }
+  const std::vector<int> component = componentLabels(topo, severedMask);
 
   // Physical host port per host, for delivery rules.
   const auto hostPhys = [&](topo::HostId h) { return projection.hostPortOf(h); };
@@ -160,17 +160,58 @@ TableDiff diffEntries(const std::vector<openflow::FlowEntry>& live,
     if (it != have.end() && it->second > 0) {
       --it->second;
     } else {
-      diff.toAdd.push_back(&e);
+      diff.toAdd.push_back(e);
     }
   }
   return diff;
 }
 
+ConvergeOps reconcile(const openflow::TableSnapshot& live,
+                      const std::vector<openflow::FlowEntry>& desired,
+                      const Scope& scope, int sw, std::uint32_t epoch) {
+  std::vector<openflow::FlowEntry> buffer;
+  const std::vector<openflow::FlowEntry>& owned = scope.owned(live.entries, buffer);
+  TableDiff diff = diffEntries(owned, desired);
+  ConvergeOps ops;
+  ops.removes = std::move(diff.toRemove);
+  ops.adds = std::move(diff.toAdd);
+  // Rules that survive the diff but carry another epoch's stamp only need
+  // the cookie sweep, not a delete+add round-trip.
+  const auto wrongEpoch = [epoch](const openflow::FlowEntry& e) {
+    return openflow::cookieEpoch(e.cookie) != epoch;
+  };
+  ops.restampCount =
+      static_cast<int>(std::count_if(owned.begin(), owned.end(), wrongEpoch) -
+                       std::count_if(ops.removes.begin(), ops.removes.end(), wrongEpoch));
+  ops.flipEpoch = !scope.stamped(live, sw, epoch);
+  return ops;
+}
+
+Status<Error> apply(openflow::Switch& ofs, int sw, const ConvergeOps& ops,
+                    const Scope& scope, std::uint32_t epoch) {
+  Status<Error> status;
+  for (const openflow::FlowEntry& e : ops.removes) ofs.table().removeExact(e);
+  for (const openflow::FlowEntry& e : ops.adds) {
+    if (auto s = ofs.table().add(e); !s && status.ok()) status = s;
+  }
+  if (ops.restampCount > 0) scope.restamp(ofs.table(), epoch);
+  if (ops.flipEpoch) scope.stamp(ofs, sw, epoch);
+  return status;
+}
+
+void recount(Deployment& deployment, const Scope& scope) {
+  deployment.totalFlowEntries = 0;
+  deployment.maxEntriesPerSwitch = 0;
+  for (const auto& ofs : deployment.switches) {
+    const int n = static_cast<int>(scope.ownedCount(ofs->table()));
+    deployment.totalFlowEntries += n;
+    deployment.maxEntriesPerSwitch = std::max(deployment.maxEntriesPerSwitch, n);
+  }
+}
+
 }  // namespace detail
 
-using detail::TableDiff;
 using detail::compileFlowTables;
-using detail::diffEntries;
 
 namespace {
 
@@ -340,19 +381,7 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
     // Flow-table demand (§VII-C). Matches compileFlowTables exactly at one
     // VC — (ingress ports - 1) entries per reachable destination — and is a
     // lower bound for multi-VC strategies.
-    std::vector<int> component(static_cast<std::size_t>(t->numSwitches()), -1);
-    {
-      const topo::Graph g = t->switchGraph();
-      int label = 0;
-      for (int start = 0; start < g.numVertices(); ++start) {
-        if (component[start] != -1) continue;
-        const auto dist = g.bfsDistances(start);
-        for (int v = 0; v < g.numVertices(); ++v) {
-          if (dist[v] >= 0) component[v] = label;
-        }
-        ++label;
-      }
-    }
+    const std::vector<int> component = componentLabels(*t, nullptr);
     std::map<int, int> hostsInComponent;
     for (topo::HostId h = 0; h < t->numHosts(); ++h) {
       ++hostsInComponent[component[t->hostSwitch(h)]];
@@ -520,6 +549,8 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
   }
   plan.projection = std::move(proj).value();
   plan.tables = std::move(tables).value();
+  plan.scope = Scope::of(current.epoch, plan.projection, plant_.numSwitches(), &plan.tables,
+                         &current.switches);
   plan.topology = next.name();
   plan.routing = routing.name();
   plan.ecmpSalt = options.ecmpSalt;
@@ -639,56 +670,30 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
                                   report.degraded ? &severedMask : nullptr);
   if (!tables) return tables.error();
 
-  // Phase 3 — incremental install: per switch, a multiset diff of the live
-  // table against the recompiled one, applied as strict-delete + add
-  // flow-mods. A crashed switch's live table is empty, so the diff
-  // reinstalls its exact fresh set.
+  // Phase 3 — incremental install: per switch, the scoped reconcile of the
+  // live table against the recompiled one, applied as strict-delete + add
+  // flow-mods. A crashed switch's owned rules are wiped first, so the
+  // reconcile reinstalls its exact fresh set and restores its ingress stamps.
+  // A tenant deployment's scope confines the wipe, the diff, and the stamps
+  // to its own cookie namespace and host ports on the shared switches.
   span.phase("repair.install");
-  // Tenant containment: a scoped deployment (epoch carries a tenant id) may
-  // only ever touch its own rules on the shared switches — crash cleanup and
-  // the live-side of the diff are filtered to the tenant's cookie namespace.
-  const std::uint16_t tenant = openflow::epochTenant(deployment.epoch);
+  const Scope scope =
+      Scope::of(deployment.epoch, proj, plant_.numSwitches(), &tables.value());
   for (const int psw : failures.crashedSwitches) {
-    if (tenant != 0) {
-      deployment.switches[psw]->table().removeByTenant(tenant);
-    } else {
-      deployment.switches[psw]->table().clear();
-    }
+    scope.removeOwned(deployment.switches[static_cast<std::size_t>(psw)]->table());
   }
-  int newTotal = 0;
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
-    openflow::FlowTable& live = deployment.switches[psw]->table();
-    const std::vector<openflow::FlowEntry>& desired = tables.value()[psw];
-    newTotal += static_cast<int>(desired.size());
-
-    std::vector<openflow::FlowEntry> ownedLive;
-    if (tenant != 0) {
-      for (const openflow::FlowEntry& e : live.entries()) {
-        if (openflow::cookieTenant(e.cookie) == tenant) ownedLive.push_back(e);
-      }
-    }
-    const TableDiff diff =
-        diffEntries(tenant != 0 ? ownedLive : live.entries(), desired);
-    for (const openflow::FlowEntry& e : diff.toRemove) live.removeExact(e);
-    for (const openflow::FlowEntry* e : diff.toAdd) {
-      openflow::FlowEntry fresh = *e;
-      fresh.packetCount = 0;
-      fresh.byteCount = 0;
-      if (auto s = live.add(std::move(fresh)); !s) return s.error();
-    }
-    report.flowModsRemoved += static_cast<int>(diff.toRemove.size());
-    report.flowModsAdded += static_cast<int>(diff.toAdd.size());
+    openflow::Switch& ofs = *deployment.switches[static_cast<std::size_t>(psw)];
+    const detail::ConvergeOps ops =
+        detail::reconcile(ofs.snapshot(), tables.value()[psw], scope, psw, deployment.epoch);
+    if (auto s = detail::apply(ofs, psw, ops, scope, deployment.epoch); !s) return s.error();
+    report.flowModsRemoved += static_cast<int>(ops.removes.size());
+    report.flowModsAdded += static_cast<int>(ops.adds.size());
   }
-
-  deployment.totalFlowEntries = 0;
-  deployment.maxEntriesPerSwitch = 0;
-  for (const auto& ofs : deployment.switches) {
-    const int n = static_cast<int>(tenant != 0 ? ofs->table().countTenant(tenant)
-                                               : ofs->table().size());
-    deployment.totalFlowEntries += n;
-    deployment.maxEntriesPerSwitch = std::max(deployment.maxEntriesPerSwitch, n);
-  }
-  report.fullRedeployFlowMods = oldTotal + newTotal;
+  // The owned tables now hold exactly the recompiled sets: a full redeploy
+  // would have torn down the old total and installed this one.
+  detail::recount(deployment, scope);
+  report.fullRedeployFlowMods = oldTotal + deployment.totalFlowEntries;
   report.repairTime =
       projection::reconfigTime(projection::TpMethod::kSDT, report.flowMods());
   span.advance(report.repairTime);  // install covers the modeled repair time

@@ -102,6 +102,66 @@ struct FailureSet {
   [[nodiscard]] bool empty() const { return ports.empty() && crashedSwitches.empty(); }
 };
 
+/// The part of the shared plant one operation owns (DESIGN.md §13): a
+/// tenant's cookie namespace, the ingress ports it stamps, and the switches
+/// a transaction messages. Tenant 0 is the whole plant: it owns every rule
+/// and stamps whole switches. A tenant owns only its namespace's rules and
+/// stamps only its host ports (on some switches none), so nothing it does
+/// moves a co-tenant's packets. Every plan carries the scope its planner
+/// derived; no caller attaches one.
+class Scope {
+ public:
+  /// The one derivation, over a plant of `numSwitches`. The tenant is
+  /// epochTenant(epoch), and a tenant stamps the host ports of `projection`.
+  /// The transaction's switch set is every switch for tenant 0; for a
+  /// tenant, every switch where it has a host port, a `desired` rule, or a
+  /// rule in `live` (each when given).
+  static Scope of(std::uint32_t epoch, const projection::Projection& projection,
+                  int numSwitches,
+                  const std::vector<std::vector<openflow::FlowEntry>>* desired = nullptr,
+                  const std::vector<std::shared_ptr<openflow::Switch>>* live = nullptr);
+
+  [[nodiscard]] std::uint16_t tenant() const { return tenant_; }
+  /// Switches a transaction messages, ascending.
+  [[nodiscard]] const std::vector<int>& switches() const { return switches_; }
+  /// Ingress ports a tenant stamps on plant switch `sw`, ascending (none
+  /// for tenant 0, which stamps the whole switch).
+  [[nodiscard]] const std::vector<int>& ports(int sw) const {
+    return ports_[static_cast<std::size_t>(sw)];
+  }
+
+  [[nodiscard]] bool owns(const openflow::FlowEntry& entry) const {
+    return tenant_ == 0 || openflow::cookieTenant(entry.cookie) == tenant_;
+  }
+  [[nodiscard]] std::size_t ownedCount(const openflow::FlowTable& table) const {
+    return tenant_ == 0 ? table.size() : table.countTenant(tenant_);
+  }
+  /// The owned entries of `all`: `all` itself for tenant 0 (no filtering
+  /// pass, no copy), else the owned subset, collected into `buffer`.
+  const std::vector<openflow::FlowEntry>& owned(
+      const std::vector<openflow::FlowEntry>& all,
+      std::vector<openflow::FlowEntry>& buffer) const;
+  /// Delete every owned rule (the cleanup of a wiped switch).
+  void removeOwned(openflow::FlowTable& table) const;
+  /// Rewrite the epoch half of every owned rule's cookie to `epoch`.
+  void restamp(openflow::FlowTable& table, std::uint32_t epoch) const {
+    table.restampEpoch(epoch, tenant_ != 0);
+  }
+  /// Make switch `sw` stamp `epoch` on every ingress this scope owns.
+  void stamp(openflow::Switch& ofs, int sw, std::uint32_t epoch) const;
+  /// Does switch `sw` (live, or as read back) stamp `epoch` on every ingress
+  /// this scope owns?
+  [[nodiscard]] bool stamped(const openflow::Switch& ofs, int sw,
+                             std::uint32_t epoch) const;
+  [[nodiscard]] bool stamped(const openflow::TableSnapshot& snap, int sw,
+                             std::uint32_t epoch) const;
+
+ private:
+  std::uint16_t tenant_ = 0;
+  std::vector<std::vector<int>> ports_;  ///< per physical switch
+  std::vector<int> switches_;
+};
+
 /// Compiled-but-not-installed next configuration: everything a transactional
 /// two-phase reconfiguration (controller/transaction.hpp) needs before it
 /// touches any switch. Produced by SdtController::planUpdate(), which runs
@@ -120,16 +180,10 @@ struct UpdatePlan {
   std::string topology;
   std::string routing;
   std::uint64_t ecmpSalt = 0;
-  /// Physical switches the transaction may touch (ascending). Empty = every
-  /// plant switch (the legacy whole-plant update). A tenant slice scopes its
-  /// two-phase protocol — install, barrier, flip, GC, rollback, guards, and
-  /// the purity audit — to exactly these switches.
-  std::vector<int> scope;
-  /// Parallel to `scope`: ingress ports to flip per scoped switch. An empty
-  /// inner list flips the whole switch (setIngressEpoch); a non-empty list
-  /// flips only those ports' per-port epochs, leaving co-tenants' ports
-  /// stamped with their own epochs.
-  std::vector<std::vector<int>> flipPorts;
+  /// What the transaction owns: its two-phase protocol — install, barrier,
+  /// flip, GC, rollback, guards, and the purity audit — messages only
+  /// `scope.switches()` and flips only the ingress the scope stamps.
+  Scope scope;
 };
 
 /// A logical link repair() could not re-project (no spare physical link).
@@ -223,10 +277,12 @@ class SdtController {
 
   /// Self-healing re-projection (no cable moves, no human): re-project the
   /// logical links riding on failed physical ports onto spare healthy
-  /// physical links, recompile *only the affected flow entries* (incremental
-  /// strict-delete/add diff against the live tables — crashed switches fall
-  /// out naturally, their whole table is "missing"), and patch `deployment`
-  /// in place. When no spare exists the logical link is severed: surviving
+  /// physical links, recompile *only the affected flow entries* (the same
+  /// live→desired reconcile crash recovery converges with — crashed switches
+  /// fall out naturally, their whole table is "missing", and a rebooted
+  /// switch's ingress stamps are restored), and patch `deployment` in place.
+  /// A tenant deployment touches only the rules and ingress ports its scope
+  /// owns. When no spare exists the logical link is severed: surviving
   /// traffic is re-routed around it (routing::DegradedRouting) and the
   /// report lists the severed links and newly unreachable host pairs.
   /// `routing` must be the algorithm the deployment was compiled with; the

@@ -422,7 +422,6 @@ void ReplicatedController::startFailoverRecovery(int id) {
   }
   RecoveryOptions options;
   options.retrySeed = config_.retrySeed;
-  options.maxRounds = config_.recoveryMaxRounds;
   options.term = s.term;
   options.leaderId = id;
   options.monitor = monitor_;

@@ -95,8 +95,6 @@ struct HaConfig {
   int sendQueueCap = 1024;
   /// Backoff jitter seed of the failover RecoveryRun (RecoveryOptions).
   std::uint64_t retrySeed = SwitchSession::kDefaultSeed;
-  /// Anti-entropy round cap for the failover RecoveryRun.
-  int recoveryMaxRounds = 8;
   /// Recompile knobs handed to planRecovery on takeover.
   DeployOptions deploy;
 };
@@ -162,7 +160,8 @@ class ReplicatedController {
   /// Override how a new leader turns its replica journal into a recovery
   /// plan. Default: planRecovery(ctl, journal, catalog, config.deploy). A
   /// tenant-aware caller substitutes a planner that recompiles against the
-  /// owning slice and re-scopes the plan (TenantManager::scopeRecovery).
+  /// owning slice's controller; the plan scopes itself to the tenant its
+  /// journaled epoch names, so the new leader can only touch that tenant.
   using PlanFn = std::function<Result<RecoveryPlan>(const Journal&)>;
   void setPlanner(PlanFn planner) { planner_ = std::move(planner); }
 

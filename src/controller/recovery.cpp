@@ -4,7 +4,6 @@
 
 #include "common/strings.hpp"
 #include "controller/monitor.hpp"
-#include "controller/table_diff.hpp"
 
 namespace sdt::controller {
 namespace {
@@ -99,7 +98,6 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
     plan.routing = st.txRouting;
     plan.ecmpSalt = st.txEcmpSalt;
     plan.targetEpoch = st.txToEpoch;
-    plan.staleEpoch = st.txFromEpoch;
   } else if (st.txOpen) {
     // No flip marker: the marker is journaled before the first flip send,
     // so no packet was ever stamped with the new epoch. Rolling back to the
@@ -114,7 +112,6 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
     plan.routing = st.routing;
     plan.ecmpSalt = st.ecmpSalt;
     plan.targetEpoch = st.epoch;
-    plan.staleEpoch = st.txToEpoch;
   } else {
     if (!st.valid) return makeError("journal holds no deployable intent");
     plan.decision = RecoveryDecision::kReinstall;
@@ -122,7 +119,6 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
     plan.routing = st.routing;
     plan.ecmpSalt = st.ecmpSalt;
     plan.targetEpoch = st.epoch;
-    plan.staleEpoch = 0;
   }
 
   const auto entry = catalog.find(plan.topology);
@@ -154,6 +150,8 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
   for (const auto& t : tables.value()) plan.totalEntries += static_cast<int>(t.size());
   plan.projection = std::move(proj).value();
   plan.tables = std::move(tables).value();
+  plan.scope = Scope::of(plan.targetEpoch, plan.projection, controller.plant().numSwitches(),
+                         &plan.tables);
   return plan;
 }
 
@@ -180,7 +178,6 @@ RecoveryRun::RecoveryRun(sim::Simulator& sim, sim::ControlChannel& channel,
                 }}) {
   const auto n = static_cast<std::size_t>(numSwitches());
   pending_.resize(n);
-  lastSnap_.resize(n);
   report_.decision = plan_.decision;
   report_.topology = plan_.topology;
   report_.routing = plan_.routing;
@@ -190,13 +187,6 @@ RecoveryRun::RecoveryRun(sim::Simulator& sim, sim::ControlChannel& channel,
   report_.fromEpoch = plan_.fromEpoch;
   report_.toEpoch = plan_.toEpoch;
   report_.switches.resize(n);
-  tenant_ = openflow::epochTenant(plan_.targetEpoch);
-}
-
-const std::vector<int>* RecoveryRun::flipPortsFor(int sw) const {
-  if (static_cast<std::size_t>(sw) >= plan_.flipPorts.size()) return nullptr;
-  const std::vector<int>& ports = plan_.flipPorts[static_cast<std::size_t>(sw)];
-  return ports.empty() ? nullptr : &ports;
 }
 
 void RecoveryRun::start() {
@@ -233,44 +223,23 @@ SwitchSession::Request RecoveryRun::request(int sw) {
   // Converge bundle: captured by value so a duplicate delivered after the
   // round advanced still re-acks the *same* bundle it acked before. The xid
   // (bound to this anti-entropy round) makes re-application a no-op.
-  const std::uint64_t xid = recoveryXid(tenant_, roundIndex_, sw);
+  const std::uint64_t xid = recoveryXid(plan_.scope.tenant(), roundIndex_, sw);
   return [this, sw, gen, ofs, xid,
           ops = pending_[static_cast<std::size_t>(sw)]]() -> SwitchSession::Reply {
     // Fenced: no apply, no ack.
     if (!ofs->admitTerm(options_.term, options_.leaderId)) return nullptr;
     if (ofs->acceptXid(xid)) {
-      // Applied atomically (one OpenFlow bundle-commit): removes first so
-      // the table never holds both an entry and its replacement.
-      for (const openflow::FlowEntry& e : ops.removes) ofs->table().removeExact(e);
-      for (const openflow::FlowEntry& e : ops.adds) {
-        openflow::FlowEntry fresh = e;
-        fresh.packetCount = 0;
-        fresh.byteCount = 0;
-        // A full table here means the fabric still carries two epochs'
-        // rules beyond what the removes cover; the verify round will see
-        // the shortfall and the next iteration finishes the job.
-        (void)ofs->table().add(std::move(fresh));
-      }
-      if (ops.restamp) {
-        // The tenant-scoped sweep leaves co-tenant cookies alone; the
-        // whole-table sweep is the legacy single-tenant behaviour.
-        if (tenant_ != 0) ofs->table().restampTenantEpoch(plan_.targetEpoch);
-        else ofs->table().restampEpoch(plan_.targetEpoch);
-      }
-      if (ops.flipEpoch) {
-        if (const std::vector<int>* ports = flipPortsFor(sw)) {
-          for (const int p : *ports) ofs->setPortIngressEpoch(p, plan_.targetEpoch);
-        } else if (tenant_ == 0) {
-          // A tenant-scoped recovery with no listed ports owns no ingress
-          // stamping on this switch; a whole-switch flip would hijack
-          // co-tenant traffic.
-          ofs->setIngressEpoch(plan_.targetEpoch);
-        }
-      }
+      // Applied atomically (one OpenFlow bundle-commit). A full table means
+      // the fabric still carries two epochs' rules beyond what the removes
+      // cover; the verify round sees the shortfall and the next iteration
+      // finishes the job.
+      (void)detail::apply(*ofs, sw, ops, plan_.scope, plan_.targetEpoch);
       report_.flowMods += ops.mods();
     }
     return [this, sw, gen]() {
-      if (session_.current(gen)) onConvergeAck(sw);
+      if (!session_.current(gen) || session_.done(sw)) return;
+      report_.switches[static_cast<std::size_t>(sw)].convergeAcked = true;
+      completeSwitch(sw);
     };
   };
 }
@@ -278,13 +247,30 @@ SwitchSession::Request RecoveryRun::request(int sw) {
 void RecoveryRun::onSnapshot(int sw, const openflow::TableSnapshot& snap) {
   if (session_.done(sw)) return;
   report_.switches[static_cast<std::size_t>(sw)].snapshotAcked = true;
-  lastSnap_[static_cast<std::size_t>(sw)] = snap;
-  completeSwitch(sw);
-}
-
-void RecoveryRun::onConvergeAck(int sw) {
-  if (session_.done(sw)) return;
-  report_.switches[static_cast<std::size_t>(sw)].convergeAcked = true;
+  // The journaled intent is the truth, the snapshot is the fabric, the
+  // reconcile is the repair.
+  ConvergeOps& ops = pending_[static_cast<std::size_t>(sw)];
+  ops = detail::reconcile(snap, plan_.tables[static_cast<std::size_t>(sw)], plan_.scope, sw,
+                          plan_.targetEpoch);
+  if (firstReadback_) {
+    // Drift is accounted once, against what the crash left behind.
+    SwitchRecoveryState& st = report_.switches[static_cast<std::size_t>(sw)];
+    st.rulesMissing = static_cast<int>(ops.adds.size());
+    st.rulesExtra = static_cast<int>(ops.removes.size());
+    st.rulesRestamped = ops.restampCount;
+    st.rebooted = snap.entries.empty() && snap.ingressEpoch == 0;
+    st.drifted = !ops.empty();
+    report_.rulesMissing += st.rulesMissing;
+    report_.rulesExtra += st.rulesExtra;
+    report_.rulesRestamped += st.rulesRestamped;
+    if (st.rebooted) ++report_.switchesRebooted;
+    if (st.drifted) ++report_.switchesDrifted;
+    // The trust-nothing alternative: wipe what the snapshot shows, reinstall
+    // the whole target. Recovery's flowMods is the incremental counterpoint.
+    report_.fullRedeployFlowMods +=
+        static_cast<int>(snap.entries.size()) +
+        static_cast<int>(plan_.tables[static_cast<std::size_t>(sw)].size());
+  }
   completeSwitch(sw);
 }
 
@@ -293,69 +279,13 @@ void RecoveryRun::completeSwitch(int sw) {
 
   if (currentRound_ == Round::kReadback) {
     ++report_.statsRounds;
-    // Diff every snapshot against the target: the journaled intent is the
-    // truth, the snapshot is the fabric, the diff is the repair.
-    bool anyDrift = false;
-    for (int s = 0; s < numSwitches(); ++s) {
-      const openflow::TableSnapshot& snap = lastSnap_[static_cast<std::size_t>(s)];
-      ConvergeOps ops;
-      // A tenant-scoped recovery diffs only the slice's own entries: rules a
-      // co-tenant installed on the same shared switch are invisible here, so
-      // they can be neither deleted, restamped, nor counted as drift.
-      std::vector<openflow::FlowEntry> owned;
-      const std::vector<openflow::FlowEntry>* live = &snap.entries;
-      if (tenant_ != 0) {
-        owned.reserve(snap.entries.size());
-        for (const openflow::FlowEntry& e : snap.entries) {
-          if (openflow::cookieTenant(e.cookie) == tenant_) owned.push_back(e);
-        }
-        live = &owned;
-      }
-      detail::TableDiff diff =
-          detail::diffEntries(*live, plan_.tables[static_cast<std::size_t>(s)]);
-      ops.removes = std::move(diff.toRemove);
-      ops.adds.reserve(diff.toAdd.size());
-      for (const openflow::FlowEntry* e : diff.toAdd) ops.adds.push_back(*e);
-      // Rules that survive the diff but carry the losing epoch's stamp only
-      // need the cookie sweep, not a delete+add round-trip.
-      std::size_t wrongEpoch = 0;
-      for (const openflow::FlowEntry& e : *live) {
-        if (openflow::cookieEpoch(e.cookie) != plan_.targetEpoch) ++wrongEpoch;
-      }
-      std::size_t wrongInRemoves = 0;
-      for (const openflow::FlowEntry& e : ops.removes) {
-        if (openflow::cookieEpoch(e.cookie) != plan_.targetEpoch) ++wrongInRemoves;
-      }
-      ops.restampCount = static_cast<int>(wrongEpoch - wrongInRemoves);
-      ops.restamp = ops.restampCount > 0;
-      if (const std::vector<int>* ports = flipPortsFor(s)) {
-        ops.flipEpoch = false;
-        for (const int p : *ports) {
-          std::uint32_t effective = snap.ingressEpoch;
-          for (const auto& [port, epoch] : snap.portEpochs) {
-            if (port == p) {
-              effective = epoch;
-              break;
-            }
-          }
-          if (effective != plan_.targetEpoch) ops.flipEpoch = true;
-        }
-      } else {
-        // No listed ports: whole-switch semantics for the legacy namespace,
-        // nothing to flip for a tenant (mid-path hops don't stamp its
-        // packets, and the switch-wide epoch belongs to no one tenant).
-        ops.flipEpoch = tenant_ == 0 && snap.ingressEpoch != plan_.targetEpoch;
-      }
-      if (firstReadback_) recordFirstReadback(s, ops, snap);
-      anyDrift = anyDrift || !ops.empty();
-      pending_[static_cast<std::size_t>(s)] = std::move(ops);
-    }
     firstReadback_ = false;
-    if (!anyDrift) {
+    if (std::all_of(pending_.begin(), pending_.end(),
+                    [](const ConvergeOps& ops) { return ops.empty(); })) {
       finishSuccess();
       return;
     }
-    if (report_.statsRounds >= options_.maxRounds) {
+    if (report_.statsRounds >= kMaxRounds) {
       finishFailure(strFormat(
           "anti-entropy failed to converge after %d readback rounds",
           report_.statsRounds));
@@ -365,26 +295,6 @@ void RecoveryRun::completeSwitch(int sw) {
   } else {
     beginVerify();
   }
-}
-
-void RecoveryRun::recordFirstReadback(int sw, const ConvergeOps& ops,
-                                      const openflow::TableSnapshot& snap) {
-  SwitchRecoveryState& st = report_.switches[static_cast<std::size_t>(sw)];
-  st.rulesMissing = static_cast<int>(ops.adds.size());
-  st.rulesExtra = static_cast<int>(ops.removes.size());
-  st.rulesRestamped = ops.restampCount;
-  st.rebooted = snap.entries.empty() && snap.ingressEpoch == 0;
-  st.drifted = !ops.empty();
-  report_.rulesMissing += st.rulesMissing;
-  report_.rulesExtra += st.rulesExtra;
-  report_.rulesRestamped += st.rulesRestamped;
-  if (st.rebooted) ++report_.switchesRebooted;
-  if (st.drifted) ++report_.switchesDrifted;
-  // The trust-nothing alternative: wipe what the snapshot shows, reinstall
-  // the whole target. Recovery's flowMods is the incremental counterpoint.
-  report_.fullRedeployFlowMods +=
-      static_cast<int>(snap.entries.size()) +
-      static_cast<int>(plan_.tables[static_cast<std::size_t>(sw)].size());
 }
 
 void RecoveryRun::beginConverge() {
@@ -419,16 +329,10 @@ void RecoveryRun::finishSuccess() {
   bool pure = true;
   for (int sw = 0; sw < numSwitches(); ++sw) {
     const openflow::Switch& ofs = *switches_[static_cast<std::size_t>(sw)];
-    if (const std::vector<int>* ports = flipPortsFor(sw)) {
-      for (const int p : *ports) {
-        if (ofs.portIngressEpoch(p) != plan_.targetEpoch) pure = false;
-      }
-    } else if (tenant_ == 0 && ofs.ingressEpoch() != plan_.targetEpoch) {
+    // Every owned rule carries the target epoch (which names the owner).
+    if (!plan_.scope.stamped(ofs, sw, plan_.targetEpoch) ||
+        plan_.scope.ownedCount(ofs.table()) != ofs.table().countEpoch(plan_.targetEpoch)) {
       pure = false;
-    }
-    for (const openflow::FlowEntry& e : ofs.table().entries()) {
-      if (tenant_ != 0 && openflow::cookieTenant(e.cookie) != tenant_) continue;
-      if (openflow::cookieEpoch(e.cookie) != plan_.targetEpoch) pure = false;
     }
   }
   if (!pure) {
@@ -444,14 +348,7 @@ void RecoveryRun::finishSuccess() {
   deployment_.topology = plan_.topology;
   deployment_.routing = plan_.routing;
   deployment_.ecmpSalt = plan_.ecmpSalt;
-  deployment_.totalFlowEntries = 0;
-  deployment_.maxEntriesPerSwitch = 0;
-  for (const auto& ofs : deployment_.switches) {
-    const int n = static_cast<int>(tenant_ != 0 ? ofs->table().countTenant(tenant_)
-                                                : ofs->table().size());
-    deployment_.totalFlowEntries += n;
-    deployment_.maxEntriesPerSwitch = std::max(deployment_.maxEntriesPerSwitch, n);
-  }
+  detail::recount(deployment_, plan_.scope);
   deployment_.reconfigTime =
       projection::reconfigTime(projection::TpMethod::kSDT, report_.flowMods);
 

@@ -19,11 +19,12 @@
 //            SwitchSession round, controller/session.hpp, with its
 //            retry/backoff) returns each table + ingress epoch verbatim.
 //            A rebooted switch shows up as an empty table stamping epoch 0.
-//   converge Per switch, the epoch-insensitive multiset diff
-//            (controller/table_diff.hpp) between the snapshot and the target
-//            yields a minimal flow-mod bundle: strict-deletes, adds, one
-//            cookie-restamp sweep for rules that only changed epoch, and the
-//            ingress-epoch flip. Bundles are xid-stamped and applied
+//   converge Per switch, the scoped reconcile repair() also uses
+//            (detail::reconcile, controller/table_diff.hpp) of the snapshot
+//            against the target yields a minimal flow-mod bundle:
+//            strict-deletes, adds, one cookie-restamp sweep for rules that
+//            only changed epoch, and the flip of the ingress stamps the
+//            plan's scope owns. Bundles are xid-stamped and applied
 //            atomically at the switch. Because the channel can drop or
 //            duplicate anything, recovery is ANTI-ENTROPY: after converging
 //            it reads back again and re-diffs, iterating until a verify
@@ -47,6 +48,7 @@
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
 #include "controller/session.hpp"
+#include "controller/table_diff.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
@@ -82,7 +84,6 @@ struct RecoveryPlan {
   std::string routing;
   std::uint64_t ecmpSalt = 0;
   std::uint32_t targetEpoch = 0;
-  std::uint32_t staleEpoch = 0;  ///< the losing transaction epoch (0 = none)
   bool txWasOpen = false;
   bool txFlipped = false;
   std::uint32_t fromEpoch = 0;   ///< open transaction's epochs (0 = none)
@@ -91,12 +92,11 @@ struct RecoveryPlan {
   /// Per-physical-switch target entries, cookies stamped targetEpoch.
   std::vector<std::vector<openflow::FlowEntry>> tables;
   int totalEntries = 0;
-  /// Per-physical-switch ingress ports whose epoch stamp this recovery owns
-  /// (empty outer or inner vector = the whole switch, the single-tenant
-  /// default). A tenant slice's recovery lists only the slice's host-facing
-  /// ports, so converging one tenant can never flip a co-tenant's stamping.
-  /// planRecovery() leaves this empty; the slice layer fills it in.
-  std::vector<std::vector<int>> flipPorts;
+  /// What the recovery owns, derived from targetEpoch and `projection`: a
+  /// tenant slice's recovery diffs, restamps, and audits only its own
+  /// namespace and stamps only its host ports, so converging one tenant can
+  /// never touch a co-tenant. Readback still covers every switch.
+  Scope scope;
 };
 
 /// Replay the journal and compile the recovery target. Pure planning: no
@@ -115,9 +115,6 @@ struct RecoveryOptions {
   /// (SwitchSession::kBackstopAttempts), so a channel that never delivers
   /// fails the run instead of hanging the simulation.
   std::uint64_t retrySeed = SwitchSession::kDefaultSeed;
-  /// Anti-entropy iteration cap: readback -> converge -> readback ... until
-  /// a verify round is clean everywhere or this many rounds have run.
-  int maxRounds = 8;
   /// Replicated-controller HA: the recovering leader's term. Modeled on the
   /// OpenFlow role-request generation_id — the very first readback raises
   /// the fence on every switch (so a freshly elected leader fences its
@@ -230,38 +227,21 @@ class RecoveryRun {
 
  private:
   enum class Round : std::uint8_t { kReadback, kConverge };
+  using ConvergeOps = detail::ConvergeOps;
 
-  /// One switch's pending converge bundle (computed from its last snapshot).
-  struct ConvergeOps {
-    std::vector<openflow::FlowEntry> removes;  ///< strict-delete these
-    std::vector<openflow::FlowEntry> adds;     ///< install these (fresh copies)
-    bool restamp = false;    ///< cookie-epoch sweep needed
-    int restampCount = 0;    ///< entries the sweep would touch (drift metric)
-    bool flipEpoch = false;  ///< ingress stamp != targetEpoch
-    [[nodiscard]] bool empty() const {
-      return removes.empty() && adds.empty() && !restamp && !flipEpoch;
-    }
-    [[nodiscard]] int mods() const {
-      return static_cast<int>(removes.size() + adds.size()) + (restamp ? 1 : 0) +
-             (flipEpoch ? 1 : 0);
-    }
-  };
+  /// Anti-entropy iteration cap: readback -> converge -> readback ... until
+  /// a verify round is clean everywhere or this many rounds have run.
+  static constexpr int kMaxRounds = 8;
 
   [[nodiscard]] int numSwitches() const {
     return static_cast<int>(switches_.size());
   }
-  /// Ports whose ingress stamp this recovery owns on `sw`, or nullptr for
-  /// the whole switch (plan_.flipPorts empty or its inner list empty).
-  [[nodiscard]] const std::vector<int>* flipPortsFor(int sw) const;
   /// The session's request for `sw` in the current round.
   SwitchSession::Request request(int sw);
   void onSnapshot(int sw, const openflow::TableSnapshot& snap);
-  void onConvergeAck(int sw);
   void completeSwitch(int sw);
   void beginConverge();
   void beginVerify();
-  void recordFirstReadback(int sw, const ConvergeOps& ops,
-                           const openflow::TableSnapshot& snap);
   void finishSuccess();
   void finishFailure(const std::string& why);
   void finish();
@@ -281,11 +261,7 @@ class RecoveryRun {
   RecoveryReport report_;
   Deployment deployment_;
   std::vector<ConvergeOps> pending_;      ///< per switch, refreshed per readback
-  std::vector<openflow::TableSnapshot> lastSnap_;
   bool firstReadback_ = true;  ///< drift accounting happens once
-  /// epochTenant(plan_.targetEpoch): non-zero scopes every diff, restamp,
-  /// purity check, and deployment total to this tenant's own rules.
-  std::uint16_t tenant_ = 0;
 };
 
 /// Append the kDeploy intent record for a fresh deployment. deploy() itself

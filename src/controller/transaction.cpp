@@ -1,10 +1,9 @@
 #include "controller/transaction.hpp"
 
-#include <algorithm>
-
 #include "common/strings.hpp"
 #include "controller/journal.hpp"
 #include "controller/monitor.hpp"
+#include "controller/table_diff.hpp"
 
 namespace sdt::controller {
 
@@ -103,15 +102,6 @@ ReconfigTransaction::ReconfigTransaction(sim::Simulator& sim,
   rolledBack_.assign(n, 0);
   report_.fromEpoch = plan_.fromEpoch;
   report_.toEpoch = plan_.toEpoch;
-  scope_ = plan_.scope;
-  if (scope_.empty()) {
-    scope_.reserve(n);
-    for (std::size_t sw = 0; sw < n; ++sw) scope_.push_back(static_cast<int>(sw));
-  }
-  flipPortsBySwitch_.resize(n);
-  for (std::size_t i = 0; i < plan_.scope.size() && i < plan_.flipPorts.size(); ++i) {
-    flipPortsBySwitch_[static_cast<std::size_t>(plan_.scope[i])] = plan_.flipPorts[i];
-  }
 }
 
 bool* ReconfigTransaction::ackedFlag(int sw, Round round) {
@@ -141,7 +131,7 @@ void ReconfigTransaction::start() {
   report_.phaseReached = ReconfigPhase::kInstall;
   session_.phase("install");
   if (options_.monitor != nullptr) {
-    for (const int sw : scope_) options_.monitor->guardSwitch(sw);
+    for (const int sw : plan_.scope.switches()) options_.monitor->guardSwitch(sw);
   }
   beginRound(Round::kInstall);
 }
@@ -153,7 +143,7 @@ void ReconfigTransaction::beginRound(Round round) {
   const bool abortable = round == Round::kInstall || round == Round::kBarrier;
   session_.beginRound(roundName(round), abortable ? options_.retry.maxAttempts
                                                   : SwitchSession::kBackstopAttempts);
-  for (const int sw : scope_) session_.send(sw);
+  for (const int sw : plan_.scope.switches()) session_.send(sw);
 }
 
 SwitchSession::Request ReconfigTransaction::request(int sw) {
@@ -214,22 +204,15 @@ bool ReconfigTransaction::applyAtSwitch(int sw, Round round) {
       // processed (and separately acked), like a real OpenFlow agent.
       ofs.barrier();
       break;
-    case Round::kFlip: {
+    case Round::kFlip:
       // Also idempotent (a pure config write), so no xid is consumed: even
-      // a flip retransmitted after a switch reboot must re-apply. A scoped
-      // plan flips only the slice's own ingress ports — a scoped switch with
-      // no listed ports (a mid-path hop; packets arrive already stamped)
-      // gets NO flip, because a whole-switch flip on shared hardware would
-      // move every co-tenant's unstamped traffic onto this tenant's epoch.
-      if (plan_.scope.empty()) {
-        ofs.setIngressEpoch(plan_.toEpoch);
-      } else {
-        for (const int p : flipPortsBySwitch_[static_cast<std::size_t>(sw)]) {
-          ofs.setPortIngressEpoch(p, plan_.toEpoch);
-        }
-      }
+      // a flip retransmitted after a switch reboot must re-apply. A tenant
+      // scope flips only the slice's own ingress ports — a switch where it
+      // has none (a mid-path hop; packets arrive already stamped) gets NO
+      // flip, because a whole-switch flip on shared hardware would move
+      // every co-tenant's unstamped traffic onto this tenant's epoch.
+      plan_.scope.stamp(ofs, sw, plan_.toEpoch);
       break;
-    }
     case Round::kGc:
       if (!ofs.acceptXid(xid)) break;
       report_.flowModsGarbageCollected +=
@@ -293,7 +276,7 @@ void ReconfigTransaction::advancePhase() {
       // An abort or crash during the drain starts a new session generation,
       // which cancels the gc.
       const std::uint64_t gen = session_.generation();
-      sim_->schedule(options_.drainDelay, [this, gen]() {
+      sim_->schedule(kDrainDelay, [this, gen]() {
         if (session_.current(gen)) beginGc();
       });
       break;
@@ -384,19 +367,11 @@ void ReconfigTransaction::finish() {
   const std::uint32_t keep = report_.committed ? plan_.toEpoch : plan_.fromEpoch;
   const std::uint32_t gone = report_.committed ? plan_.fromEpoch : plan_.toEpoch;
   bool pure = true;
-  for (const int sw : scope_) {
+  for (const int sw : plan_.scope.switches()) {
     const openflow::Switch& ofs = *deployment_->switches[static_cast<std::size_t>(sw)];
-    bool swPure = ofs.table().countEpoch(gone) == 0;
-    if (plan_.scope.empty()) {
-      swPure = swPure && ofs.ingressEpoch() == keep;
-    } else {
-      // Scoped: only the listed ports carry this tenant's stamp; the
-      // switch-wide epoch (and other tenants' port stamps) are not ours.
-      for (const int p : flipPortsBySwitch_[static_cast<std::size_t>(sw)]) {
-        swPure = swPure && ofs.portIngressEpoch(p) == keep;
-      }
-    }
-    if (!swPure) {
+    // A tenant audits only the ports it stamps: the switch-wide epoch (and
+    // other tenants' port stamps) are not its own.
+    if (ofs.table().countEpoch(gone) != 0 || !plan_.scope.stamped(ofs, sw, keep)) {
       pure = false;
       if (report_.committed) report_.gcIncomplete = true;
     }
@@ -409,27 +384,11 @@ void ReconfigTransaction::finish() {
     deployment_->topology = plan_.topology;
     deployment_->routing = plan_.routing;
     deployment_->ecmpSalt = plan_.ecmpSalt;
-    deployment_->totalFlowEntries = 0;
-    deployment_->maxEntriesPerSwitch = 0;
-    if (plan_.scope.empty()) {
-      for (const auto& ofs : deployment_->switches) {
-        const int n = static_cast<int>(ofs->table().size());
-        deployment_->totalFlowEntries += n;
-        deployment_->maxEntriesPerSwitch = std::max(deployment_->maxEntriesPerSwitch, n);
-      }
-    } else {
-      // Scoped transaction over shared switches: count only the slice's own
-      // epoch so co-tenant rules never inflate this deployment's totals.
-      for (const int sw : scope_) {
-        const openflow::Switch& ofs = *deployment_->switches[static_cast<std::size_t>(sw)];
-        const int n = static_cast<int>(ofs.table().countEpoch(plan_.toEpoch));
-        deployment_->totalFlowEntries += n;
-        deployment_->maxEntriesPerSwitch = std::max(deployment_->maxEntriesPerSwitch, n);
-      }
-    }
+    // Co-tenant rules on shared switches never inflate these totals.
+    detail::recount(*deployment_, plan_.scope);
   }
   if (options_.monitor != nullptr) {
-    for (const int sw : scope_) options_.monitor->unguardSwitch(sw);
+    for (const int sw : plan_.scope.switches()) options_.monitor->unguardSwitch(sw);
   }
   if (done_) done_(report_);
 }

@@ -20,7 +20,9 @@
 //             every switch) — safe at any moment before the first flip,
 //             because no packet has ever been stamped N+1.
 //   flip      The commit point. Each switch atomically starts stamping
-//             ingress packets with N+1. Flips retry (effectively) unbounded:
+//             ingress packets with N+1 — on the ingress the plan's Scope
+//             owns: the whole switch for tenant 0, only a slice's host
+//             ports for a tenant. Flips retry (effectively) unbounded:
 //             past this point rollback would strand in-flight N+1 packets,
 //             so the protocol only moves forward. Mixed flip states are
 //             safe — both rule sets are installed everywhere.
@@ -40,7 +42,8 @@
 // be dropped, duplicated, reordered, or delayed. Table-changing bundles
 // carry an OpenFlow xid that the switch applies at most once
 // (openflow::Switch::acceptXid), and barriers and flips are idempotent, so
-// duplicates and retries of an already-applied request are harmless.
+// duplicates and retries of an already-applied request are harmless. Every
+// round messages only the plan's scope.switches().
 #pragma once
 
 #include <cstdint>
@@ -102,9 +105,6 @@ struct ReconfigOptions {
     std::uint64_t seed = SwitchSession::kDefaultSeed;
   };
   Retry retry;
-  /// Grace period between the last flip ack and garbage collection, for
-  /// in-flight old-epoch packets to drain out of the fabric.
-  TimeNs drainDelay = msToNs(1.0);
   /// When set, the monitor suppresses failure detection for every switch
   /// for the duration of the transaction (reconfiguration makes counters
   /// stall and queues wobble in ways that mimic the failure signatures).
@@ -217,9 +217,15 @@ class ReconfigTransaction {
  private:
   enum class Round : std::uint8_t { kInstall, kBarrier, kFlip, kGc, kRollback };
 
-  /// Switches this transaction touches (resolved from plan_.scope). Every
-  /// phase barrier counts acks against this set only.
-  [[nodiscard]] int scopeSize() const { return static_cast<int>(scope_.size()); }
+  /// Grace period between the last flip ack and garbage collection, for
+  /// in-flight old-epoch packets to drain out of the fabric.
+  static constexpr TimeNs kDrainDelay = msToNs(1.0);
+
+  /// How many switches the transaction touches (plan_.scope's). Every phase
+  /// barrier counts acks against this set only.
+  [[nodiscard]] int scopeSize() const {
+    return static_cast<int>(plan_.scope.switches().size());
+  }
   /// Start `round` on every scoped switch.
   void beginRound(Round round);
   /// The session's request for `sw` in the current round.
@@ -265,14 +271,6 @@ class ReconfigTransaction {
   /// Switch-side: the abort's delete already ran here, so a late install
   /// request must not resurrect the new epoch's rules.
   std::vector<char> rolledBack_;
-  /// Resolved scope: plan_.scope when non-empty (a tenant slice's share of
-  /// the plant), otherwise every deployment switch. Out-of-scope switches
-  /// are never sent a message, guarded, or audited.
-  std::vector<int> scope_;
-  /// Per-physical-switch flip ports from plan_.flipPorts. Only consulted
-  /// for scoped plans (legacy unscoped plans flip the whole switch); an
-  /// empty inner vector there means a mid-path switch with nothing to flip.
-  std::vector<std::vector<int>> flipPortsBySwitch_;
 };
 
 }  // namespace sdt::controller

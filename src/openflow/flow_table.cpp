@@ -97,22 +97,10 @@ std::size_t FlowTable::countTenant(std::uint16_t tenant) const {
       }));
 }
 
-std::size_t FlowTable::restampTenantEpoch(std::uint32_t epoch) {
-  const std::uint16_t tenant = epochTenant(epoch);
+std::size_t FlowTable::restampEpoch(std::uint32_t epoch, bool tenantOnly) {
   std::size_t changed = 0;
   for (FlowEntry& e : entries_) {
-    if (cookieTenant(e.cookie) != tenant) continue;
-    if (cookieEpoch(e.cookie) == epoch) continue;
-    e.cookie = makeCookie(epoch, cookieTag(e.cookie));
-    ++changed;
-  }
-  restampsTotal_ += changed;
-  return changed;
-}
-
-std::size_t FlowTable::restampEpoch(std::uint32_t epoch) {
-  std::size_t changed = 0;
-  for (FlowEntry& e : entries_) {
+    if (tenantOnly && cookieTenant(e.cookie) != epochTenant(epoch)) continue;
     if (cookieEpoch(e.cookie) == epoch) continue;
     e.cookie = makeCookie(epoch, cookieTag(e.cookie));
     ++changed;

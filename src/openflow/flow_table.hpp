@@ -179,20 +179,14 @@ class FlowTable {
   /// Number of entries owned by `tenant` across all of its local epochs.
   [[nodiscard]] std::size_t countTenant(std::uint16_t tenant) const;
 
-  /// restampEpoch() confined to one tenant's rules: rewrite the epoch half
-  /// of every entry whose cookie carries tenant `epochTenant(epoch)` to
-  /// `epoch`, leaving other tenants' stamps untouched. Tenant-scoped crash
-  /// recovery adopts a slice's stale-epoch survivors without perturbing its
-  /// neighbors; returns how many entries changed.
-  std::size_t restampTenantEpoch(std::uint32_t epoch);
-
   /// Rewrite the epoch half of every entry's cookie to `epoch` (a single
   /// cookie-rewrite flow-mod per switch, modeling an OFPFC_MODIFY sweep).
   /// Crash recovery uses this to adopt rules that survived a controller
   /// crash under a stale epoch stamp instead of paying a delete+add per
-  /// rule; returns how many entries changed. Match fields are untouched,
-  /// so the lookup index stays valid.
-  std::size_t restampEpoch(std::uint32_t epoch);
+  /// rule. `tenantOnly` confines the sweep to tenant epochTenant(epoch)'s
+  /// entries, leaving co-tenants' stamps untouched. Returns how many entries
+  /// changed. Match fields are untouched, so the lookup index stays valid.
+  std::size_t restampEpoch(std::uint32_t epoch, bool tenantOnly);
 
   /// Remove the first entry identical to `entry` under sameRule() (an
   /// OpenFlow strict-delete flow-mod); returns whether one was found.

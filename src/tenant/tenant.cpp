@@ -215,10 +215,10 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   // Stamp the slice's host-facing ingress ports with its scoped epoch: its
   // packets enter pinned to its namespace, and a later per-port flip commits
   // its reconfigs without touching any co-tenant port.
-  for (topo::HostId h = 0; h < spec.topology->numHosts(); ++h) {
-    const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
-    switches_[static_cast<std::size_t>(pp.sw)]->setPortIngressEpoch(
-        pp.port, slice.deployment.epoch);
+  const controller::Scope scope = controller::Scope::of(
+      slice.deployment.epoch, slice.deployment.projection, plant_.numSwitches());
+  for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
+    scope.stamp(*switches_[static_cast<std::size_t>(sw)], sw, slice.deployment.epoch);
   }
 
   // -- 6. Commit bookkeeping. -----------------------------------------------
@@ -246,7 +246,6 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   hostSlots_ = std::max(hostSlots_, static_cast<int>(hostBase) +
                                         spec.topology->numHosts());
   refreshSlice(it->second);
-  recomputeReservations();
   for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
     const double frac = capacityOf(sw) == 0
                             ? 0.0
@@ -323,25 +322,11 @@ std::uint16_t TenantManager::tenantOwningPort(projection::PhysPort p) const {
 }
 
 void TenantManager::refreshSlice(TenantSlice& slice) {
-  const auto n = static_cast<std::size_t>(plant_.numSwitches());
-  std::vector<std::size_t> entries(n, 0);
-  std::vector<std::vector<int>> hostPortsBySwitch(n);
+  std::vector<std::size_t>& entries = sliceEntries_[slice.id];
+  entries.assign(static_cast<std::size_t>(plant_.numSwitches()), 0);
   for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
     entries[static_cast<std::size_t>(sw)] =
         switches_[static_cast<std::size_t>(sw)]->table().countTenant(slice.id);
-  }
-  for (topo::HostId h = 0; h < slice.topology->numHosts(); ++h) {
-    const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
-    hostPortsBySwitch[static_cast<std::size_t>(pp.sw)].push_back(pp.port);
-  }
-  slice.scope.clear();
-  slice.flipPorts.clear();
-  for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
-    auto& ports = hostPortsBySwitch[static_cast<std::size_t>(sw)];
-    if (entries[static_cast<std::size_t>(sw)] == 0 && ports.empty()) continue;
-    std::sort(ports.begin(), ports.end());
-    slice.scope.push_back(sw);
-    slice.flipPorts.push_back(ports);
   }
   // Egress queues this slice's traffic can occupy: both ends of every owned
   // cable plus its host attachment ports.
@@ -360,7 +345,7 @@ void TenantManager::refreshSlice(TenantSlice& slice) {
     watch.insert(portKey(plant_.hostPorts[static_cast<std::size_t>(i)]));
   }
   slice.watchPorts.assign(watch.begin(), watch.end());
-  sliceEntries_[slice.id] = std::move(entries);
+  recomputeReservations();
 }
 
 void TenantManager::recomputeReservations() {
@@ -387,7 +372,7 @@ Result<controller::UpdatePlan> TenantManager::planSliceUpdate(
 
   // Reservation re-check: the update window holds old + new <= 2 x max, and
   // the committed state may be permanently larger than the admitted one.
-  const std::vector<std::size_t>& mine = sliceEntries_.at(id);
+  std::vector<std::size_t>& mine = sliceEntries_.at(id);
   for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
     const std::size_t oldCnt = mine[static_cast<std::size_t>(sw)];
     const std::size_t newCnt = plan.tables[static_cast<std::size_t>(sw)].size();
@@ -400,34 +385,12 @@ Result<controller::UpdatePlan> TenantManager::planSliceUpdate(
     }
   }
   // Hold the window's worst case until noteReconfigured() settles it.
-  std::vector<std::size_t>& held = sliceEntries_[id];
   for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
-    held[static_cast<std::size_t>(sw)] =
-        std::max(held[static_cast<std::size_t>(sw)],
+    mine[static_cast<std::size_t>(sw)] =
+        std::max(mine[static_cast<std::size_t>(sw)],
                  plan.tables[static_cast<std::size_t>(sw)].size());
   }
   recomputeReservations();
-
-  // Scope the transaction: switches where the slice has live entries, will
-  // have new entries, or attaches hosts; flip only its host-facing ports.
-  std::vector<std::vector<int>> hostPortsBySwitch(
-      static_cast<std::size_t>(plant_.numSwitches()));
-  for (topo::HostId h = 0; h < next.numHosts(); ++h) {
-    const projection::PhysPort pp = plan.projection.hostPortOf(h);
-    hostPortsBySwitch[static_cast<std::size_t>(pp.sw)].push_back(pp.port);
-  }
-  plan.scope.clear();
-  plan.flipPorts.clear();
-  for (int sw = 0; sw < plant_.numSwitches(); ++sw) {
-    auto& ports = hostPortsBySwitch[static_cast<std::size_t>(sw)];
-    const bool touched = mine[static_cast<std::size_t>(sw)] > 0 ||
-                         !plan.tables[static_cast<std::size_t>(sw)].empty() ||
-                         !ports.empty();
-    if (!touched) continue;
-    std::sort(ports.begin(), ports.end());
-    plan.scope.push_back(sw);
-    plan.flipPorts.push_back(ports);
-  }
   return plan;
 }
 
@@ -438,20 +401,6 @@ void TenantManager::noteReconfigured(std::uint16_t id, const topo::Topology* top
   if (topology != nullptr) it->second.topology = topology;
   if (routing != nullptr) it->second.routing = routing;
   refreshSlice(it->second);
-  recomputeReservations();
-}
-
-void TenantManager::scopeRecovery(std::uint16_t id,
-                                  controller::RecoveryPlan& plan) const {
-  const auto it = slices_.find(id);
-  if (it == slices_.end()) return;
-  const TenantSlice& slice = it->second;
-  plan.flipPorts.assign(static_cast<std::size_t>(plant_.numSwitches()), {});
-  for (topo::HostId h = 0; h < slice.topology->numHosts(); ++h) {
-    const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
-    plan.flipPorts[static_cast<std::size_t>(pp.sw)].push_back(pp.port);
-  }
-  for (auto& ports : plan.flipPorts) std::sort(ports.begin(), ports.end());
 }
 
 Result<controller::RepairReport> TenantManager::repairSlice(
@@ -473,21 +422,9 @@ Result<controller::RepairReport> TenantManager::repairSlice(
   if (scoped.empty()) return controller::RepairReport{};
   auto repaired = slice.controller->repair(slice.deployment, *slice.topology,
                                            *slice.routing, scoped, slice.deployOptions);
-  if (repaired) {
-    refreshSlice(slice);
-    recomputeReservations();
-    // Repair's per-port re-stamp only covers crashed switches; host ports
-    // keep their stamps, but a rebooted switch lost them — re-assert.
-    for (topo::HostId h = 0; h < slice.topology->numHosts(); ++h) {
-      const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
-      switches_[static_cast<std::size_t>(pp.sw)]->setPortIngressEpoch(
-          pp.port, slice.deployment.epoch);
-    }
-  }
+  if (repaired) refreshSlice(slice);
   return repaired;
 }
-
-int TenantManager::totalHostSlots() const { return hostSlots_; }
 
 sim::BuiltNetwork TenantManager::buildNetwork(sim::Simulator& sim,
                                               const sim::NetworkConfig& config,

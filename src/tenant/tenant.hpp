@@ -35,7 +35,6 @@
 
 #include "common/result.hpp"
 #include "controller/controller.hpp"
-#include "controller/recovery.hpp"
 #include "projection/plant.hpp"
 #include "sim/builder.hpp"
 
@@ -85,13 +84,6 @@ struct TenantSlice {
   /// Shared-plant host-port indices this slice owns (parallel to logical
   /// host ids).
   std::vector<int> hostPortToShared;
-  /// Physical switches this slice currently touches (entries or host
-  /// ports), ascending — becomes UpdatePlan::scope.
-  std::vector<int> scope;
-  /// Parallel to `scope`: the slice's host-facing ingress ports on each
-  /// scoped switch — becomes UpdatePlan::flipPorts (empty inner list =
-  /// mid-path switch, nothing to flip there).
-  std::vector<std::vector<int>> flipPorts;
   /// (switch, port) egress queues the slice's traffic can occupy — feed
   /// these to AdmissionController::restrictToPorts() so a co-tenant's storm
   /// never throttles this slice's credits.
@@ -151,24 +143,18 @@ class TenantManager {
   [[nodiscard]] std::uint16_t tenantOwningPort(projection::PhysPort p) const;
 
   /// Prepare a tenant-scoped live reconfiguration: planUpdate() on the
-  /// slice, plus the slice's scope/flipPorts and a reservation re-check
-  /// (the new table set may be larger; the window holds old + new). The
-  /// returned plan drives a controller::ReconfigTransaction that touches
-  /// only this slice's switches and flips only its host ports.
+  /// slice, plus a reservation re-check (the new table set may be larger;
+  /// the window holds old + new). The plan's scope, derived by planUpdate()
+  /// from the slice's epoch, makes the controller::ReconfigTransaction it
+  /// drives touch only this slice's switches and flip only its host ports.
   Result<controller::UpdatePlan> planSliceUpdate(std::uint16_t id,
                                                  const topo::Topology& next,
                                                  const routing::RoutingAlgorithm& routing);
 
   /// After a committed (or rolled-back) slice transaction: refresh the
-  /// slice's intent pointers, scope, and reservation from live table state.
+  /// slice's intent pointers and reservation from live table state.
   void noteReconfigured(std::uint16_t id, const topo::Topology* topology,
                         const routing::RoutingAlgorithm* routing);
-
-  /// Scope a crash-recovery plan to a slice: fill RecoveryPlan::flipPorts
-  /// with the slice's host ports so converge/audit rounds stamp per-port,
-  /// never per-switch (recovery already namespaces restamp/GC by the
-  /// tenant encoded in targetEpoch).
-  void scopeRecovery(std::uint16_t id, controller::RecoveryPlan& plan) const;
 
   /// Tenant-scoped self-healing: keep only failures on ports this slice
   /// owns and repair within the slice plant (its own spares). Failures on
@@ -187,16 +173,12 @@ class TenantManager {
       const sim::CrossbarModel& crossbar = {},
       sim::EpochConsistencyChecker* checker = nullptr) const;
 
-  /// Total sim hosts buildNetwork() creates (max global host id + 1, holes
-  /// from evicted slices included — orphan hosts are never connected).
-  [[nodiscard]] int totalHostSlots() const;
-
  private:
   [[nodiscard]] std::size_t capacityOf(int sw) const {
     return plant_.switches[static_cast<std::size_t>(sw)].flowTableCapacity;
   }
-  /// Recompute scope/flipPorts/watchPorts and the two-version reservation
-  /// for a slice from its live entries and projection.
+  /// Recompute watchPorts and the two-version reservations for a slice from
+  /// its live entries and owned resources.
   void refreshSlice(TenantSlice& slice);
   void recomputeReservations();
   [[nodiscard]] std::uint32_t allocateHostBase(int numHosts) const;

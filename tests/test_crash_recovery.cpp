@@ -483,6 +483,47 @@ TEST(CrashRecovery, DuplicateDeliveryCannotDeleteReAddedTwinRules) {
   EXPECT_TRUE(out.delivers);
 }
 
+// Regression: repair() reinstalled a rebooted switch's 288 rules but left its
+// ingress epoch at 0 (deploy() had set it to 1), so the next recovery audit
+// found the switch drifted and spent a flow-mod and a second stats round on
+// the stamp. Repair now applies the same reconcile recovery converges with.
+TEST(CrashRecovery, RepairRestampsARebootedSwitch) {
+  const topo::Topology topo = topo::makeFatTree(4);
+  const routing::ShortestPathRouting routing(topo);
+  auto plant = projection::planPlant({&topo}, {.numSwitches = 3});
+  ASSERT_TRUE(plant.ok());
+  controller::SdtController ctl(plant.value());
+  auto depR = ctl.deploy(topo, routing);
+  ASSERT_TRUE(depR.ok()) << depR.error().message;
+  controller::Deployment dep = std::move(depR).value();
+
+  dep.switches[1]->reboot();
+  controller::FailureSet failures;
+  failures.crashedSwitches = {1};
+  auto rep = ctl.repair(dep, topo, routing, failures);
+  ASSERT_TRUE(rep.ok()) << rep.error().message;
+  EXPECT_EQ(rep.value().flowModsAdded, 288);
+  EXPECT_EQ(rep.value().flowModsRemoved, 0);
+  EXPECT_EQ(dep.switches[1]->ingressEpoch(), dep.epoch);
+
+  controller::MemoryJournalStorage storage;
+  controller::Journal journal(storage);
+  ASSERT_TRUE(controller::journalDeploy(journal, dep, 0).ok());
+  controller::IntentCatalog catalog;
+  catalog[topo.name()] = {&topo, &routing};
+  auto plan = controller::planRecovery(ctl, journal, catalog);
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+  sim::Simulator sim;
+  sim::ControlChannel channel(sim, 1);
+  controller::RecoveryRun audit(sim, channel, dep.switches, std::move(plan).value());
+  audit.start();
+  sim.run();
+  ASSERT_TRUE(audit.finished());
+  EXPECT_TRUE(audit.report().converged) << audit.report().failure;
+  EXPECT_EQ(audit.report().switchesDrifted, 0);
+  EXPECT_EQ(audit.report().statsRounds, 1);
+}
+
 TEST(CrashRecovery, SwitchXidCacheRefusesDuplicatesUntilReboot) {
   openflow::Switch sw(0, 8);
   EXPECT_TRUE(sw.acceptXid(42));   // first delivery: apply

@@ -27,6 +27,7 @@
 #include "sim/consistency.hpp"
 #include "sim/control_channel.hpp"
 #include "sim/transport.hpp"
+#include "tenant/tenant.hpp"
 #include "testbed/evaluator.hpp"
 #include "testbed/sweep.hpp"
 #include "topo/generators.hpp"
@@ -775,6 +776,187 @@ TEST(Determinism, ExportedTelemetryBitIdenticalSerialVsThreaded) {
   }
   // Different channel seeds must leave different telemetry somewhere.
   EXPECT_NE(serial[0], serial[1]);
+}
+
+/// Two tenants on two shared switches, each running a line(4) (the Tenancy
+/// fixture of test_tenant.cpp); alice can move to a ring(4).
+struct TenantWorld {
+  static projection::Plant plant() {
+    projection::PlantConfig cfg;
+    cfg.numSwitches = 2;
+    cfg.spec = projection::openflow64x100G();
+    cfg.spec.flowTableCapacity = 8192;
+    cfg.hostPortsPerSwitch = 6;
+    cfg.interLinksPerPair = 8;
+    auto p = projection::buildPlant(cfg);
+    EXPECT_TRUE(p.ok());
+    return std::move(p).value();
+  }
+  tenant::TenantSpec spec(const char* name, const topo::Topology& t,
+                          const routing::RoutingAlgorithm& r) const {
+    tenant::TenantSpec s;
+    s.name = name;
+    s.topology = &t;
+    s.routing = &r;
+    s.spareSelfLinksPerSwitch = 1;
+    s.deploy.requireDeadlockFree = false;  // ring target: cyclic CDG
+    return s;
+  }
+  TenantWorld() {
+    EXPECT_TRUE(mgr.admit(spec("alice", lineA, rLineA)).ok());
+    EXPECT_TRUE(mgr.admit(spec("bob", lineB, rLineB)).ok());
+  }
+
+  const topo::Topology lineA = topo::makeLine(4);
+  const topo::Topology lineB = topo::makeLine(4);
+  const topo::Topology ringA = topo::makeRing(4);
+  const routing::ShortestPathRouting rLineA{lineA};
+  const routing::ShortestPathRouting rLineB{lineB};
+  const routing::ShortestPathRouting rRingA{ringA};
+  tenant::TenantManager mgr{plant()};
+};
+
+/// FNV-1a over one tenant's rules (every switch, table order) and the
+/// ingress stamps of its host ports.
+std::uint64_t hashTenant(const tenant::TenantManager& mgr, std::uint16_t id) {
+  hash::Fnv64 h;
+  for (const auto& sw : mgr.switches()) {
+    for (const openflow::FlowEntry& e : sw->table().entries()) {
+      if (openflow::cookieTenant(e.cookie) != id) continue;
+      h.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(e.match.describe());
+      for (const openflow::Action& a : e.actions) {
+        h.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
+      }
+    }
+  }
+  const tenant::TenantSlice& s = *mgr.slice(id);
+  for (topo::HostId host = 0; host < s.topology->numHosts(); ++host) {
+    const projection::PhysPort pp = s.deployment.projection.hostPortOf(host);
+    h.mix(static_cast<std::uint64_t>(pp.sw)).mix(static_cast<std::uint64_t>(pp.port));
+    h.mix(mgr.switches()[static_cast<std::size_t>(pp.sw)]->portIngressEpoch(pp.port));
+  }
+  return h.value();
+}
+
+/// Alice's scoped line(4) -> ring(4) transaction over a lossy channel, and
+/// (when `crash`) the same transaction killed at kPostFlip and rolled
+/// forward by a cold-started recovery.
+struct TenantControlFingerprint {
+  std::vector<int> switches;            ///< the transaction's switch set
+  std::vector<std::vector<int>> ports;  ///< flip ports, parallel to switches
+  std::uint64_t channelSent = 0;
+  std::uint64_t channelDelivered = 0;
+  std::uint64_t reportHash = 0;  ///< tx report JSON (recovery report if crash)
+  std::uint64_t alice = 0;       ///< hashTenant after the run
+  std::uint64_t bob = 0;
+
+  bool operator==(const TenantControlFingerprint&) const = default;
+};
+
+TenantControlFingerprint runTenantControlPoint(std::uint64_t seed, bool crash) {
+  TenantWorld w;
+  controller::MemoryJournalStorage storage;
+  controller::Journal journal(storage);
+  EXPECT_TRUE(controller::journalDeploy(journal, w.mgr.slice(1)->deployment, 0).ok());
+
+  sim::Simulator sim;
+  sim::ControlChannelConfig cfg;
+  cfg.dropProb = 0.2;
+  cfg.dupProb = 0.15;
+  cfg.reorderProb = 0.15;
+  sim::ControlChannel channel(sim, seed, cfg);
+
+  auto planR = w.mgr.planSliceUpdate(1, w.ringA, w.rRingA);
+  EXPECT_TRUE(planR.ok());
+  TenantControlFingerprint fp;
+  if (!planR.ok()) return fp;
+  const controller::Scope& scope = planR.value().scope;
+  fp.switches = scope.switches();
+  for (const int sw : fp.switches) fp.ports.push_back(scope.ports(sw));
+  controller::ReconfigOptions topt;
+  topt.journal = &journal;
+  if (crash) topt.crashAt = controller::CrashPoint::kPostFlip;
+  controller::ReconfigTransaction tx(sim, channel, w.mgr.mutableSlice(1)->deployment,
+                                     std::move(planR).value(), topt);
+  sim.schedule(usToNs(10.0), [&]() { tx.start(); });
+  sim.runUntil(msToNs(40.0));
+  EXPECT_TRUE(tx.finished());
+  fp.reportHash = hashBytes(tx.report().toJson().dump());
+
+  if (crash) {
+    EXPECT_TRUE(tx.crashed());
+    controller::IntentCatalog catalog;
+    catalog[w.lineA.name()] = {&w.lineA, &w.rLineA};
+    catalog[w.ringA.name()] = {&w.ringA, &w.rRingA};
+    auto rplan = controller::planRecovery(*w.mgr.slice(1)->controller, journal, catalog,
+                                          w.mgr.slice(1)->deployOptions);
+    EXPECT_TRUE(rplan.ok());
+    if (!rplan.ok()) return fp;
+    controller::RecoveryOptions ropt;
+    ropt.journal = &journal;
+    ropt.retrySeed = seed;
+    controller::RecoveryRun recovery(sim, channel, w.mgr.switches(),
+                                     std::move(rplan).value(), ropt);
+    recovery.start();
+    sim.runUntil(sim.now() + msToNs(100.0));
+    EXPECT_TRUE(recovery.finished());
+    EXPECT_TRUE(recovery.report().converged);
+    fp.reportHash = hashBytes(recovery.report().toJson().dump());
+  }
+  fp.channelSent = channel.stats().sent;
+  fp.channelDelivered = channel.stats().delivered;
+  fp.alice = hashTenant(w.mgr, 1);
+  fp.bob = hashTenant(w.mgr, 2);
+  return fp;
+}
+
+void PrintTo(const TenantControlFingerprint& f, std::ostream* os) {
+  *os << "{switches={";
+  for (const int sw : f.switches) *os << sw << ",";
+  *os << "} ports={";
+  for (const auto& ports : f.ports) {
+    *os << "{";
+    for (const int p : ports) *os << p << ",";
+    *os << "},";
+  }
+  *os << "} sent=" << f.channelSent << " delivered=" << f.channelDelivered << std::hex
+      << " reportHash=0x" << f.reportHash << " alice=0x" << f.alice << " bob=0x" << f.bob
+      << std::dec << "}";
+}
+
+// The tenant control plane, pinned like ControlPlaneMatchesRecordedValues:
+// a scoped slice transaction, and a crashed one rolled forward by recovery.
+// No data plane runs, so nothing here depends on SDT_SHARDS.
+TEST(Determinism, TenantControlPlaneMatchesRecordedValues) {
+  struct TenantPin {
+    std::uint64_t seed;
+    bool crash;
+    TenantControlFingerprint want;
+  };
+  const TenantPin pins[] = {
+      {11, false,
+       {{0}, {{10, 11, 12, 13}}, 10, 10, 0x3d655c4b791351a9, 0xb55e945f36cdcdb1,
+        0x05e89085fbc36b11}},
+      {22, false,
+       {{0}, {{10, 11, 12, 13}}, 8, 8, 0x10e0a22bfead81d6, 0xb55e945f36cdcdb1,
+        0x05e89085fbc36b11}},
+      {33, false,
+       {{0}, {{10, 11, 12, 13}}, 10, 9, 0xea6ccec58f9ec8ba, 0xb55e945f36cdcdb1,
+        0x05e89085fbc36b11}},
+      {11, true,
+       {{0}, {{10, 11, 12, 13}}, 19, 18, 0x3c138fd4c3dd7cde, 0xbb381963f117c393,
+        0x05e89085fbc36b11}},
+      {22, true,
+       {{0}, {{10, 11, 12, 13}}, 19, 19, 0x8fe9b902db6cbc36, 0xbb381963f117c393,
+        0x05e89085fbc36b11}},
+      {33, true,
+       {{0}, {{10, 11, 12, 13}}, 19, 19, 0xdc0a821faa47bb2c, 0xbb381963f117c393,
+        0x05e89085fbc36b11}},
+  };
+  for (const TenantPin& pin : pins) {
+    EXPECT_EQ(runTenantControlPoint(pin.seed, pin.crash), pin.want)
+        << "tenant seed " << pin.seed << (pin.crash ? " crashed" : "");
+  }
 }
 
 TEST(Determinism, SerialAndParallelRunnersAgree) {

@@ -891,14 +891,12 @@ TEST(HaTenant, MidSliceUpdateFailoverRollsForwardWithoutTouchingCoTenant) {
   controller::IntentCatalog catalog;
   catalog[lineB.name()] = {&lineB, &rB};
   catalog[ringB.name()] = {&ringB, &rRingB};
-  // Tenant-aware takeover: recompile against bob's slice controller and
-  // re-scope the plan so the new leader can only ever touch bob's namespace.
+  // Tenant-aware takeover: recompile against bob's slice controller; the
+  // plan scopes itself so the new leader can only ever touch bob's namespace.
   ha.setPlanner([&mgr, catalog](const controller::Journal& journal)
                     -> Result<controller::RecoveryPlan> {
-    auto plan = controller::planRecovery(*mgr.slice(2)->controller, journal,
-                                         catalog, mgr.slice(2)->deployOptions);
-    if (plan.ok()) mgr.scopeRecovery(2, plan.value());
-    return plan;
+    return controller::planRecovery(*mgr.slice(2)->controller, journal,
+                                    catalog, mgr.slice(2)->deployOptions);
   });
   ASSERT_TRUE(ha.adoptDeployment(mgr.slice(2)->deployment).ok());
   ha.start();
@@ -1027,6 +1025,11 @@ TEST(HaFailover, SameTermDuelResolvesToLowerIdEverywhere) {
   ha.setCatalog(catalog);
   ASSERT_TRUE(ha.adoptDeployment(dep).ok());
   ha.start();
+  // A power-cycled switch gives both claimants converge work. The loser's
+  // bundle can leave only after a full readback round trip (>= 4us), while
+  // the winner's readbacks land within ~3.2us: every seed has a stale write
+  // for the fence to stop, not only those where a readback loses the race.
+  ha.deployment().switches[1]->reboot();
 
   // Replica 2 claims, and replica 1 claims 200ns later — before 2's claim
   // heartbeat (>= 1us replication delay) can reach it. Both claim term 2:

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "controller/journal.hpp"
+#include "controller/recovery.hpp"
 #include "controller/transaction.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/control_channel.hpp"
@@ -238,8 +240,8 @@ TEST_F(Tenancy, ScopedReconfigLeavesCoTenantByteIdentical) {
   controller::UpdatePlan plan = std::move(planned).value();
   EXPECT_EQ(plan.fromEpoch, openflow::makeScopedEpoch(1, 1));
   EXPECT_EQ(plan.toEpoch, openflow::makeScopedEpoch(1, 2));
-  ASSERT_FALSE(plan.scope.empty());
-  ASSERT_EQ(plan.scope.size(), plan.flipPorts.size());
+  EXPECT_EQ(plan.scope.tenant(), 1);
+  ASSERT_FALSE(plan.scope.switches().empty());
 
   std::vector<std::vector<openflow::FlowEntry>> bobBefore;
   for (int sw = 0; sw < n; ++sw) {
@@ -280,6 +282,80 @@ TEST_F(Tenancy, ScopedReconfigLeavesCoTenantByteIdentical) {
     EXPECT_EQ(mgr.switches()[pp.sw]->portIngressEpoch(pp.port),
               openflow::makeScopedEpoch(2, 1));
   }
+}
+
+// Regression: a plan from the slice controller's own planUpdate() carried no
+// scope, so committing it stamped alice's epoch switch-wide on both shared
+// switches and set her totals to 56 rules where she owns 32 (bob's 24 were
+// counted). The plan now derives its scope from the slice's epoch, whoever
+// asks for it.
+TEST_F(Tenancy, SliceControllerPlanScopesItself) {
+  tenant::TenantManager mgr(twoTenantPlant());
+  ASSERT_TRUE(mgr.admit(specFor("alice", lineA_, *routingA_)).ok());
+  ASSERT_TRUE(mgr.admit(specFor("bob", lineB_, *routingB_)).ok());
+  tenant::TenantSlice* alice = mgr.mutableSlice(1);
+  auto planned = alice->controller->planUpdate(alice->deployment, ringA_,
+                                               *routingRingA_, alice->deployOptions);
+  ASSERT_TRUE(planned.ok()) << planned.error().message;
+  EXPECT_EQ(planned.value().scope.tenant(), 1);
+
+  sim::Simulator sim;
+  sim::ControlChannel channel(sim, 1);
+  controller::ReconfigTransaction tx(sim, channel, alice->deployment,
+                                     std::move(planned).value());
+  sim.schedule(usToNs(10.0), [&]() { tx.start(); });
+  sim.runUntil(msToNs(40.0));
+  ASSERT_TRUE(tx.finished());
+  ASSERT_TRUE(tx.report().committed) << tx.report().failure;
+  EXPECT_TRUE(tx.report().pureStateVerified);
+  std::size_t owned = 0;
+  for (const auto& sw : mgr.switches()) {
+    EXPECT_EQ(sw->ingressEpoch(), 0u);  // never whole-switch
+    owned += sw->table().countTenant(1);
+  }
+  EXPECT_EQ(alice->deployment.totalFlowEntries, 32);
+  EXPECT_EQ(static_cast<std::size_t>(alice->deployment.totalFlowEntries), owned);
+}
+
+// Regression: planRecovery() left a tenant's plan unscoped until the caller
+// listed the slice's ports through the tenant manager. Without that, recovery
+// re-stamped no port: a cleared host-port stamp stayed at epoch 0 while the
+// report read converged and pure.
+TEST_F(Tenancy, RecoveryPlanRestampsAClearedHostPort) {
+  tenant::TenantManager mgr(twoTenantPlant());
+  ASSERT_TRUE(mgr.admit(specFor("alice", lineA_, *routingA_)).ok());
+  ASSERT_TRUE(mgr.admit(specFor("bob", lineB_, *routingB_)).ok());
+  const tenant::TenantSlice* alice = mgr.slice(1);
+  const tenant::TenantSlice* bob = mgr.slice(2);
+  controller::MemoryJournalStorage storage;
+  controller::Journal journal(storage);
+  ASSERT_TRUE(controller::journalDeploy(journal, alice->deployment, 0).ok());
+
+  const projection::PhysPort cleared = alice->deployment.projection.hostPortOf(0);
+  mgr.switches()[cleared.sw]->clearPortIngressEpoch(cleared.port);
+  ASSERT_EQ(mgr.switches()[cleared.sw]->portIngressEpoch(cleared.port), 0u);
+
+  controller::IntentCatalog catalog;
+  catalog[lineA_.name()] = {&lineA_, routingA_.get()};
+  auto plan = controller::planRecovery(*alice->controller, journal, catalog,
+                                       alice->deployOptions);
+  ASSERT_TRUE(plan.ok()) << plan.error().message;
+  sim::Simulator sim;
+  sim::ControlChannel channel(sim, 1);
+  controller::RecoveryRun run(sim, channel, mgr.switches(), std::move(plan).value());
+  run.start();
+  sim.run();
+  ASSERT_TRUE(run.finished());
+  EXPECT_TRUE(run.report().converged) << run.report().failure;
+  EXPECT_TRUE(run.report().pureStateVerified);
+  EXPECT_EQ(run.report().switchesDrifted, 1);
+  EXPECT_EQ(mgr.switches()[cleared.sw]->portIngressEpoch(cleared.port),
+            alice->deployment.epoch);
+  for (topo::HostId h = 0; h < bob->topology->numHosts(); ++h) {
+    const projection::PhysPort pp = bob->deployment.projection.hostPortOf(h);
+    EXPECT_EQ(mgr.switches()[pp.sw]->portIngressEpoch(pp.port), bob->deployment.epoch);
+  }
+  for (const auto& sw : mgr.switches()) EXPECT_EQ(sw->ingressEpoch(), 0u);
 }
 
 TEST_F(Tenancy, FaultContainmentRoutesFailuresToOwningSliceOnly) {

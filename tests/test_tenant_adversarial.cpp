@@ -295,7 +295,6 @@ TEST(TenantAdversarial, CrashMidTransactionAndRecoveryLeaveVictimUntouched) {
                                             w.mgr->slice(2)->deployOptions);
       ASSERT_TRUE(rplan.ok()) << rplan.error().message;
       EXPECT_EQ(rplan.value().decision, controller::RecoveryDecision::kRollForward);
-      w.mgr->scopeRecovery(2, rplan.value());
       controller::RecoveryOptions ropt;
       ropt.journal = journal.get();
       *recovery = std::make_unique<controller::RecoveryRun>(
@@ -371,7 +370,6 @@ TEST(TenantAdversarial, TornJournalReplayIsContainedToTheHostileTenant) {
                                             reopened, catalog,
                                             w.mgr->slice(2)->deployOptions);
       ASSERT_TRUE(rplan.ok()) << rplan.error().message;
-      w.mgr->scopeRecovery(2, rplan.value());
       *recovery = std::make_unique<controller::RecoveryRun>(
           w.sim, *channel, w.mgr->switches(), std::move(rplan).value(),
           controller::RecoveryOptions{});
