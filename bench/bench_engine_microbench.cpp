@@ -1,15 +1,13 @@
-// Google-benchmark microbenchmarks for the engine primitives: event loop
-// throughput, flow-table lookup, partitioning, projection, deadlock
-// analysis, and end-to-end packet forwarding. These bound how large an
-// experiment the substrate can carry (events/second is the simulator's
-// currency).
+// Engine microbenchmarks: event loop throughput, flow-table lookup,
+// partitioning, projection, deploy, deadlock analysis, and end-to-end packet
+// forwarding. These bound how large an experiment the substrate can carry
+// (events/second is the simulator's currency).
 //
-// Besides the google-benchmark tables, the binary re-measures the three
-// headline counters (events/sec, packets/sec, flow-lookups/sec) with plain
-// timed loops and records them in BENCH_engine_microbench.json so the perf
-// trajectory stays comparable across PRs.
-#include <benchmark/benchmark.h>
-
+// One harness times them all: each rate is the best of three timed trials,
+// printed and recorded in BENCH_engine_microbench.json so the perf
+// trajectory stays comparable across changes. The binary then runs the
+// shard-scaling sweep into BENCH_engine_shards.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 
@@ -28,44 +26,93 @@ namespace {
 
 using namespace sdt;
 
-void BM_EventQueueThroughput(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) {
-      sim.schedule(i % 1000, [] {});
-    }
-    sim.run();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+double secondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
 }
-BENCHMARK(BM_EventQueueThroughput)->Arg(10000)->Arg(100000);
 
-/// Steady-state scheduling: events reschedule themselves, so the arena
-/// free-list is exercised instead of cold growth (the common regime inside
-/// a running experiment).
-void BM_EventSteadyState(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    const int chains = 64;
-    const std::int64_t perChain = state.range(0) / chains;
-    for (int c = 0; c < chains; ++c) {
-      struct Hop {
-        sim::Simulator* sim;
-        std::int64_t left;
-        void operator()() const {
-          if (left > 0) sim->schedule(100, Hop{sim, left - 1});
-        }
-      };
-      sim.schedule(c, Hop{&sim, perChain});
-    }
-    sim.run();
-    benchmark::DoNotOptimize(sim.eventsProcessed());
+/// Start of the measured part of one trial; set-up before start() is free.
+struct Timer {
+  std::chrono::steady_clock::time_point begin = std::chrono::steady_clock::now();
+  void start() { begin = std::chrono::steady_clock::now(); }
+};
+
+/// The harness: best of three trials, in items per second. `trial(timer)`
+/// calls timer.start() where its measured part begins and returns the items
+/// it processed; each trial counts results it computed (hits, successful
+/// runs), so the optimizer cannot drop the work.
+template <typename Trial>
+double bestRate(const char* label, Trial trial) {
+  double best = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    Timer timer;
+    const double items = trial(timer);
+    best = std::max(best, items / secondsSince(timer.begin));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  std::printf("%-34s %14.0f /s\n", label, best);
+  return best;
 }
-BENCHMARK(BM_EventSteadyState)->Arg(100000);
+
+/// events/sec, steady state: 64 self-rescheduling event chains — the shape
+/// of a running simulation (bounded pending set, every event schedules its
+/// successor), where the arena's zero-allocation path is exercised.
+double measureEventsPerSec() {
+  return bestRate("events (steady state)", [](Timer& timer) {
+    sim::Simulator sim;
+    const long target = 200000;
+    long done = 0;
+    struct Hop {
+      sim::Simulator* sim;
+      long* done;
+      long target;
+      void operator()() const {
+        if (++*done >= target) return;
+        sim->schedule(10, Hop{sim, done, target});
+      }
+    };
+    for (int c = 0; c < 64; ++c) sim.schedule(c, Hop{&sim, &done, target});
+    timer.start();
+    sim.run();
+    return static_cast<double>(done);
+  });
+}
+
+/// events/sec, bulk: schedule 200k closures up front, then drain — stresses
+/// deep-heap push/pop rather than the steady-state arena path.
+double measureBulkEventsPerSec() {
+  return bestRate("events (bulk schedule + drain)", [](Timer& timer) {
+    sim::Simulator sim;
+    const int n = 200000;
+    timer.start();
+    for (int i = 0; i < n; ++i) sim.schedule(i % 1000, [] {});
+    sim.run();
+    return static_cast<double>(sim.eventsProcessed());
+  });
+}
+
+/// packets/sec: end-to-end line-4 forwarding, counted at switch tx ports.
+double measurePacketsPerSec() {
+  const topo::Topology topo = topo::makeLine(4);
+  routing::ShortestPathRouting routing(topo);
+  return bestRate("packets (line-4 forwarding)", [&](Timer& timer) {
+    sim::Simulator sim;
+    auto built = sim::buildLogicalNetwork(sim, topo, routing, {});
+    sim::TransportManager transport(sim, *built.net, {});
+    timer.start();
+    for (int m = 0; m < 20; ++m) {
+      transport.sendMessage(0, 3, 256 * 1024, 0, {});
+      transport.sendMessage(3, 0, 256 * 1024, 0, {});
+      sim.run();
+    }
+    std::uint64_t txPackets = 0;
+    for (int sw = 0; sw < built.net->numSwitches(); ++sw) {
+      for (int p = 0; p < built.net->switchPortCount(sw); ++p) {
+        txPackets += built.net->switchPortCounters(sw, p).txPackets;
+      }
+    }
+    return static_cast<double>(txPackets);
+  });
+}
 
 openflow::FlowTable makeProjectorShapedTable(int entries) {
   openflow::FlowTable table(4096);
@@ -80,185 +127,31 @@ openflow::FlowTable makeProjectorShapedTable(int entries) {
   return table;
 }
 
-void BM_FlowTableLookup(benchmark::State& state) {
-  const int entries = static_cast<int>(state.range(0));
-  openflow::FlowTable table = makeProjectorShapedTable(entries);
-  openflow::PacketHeader h;
-  h.inPort = (entries - 1) % 48;
-  h.dstAddr = static_cast<std::uint32_t>(entries - 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.lookupAndCount(h, 1000));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FlowTableLookup)->Arg(64)->Arg(512)->Arg(2048);
-
-void BM_PartitionDragonfly(benchmark::State& state) {
-  const topo::Topology topo = topo::makeDragonfly(4, 9, 2);
-  const topo::Graph g = topo.switchGraph();
-  for (auto _ : state) {
-    partition::PartitionOptions opt;
-    opt.parts = static_cast<int>(state.range(0));
-    auto r = partition::partitionGraph(g, opt);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_PartitionDragonfly)->Arg(2)->Arg(3);
-
-void BM_LinkProjection(benchmark::State& state) {
-  const topo::Topology topo = topo::makeDragonfly(4, 9, 2);
-  auto plant = projection::planPlant(
-      {&topo}, {.numSwitches = 3, .spec = projection::openflow128x100G()});
-  if (!plant.ok()) {
-    state.SkipWithError("plant planning failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto proj = projection::LinkProjector::project(topo, plant.value());
-    benchmark::DoNotOptimize(proj.ok());
-  }
-}
-BENCHMARK(BM_LinkProjection);
-
-void BM_DeployFlowTables(benchmark::State& state) {
-  const topo::Topology topo = topo::makeFatTree(4);
-  routing::ShortestPathRouting routing(topo);
-  auto plant = projection::planPlant(
-      {&topo}, {.numSwitches = 2, .spec = projection::openflow128x100G()});
-  if (!plant.ok()) {
-    state.SkipWithError("plant planning failed");
-    return;
-  }
-  controller::SdtController ctl(plant.value());
-  for (auto _ : state) {
-    auto dep = ctl.deploy(topo, routing, {.requireDeadlockFree = false});
-    benchmark::DoNotOptimize(dep.ok());
-  }
-}
-BENCHMARK(BM_DeployFlowTables);
-
-void BM_DeadlockAnalysisTorus(benchmark::State& state) {
-  const topo::Topology topo = topo::makeTorus3D(4, 4, 4);
-  auto algo = routing::makeRouting("torus-clue", topo);
-  if (!algo.ok()) {
-    state.SkipWithError("routing construction failed");
-    return;
-  }
-  for (auto _ : state) {
-    const auto report = routing::analyzeDeadlock(topo, *algo.value());
-    benchmark::DoNotOptimize(report.deadlockFree);
-  }
-}
-BENCHMARK(BM_DeadlockAnalysisTorus);
-
-void BM_PacketForwardingEndToEnd(benchmark::State& state) {
-  // Messages across a line-4 fabric: measures full data-plane event cost.
-  const topo::Topology topo = topo::makeLine(4);
-  routing::ShortestPathRouting routing(topo);
-  for (auto _ : state) {
-    sim::Simulator sim;
-    auto built = sim::buildLogicalNetwork(sim, topo, routing, {});
-    sim::TransportManager transport(sim, *built.net, {});
-    transport.sendMessage(0, 3, 64 * 1024, 0, {});
-    sim.run();
-    benchmark::DoNotOptimize(sim.eventsProcessed());
-  }
-}
-BENCHMARK(BM_PacketForwardingEndToEnd);
-
-// -- Headline counters for BENCH_engine_microbench.json ----------------------
-
-double secondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-      .count();
-}
-
-/// events/sec, steady state: 64 self-rescheduling event chains — the shape
-/// of a running simulation (bounded pending set, every event schedules its
-/// successor), where the arena's zero-allocation path is exercised.
-double measureEventsPerSec() {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::Simulator sim;
-    const long target = 200000;
-    long done = 0;
-    struct Hop {
-      sim::Simulator* sim;
-      long* done;
-      long target;
-      void operator()() const {
-        if (++*done >= target) return;
-        sim->schedule(10, Hop{sim, done, target});
-      }
-    };
-    for (int c = 0; c < 64; ++c) sim.schedule(c, Hop{&sim, &done, target});
-    const auto start = std::chrono::steady_clock::now();
-    sim.run();
-    best = std::max(best, static_cast<double>(done) / secondsSince(start));
-  }
-  return best;
-}
-
-/// events/sec, bulk: schedule 200k closures up front, then drain — stresses
-/// deep-heap push/pop rather than the steady-state arena path.
-double measureBulkEventsPerSec() {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::Simulator sim;
-    const int n = 200000;
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < n; ++i) sim.schedule(i % 1000, [] {});
-    sim.run();
-    best = std::max(best, n / secondsSince(start));
-  }
-  return best;
-}
-
-/// packets/sec: end-to-end line-4 forwarding, counted at switch tx ports.
-double measurePacketsPerSec() {
-  const topo::Topology topo = topo::makeLine(4);
-  routing::ShortestPathRouting routing(topo);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    sim::Simulator sim;
-    auto built = sim::buildLogicalNetwork(sim, topo, routing, {});
-    sim::TransportManager transport(sim, *built.net, {});
-    const auto start = std::chrono::steady_clock::now();
-    for (int m = 0; m < 20; ++m) {
-      transport.sendMessage(0, 3, 256 * 1024, 0, {});
-      transport.sendMessage(3, 0, 256 * 1024, 0, {});
-      sim.run();
-    }
-    const double wall = secondsSince(start);
-    std::uint64_t txPackets = 0;
-    for (int sw = 0; sw < built.net->numSwitches(); ++sw) {
-      for (int p = 0; p < built.net->switchPortCount(sw); ++p) {
-        txPackets += built.net->switchPortCounters(sw, p).txPackets;
-      }
-    }
-    best = std::max(best, static_cast<double>(txPackets) / wall);
-  }
-  return best;
-}
-
 /// flow-lookups/sec against a LinkProjector-shaped table of `entries` rows.
 double measureLookupsPerSec(int entries) {
   openflow::FlowTable table = makeProjectorShapedTable(entries);
   openflow::PacketHeader h;
   h.inPort = (entries - 1) % 48;
   h.dstAddr = static_cast<std::uint32_t>(entries - 1);
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
+  const std::string label = "flow lookups (" + std::to_string(entries) + " entries)";
+  return bestRate(label.c_str(), [&](Timer& timer) {
     const int n = 2000000;
-    const auto start = std::chrono::steady_clock::now();
-    const openflow::FlowEntry* last = nullptr;
-    for (int i = 0; i < n; ++i) {
-      last = table.lookupAndCount(h, 1000);
-    }
-    benchmark::DoNotOptimize(last);
-    best = std::max(best, n / secondsSince(start));
-  }
-  return best;
+    timer.start();
+    int hits = 0;
+    for (int i = 0; i < n; ++i) hits += table.lookupAndCount(h, 1000) != nullptr ? 1 : 0;
+    return static_cast<double>(hits);
+  });
+}
+
+/// Runs `op` (returns success) `n` times per trial: successful runs/sec.
+template <typename Op>
+double measureOpsPerSec(const char* label, int n, Op op) {
+  return bestRate(label, [&](Timer& timer) {
+    timer.start();
+    int ok = 0;
+    for (int i = 0; i < n; ++i) ok += op() ? 1 : 0;
+    return static_cast<double>(ok);
+  });
 }
 
 // -- Shard-scaling sweep for BENCH_engine_shards.json ------------------------
@@ -343,6 +236,7 @@ void writeShardScalingReport() {
 }
 
 void writeHeadlineReport() {
+  std::printf("== engine microbenchmarks (best of 3) ==\n");
   bench::JsonReport report("engine_microbench");
   report.set("events_per_sec", measureEventsPerSec());
   report.set("bulk_events_per_sec", measureBulkEventsPerSec());
@@ -351,16 +245,48 @@ void writeHeadlineReport() {
     report.row("flow_lookups", {{"entries", entries},
                                 {"lookups_per_sec", measureLookupsPerSec(entries)}});
   }
+
+  const topo::Topology dragonfly = topo::makeDragonfly(4, 9, 2);
+  const topo::Graph graph = dragonfly.switchGraph();
+  for (const int parts : {2, 3}) {
+    const std::string label = "dragonfly partitions (" + std::to_string(parts) + " parts)";
+    const double rate = measureOpsPerSec(label.c_str(), 200, [&]() {
+      return partition::partitionGraph(graph, {.parts = parts}).ok();
+    });
+    report.row("dragonfly_partitions", {{"parts", parts}, {"partitions_per_sec", rate}});
+  }
+  auto dfPlant = projection::planPlant(
+      {&dragonfly}, {.numSwitches = 3, .spec = projection::openflow128x100G()});
+  if (dfPlant.ok()) {
+    report.set("link_projections_per_sec",
+               measureOpsPerSec("dragonfly link projections", 50, [&]() {
+                 return projection::LinkProjector::project(dragonfly, dfPlant.value()).ok();
+               }));
+  }
+  const topo::Topology fatTree = topo::makeFatTree(4);
+  const routing::ShortestPathRouting ftRouting(fatTree);
+  auto ftPlant = projection::planPlant(
+      {&fatTree}, {.numSwitches = 2, .spec = projection::openflow128x100G()});
+  if (ftPlant.ok()) {
+    const controller::SdtController ctl(ftPlant.value());
+    report.set("deploys_per_sec", measureOpsPerSec("fat-tree k=4 deploys", 50, [&]() {
+                 return ctl.deploy(fatTree, ftRouting, {.requireDeadlockFree = false}).ok();
+               }));
+  }
+  const topo::Topology torus = topo::makeTorus3D(4, 4, 4);
+  auto torusRouting = routing::makeRouting("torus-clue", torus);
+  if (torusRouting.ok()) {
+    report.set("deadlock_analyses_per_sec",
+               measureOpsPerSec("torus 4x4x4 deadlock analyses", 20, [&]() {
+                 return routing::analyzeDeadlock(torus, *torusRouting.value()).deadlockFree;
+               }));
+  }
   report.write();
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+int main() {
   writeHeadlineReport();
   writeShardScalingReport();
   return 0;

@@ -34,7 +34,6 @@ int main() {
   auto algo = routing::makeRouting("dragonfly-minimal", topo);
   if (!algo) return 1;
   const projection::Plant plant = bench::autoPlant(topo);
-  const testbed::SimulatorCostModel model;
 
   const std::vector<int> nodeCounts{1, 2, 4, 8, 16, 32};
   const testbed::SweepRunner sweep;
@@ -60,8 +59,7 @@ int main() {
 
         Point p;
         p.nodes = nodes;
-        p.c = testbed::compare(sr, sdt.value().deployTime, fr, topo.numSwitches(), 1.0,
-                               model);
+        p.c = testbed::compare(sr, sdt.value().deployTime, fr, topo.numSwitches(), 1.0);
         p.deploySec = nsToSec(sdt.value().deployTime);
         return p;
       });

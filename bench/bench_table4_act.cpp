@@ -67,7 +67,6 @@ int main() {
   std::printf("\n");
   bench::printRule(17 + 16 * 7);
 
-  const testbed::SimulatorCostModel model;
   bench::JsonReport report("table4_act");
   for (TopoSpec& ts : topos) {
     const int ranks = std::min(32, ts.topo.numHosts());
@@ -95,8 +94,7 @@ int main() {
       // Scale the run to a paper-sized (~16 s) experiment.
       const double scaleK = 16.0 / std::max(1e-9, nsToSec(fr.act));
       const testbed::Comparison c = testbed::compare(sr, sdt.value().deployTime, fr,
-                                                     ts.topo.numSwitches(), scaleK,
-                                                     model);
+                                                     ts.topo.numSwitches(), scaleK);
       char cell[48];
       std::snprintf(cell, sizeof(cell), "%.0fx (%+.1f%%)", c.speedupVsSimulator,
                     c.actDeviation * 100.0);

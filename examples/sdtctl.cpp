@@ -52,10 +52,13 @@
 // Recovery flags: --journal FILE (default in-memory), --json,
 //                 --crash-at prepare|mid-install|pre-flip|post-flip|mid-gc,
 //                 --reboot-switch N
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -969,6 +972,27 @@ void serveMetrics(const tenant::TenantManager& mgr,
   std::printf("%s", obs::metricsToPrometheus(registry).c_str());
 }
 
+/// `evict`'s argument: a whole decimal tenant id in [1, 65534].
+std::optional<std::uint16_t> parseTenantId(const std::string& arg) {
+  unsigned value = 0;
+  const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), value);
+  if (ec != std::errc() || end != arg.data() + arg.size() || value < 1 || value > 65534) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint16_t>(value);
+}
+
+/// `run`'s argument: a whole decimal token for a finite ms value in (0, 1e6].
+std::optional<double> parseRunMs(const std::string& arg) {
+  double value = 0.0;
+  const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), value);
+  if (ec != std::errc() || end != arg.data() + arg.size() || !std::isfinite(value) ||
+      value <= 0.0 || value > 1e6) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 int cmdServe(const CliOptions& opt) {
   projection::PlantConfig pc;
   pc.numSwitches = opt.switches;
@@ -1005,7 +1029,7 @@ int cmdServe(const CliOptions& opt) {
               "run [ms] | metrics%s | quit\n",
               opt.standbys > 0 ? " | failover" : "");
 
-  int unknownCommands = 0;
+  int rejectedCommands = 0;
   char line[1024];
   while (std::fgets(line, sizeof(line), stdin) != nullptr) {
     std::string cmd;
@@ -1025,7 +1049,14 @@ int cmdServe(const CliOptions& opt) {
     if (cmd == "admit" && !arg.empty()) {
       if (serveAdmit(mgr, tenants, arg) == 0) maybeAttachHa();
     } else if (cmd == "evict" && !arg.empty()) {
-      const auto id = static_cast<std::uint16_t>(std::atoi(arg.c_str()));
+      const std::optional<std::uint16_t> parsed = parseTenantId(arg);
+      if (!parsed) {
+        std::printf("evict: tenant id must be a whole number in [1, 65534], got '%s'\n",
+                    arg.c_str());
+        ++rejectedCommands;
+        continue;
+      }
+      const std::uint16_t id = *parsed;
       // The HA replicas reference the slice controller — detach before the
       // slice (and with it that controller) is torn down.
       if (serveHa != nullptr && serveHa->tenantId == id) {
@@ -1042,8 +1073,13 @@ int cmdServe(const CliOptions& opt) {
       serveStatus(mgr, tenants);
       if (serveHa != nullptr) serveHaStatus(*serveHa);
     } else if (cmd == "run") {
-      const double ms = arg.empty() ? 5.0 : std::atof(arg.c_str());
-      serveRun(mgr, tenants, ms);
+      const std::optional<double> ms = arg.empty() ? 5.0 : parseRunMs(arg);
+      if (!ms) {
+        std::printf("run: ms must be a number in (0, 1e6], got '%s'\n", arg.c_str());
+        ++rejectedCommands;
+        continue;
+      }
+      serveRun(mgr, tenants, *ms);
     } else if (cmd == "metrics") {
       serveMetrics(mgr, tenants);
     } else if (cmd == "failover") {
@@ -1055,12 +1091,12 @@ int cmdServe(const CliOptions& opt) {
       }
     } else {
       std::printf("unknown command: %s\n", cmd.c_str());
-      ++unknownCommands;
+      ++rejectedCommands;
     }
   }
-  if (unknownCommands > 0) {
-    std::fprintf(stderr, "serve: %d unknown command(s) rejected\n",
-                 unknownCommands);
+  if (rejectedCommands > 0) {
+    std::fprintf(stderr, "serve: %d unknown or malformed command(s) rejected\n",
+                 rejectedCommands);
     return 1;
   }
   return 0;

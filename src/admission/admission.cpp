@@ -6,6 +6,32 @@
 
 namespace sdt::admission {
 
+namespace {
+
+/// Queue-depth sampling period per shard.
+constexpr TimeNs kSampleInterval = usToNs(100.0);
+/// Egress occupancy that counts as pressure 1.0. Sits below the lossy drop
+/// cap so admission reacts before the fabric starts dropping.
+constexpr std::int64_t kQueueHighWatermarkBytes = 128 * kKiB;
+/// Pressure below which hosts refill at full line rate.
+constexpr double kPressureLowWater = 0.25;
+/// EWMA weight the broker gives each new global sample: the broadcast
+/// pressure is smoothed = alpha * sample + (1 - alpha) * smoothed. A
+/// synchronized incast round fills a queue for a few microseconds and
+/// drains; without smoothing one unlucky sample reads as sustained overload
+/// and sheds traffic a healthy fabric could carry.
+constexpr double kPressureSmoothing = 0.35;
+/// Refill-rate fraction reached at pressure 1.0 (never throttle to zero: a
+/// trickle keeps gold traffic moving and the signal loop alive).
+constexpr double kCreditRateFractionFloor = 0.05;
+/// Bucket capacity (burst allowance) in credit units (~bytes at weight 1).
+constexpr std::int64_t kCreditBurstBytes = 64 * kKiB;
+/// Modeled propagation of a pressure signal leg (sampler->broker and
+/// broker->shard). Padded up to the engine lookahead when crossing shards.
+constexpr TimeNs kSignalDelay = usToNs(1.0);
+
+}  // namespace
+
 const char* priorityName(Priority cls) {
   switch (cls) {
     case Priority::kGold: return "gold";
@@ -24,52 +50,14 @@ const char* decisionName(Decision d) {
   return "?";
 }
 
-StatusOr Policy::validate() const {
-  if (sampleInterval <= 0) return makeError("admission: sampleInterval must be > 0");
-  if (queueHighWatermarkBytes <= 0) {
-    return makeError("admission: queueHighWatermarkBytes must be > 0");
-  }
-  if (pressureLowWater < 0.0 || pressureLowWater >= 1.0) {
-    return makeError("admission: pressureLowWater must be in [0, 1)");
-  }
-  if (pressureSmoothing <= 0.0 || pressureSmoothing > 1.0) {
-    return makeError("admission: pressureSmoothing must be in (0, 1]");
-  }
-  if (creditRateFractionFloor <= 0.0 || creditRateFractionFloor > 1.0) {
-    return makeError("admission: creditRateFractionFloor must be in (0, 1]");
-  }
-  if (creditBurstBytes <= 0) return makeError("admission: creditBurstBytes must be > 0");
-  if (signalDelay < 0) return makeError("admission: signalDelay must be >= 0");
-  if (deferDelay <= 0) return makeError("admission: deferDelay must be > 0");
-  if (maxDefers < 0) return makeError("admission: maxDefers must be >= 0");
-  for (int c = 0; c < kNumPriorities; ++c) {
-    const ClassPolicy& cp = classes[static_cast<std::size_t>(c)];
-    if (cp.utilityWeight <= 0.0) {
-      return makeError(std::string("admission: class ") +
-                       priorityName(static_cast<Priority>(c)) +
-                       " utilityWeight must be > 0");
-    }
-    if (cp.sloNs <= 0) {
-      return makeError(std::string("admission: class ") +
-                       priorityName(static_cast<Priority>(c)) + " sloNs must be > 0");
-    }
-    if (cp.shedAtPressure <= 0.0) {
-      return makeError(std::string("admission: class ") +
-                       priorityName(static_cast<Priority>(c)) +
-                       " shedAtPressure must be > 0");
-    }
-  }
-  return StatusOr::okStatus();
-}
-
 AdmissionController::AdmissionController(sim::Simulator& sim, sim::Network& net,
                                          Policy policy)
-    : sim_(&sim), net_(&net), policy_(policy) {
+    : sim_(&sim), net_(&net), enabled_(policy.enabled) {
   lanes_.resize(static_cast<std::size_t>(sim.numShards()));
   brokerShardFill_.assign(static_cast<std::size_t>(sim.numShards()), 0.0);
   buckets_.resize(static_cast<std::size_t>(net.numHosts()));
   for (HostBucket& b : buckets_) {
-    b.credits = static_cast<double>(policy_.creditBurstBytes);
+    b.credits = static_cast<double>(kCreditBurstBytes);
   }
 }
 
@@ -101,8 +89,7 @@ void AdmissionController::attachMetrics(obs::Registry& registry) {
 }
 
 void AdmissionController::start(TimeNs until) {
-  assert(policy_.validate().ok() && "invalid admission policy");
-  const TimeNs first = std::min<TimeNs>(policy_.sampleInterval, until);
+  const TimeNs first = std::min<TimeNs>(kSampleInterval, until);
   for (int s = 0; s < sim_->numShards(); ++s) {
     // Top-level scheduleOn adopts the destination shard as sender, so the
     // arm itself is shard-local and needs no lookahead padding.
@@ -115,11 +102,11 @@ double AdmissionController::pressure() const {
 }
 
 double AdmissionController::rateFraction(double pressure) const {
-  if (pressure <= policy_.pressureLowWater) return 1.0;
-  if (pressure >= 1.0) return policy_.creditRateFractionFloor;
-  const double span = 1.0 - policy_.pressureLowWater;
-  const double t = (pressure - policy_.pressureLowWater) / span;
-  return 1.0 - t * (1.0 - policy_.creditRateFractionFloor);
+  if (pressure <= kPressureLowWater) return 1.0;
+  if (pressure >= 1.0) return kCreditRateFractionFloor;
+  const double span = 1.0 - kPressureLowWater;
+  const double t = (pressure - kPressureLowWater) / span;
+  return 1.0 - t * (1.0 - kCreditRateFractionFloor);
 }
 
 void AdmissionController::settle(HostBucket& bucket, double pressure, int host) {
@@ -129,7 +116,7 @@ void AdmissionController::settle(HostBucket& bucket, double pressure, int host) 
         net_->hostLinkSpeed(host).bytesIn(now - bucket.settledAt) *
         rateFraction(pressure);
     bucket.credits = std::min(bucket.credits + refill,
-                              static_cast<double>(policy_.creditBurstBytes));
+                              static_cast<double>(kCreditBurstBytes));
   }
   bucket.settledAt = now;
 }
@@ -146,8 +133,8 @@ Decision AdmissionController::request(int srcHost, Priority cls, std::int64_t by
   ++cc.requested;
 
   Decision decision = Decision::kAdmit;
-  if (policy_.enabled) {
-    const ClassPolicy& cp = policy_.classes[ci];
+  if (enabled_) {
+    const ClassPolicy& cp = kClasses[ci];
     if (lane.pressure >= cp.shedAtPressure) {
       decision = Decision::kShed;
     } else {
@@ -202,12 +189,12 @@ void AdmissionController::sampleShard(int shard, TimeNs until) {
     }
   }
   const double fill = static_cast<double>(maxBytes) /
-                      static_cast<double>(policy_.queueHighWatermarkBytes);
+                      static_cast<double>(kQueueHighWatermarkBytes);
   if (lane.fillHist != nullptr) lane.fillHist->observe(fill);
-  sim_->scheduleOn(0, sim_->crossDelay(0, policy_.signalDelay),
+  sim_->scheduleOn(0, sim_->crossDelay(0, kSignalDelay),
                    [this, shard, fill]() { brokerUpdate(shard, fill); });
-  if (sim_->now() + policy_.sampleInterval <= until) {
-    sim_->scheduleOn(shard, policy_.sampleInterval,
+  if (sim_->now() + kSampleInterval <= until) {
+    sim_->scheduleOn(shard, kSampleInterval,
                      [this, shard, until]() { sampleShard(shard, until); });
   }
 }
@@ -217,12 +204,12 @@ void AdmissionController::brokerUpdate(int shard, double fill) {
   brokerShardFill_[static_cast<std::size_t>(shard)] = fill;
   const double raw =
       *std::max_element(brokerShardFill_.begin(), brokerShardFill_.end());
-  smoothedPressure_ = policy_.pressureSmoothing * raw +
-                      (1.0 - policy_.pressureSmoothing) * smoothedPressure_;
+  smoothedPressure_ =
+      kPressureSmoothing * raw + (1.0 - kPressureSmoothing) * smoothedPressure_;
   const double global = smoothedPressure_;
   peakPressure_ = std::max(peakPressure_, global);
   for (int d = 0; d < sim_->numShards(); ++d) {
-    sim_->scheduleOn(d, sim_->crossDelay(d, policy_.signalDelay), [this, d, global]() {
+    sim_->scheduleOn(d, sim_->crossDelay(d, kSignalDelay), [this, d, global]() {
       ShardLane& lane = lanes_[static_cast<std::size_t>(d)];
       lane.pressure = global;
       if (lane.pressureGauge != nullptr) lane.pressureGauge->set(global);

@@ -12,15 +12,15 @@
 //
 // Mechanism, end to end:
 //   1. Per-shard samplers read the egress occupancy of the switches their
-//      shard owns every `sampleInterval` and reduce it to a fill fraction
-//      (max queue bytes / queueHighWatermarkBytes).
+//      shard owns every kSampleInterval and reduce it to a fill fraction
+//      (max queue bytes / kQueueHighWatermarkBytes).
 //   2. Samples flow to a broker homed on shard 0, which folds them into one
 //      global *pressure* value (max over shards) and broadcasts it back —
 //      both legs travel as lookahead-padded events, so the signal path is
 //      exactly as deterministic as the data plane.
 //   3. Each host owns a credit bucket refilled at
 //      lineRate x rateFraction(pressure): full rate while the fabric is
-//      calm, throttled linearly toward `creditRateFractionFloor` as
+//      calm, throttled linearly toward kCreditRateFractionFloor as
 //      pressure approaches 1.0. A flow of B bytes at priority class c
 //      charges B / utilityWeight(c) credits — higher-utility classes buy
 //      more bytes per credit (utility-based admission, Kreutz et al. §V).
@@ -41,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.hpp"
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
 #include "sim/network.hpp"
@@ -49,7 +48,7 @@
 
 namespace sdt::admission {
 
-/// Priority classes, highest utility first. Values index Policy::classes.
+/// Priority classes, highest utility first. Values index kClasses.
 enum class Priority : std::uint8_t { kGold = 0, kSilver = 1, kBronze = 2 };
 inline constexpr int kNumPriorities = 3;
 
@@ -59,59 +58,36 @@ const char* priorityName(Priority cls);
   return static_cast<int>(cls);
 }
 
-/// Per-class admission knobs.
+/// One priority class's admission parameters.
 struct ClassPolicy {
   /// Credits charged for a flow = bytes / utilityWeight: a weight-4 class
   /// buys 4x the bytes per credit of a weight-1 class.
-  double utilityWeight = 1.0;
+  double utilityWeight;
   /// Completion-latency SLO for the class (workload drivers score against
   /// it; admission sheds to protect it).
-  TimeNs sloNs = msToNs(10.0);
+  TimeNs sloNs;
   /// Shed (reject outright) flows of this class once global pressure
   /// reaches this level. > 1.0 effectively disables shedding for the class.
-  double shedAtPressure = 1.0;
+  double shedAtPressure;
 };
 
+/// The class table, indexed by priorityIndex(): gold = latency-critical RPC
+/// (never shed until far past saturation), silver = normal serving traffic,
+/// bronze = batch/background (first against the wall).
+inline constexpr std::array<ClassPolicy, kNumPriorities> kClasses{{
+    {4.0, msToNs(2.0), 1.5},
+    {2.0, msToNs(10.0), 0.9},
+    {1.0, msToNs(50.0), 0.6},
+}};
+/// Suggested retry spacing for deferred flows (drivers own the retry loop).
+inline constexpr TimeNs kDeferDelay = usToNs(50.0);
+/// Defers before a driver should give up and count the flow shed.
+inline constexpr int kMaxDefers = 4;
+
 struct Policy {
-  /// Defaults: gold = latency-critical RPC (never shed until far past
-  /// saturation), silver = normal serving traffic, bronze = batch/background
-  /// (first against the wall).
-  std::array<ClassPolicy, kNumPriorities> classes{
-      ClassPolicy{4.0, msToNs(2.0), 1.5},
-      ClassPolicy{2.0, msToNs(10.0), 0.9},
-      ClassPolicy{1.0, msToNs(50.0), 0.6},
-  };
-  /// Queue-depth sampling period per shard.
-  TimeNs sampleInterval = usToNs(100.0);
-  /// Egress occupancy that counts as pressure 1.0. Sits below the lossy
-  /// drop cap so admission reacts before the fabric starts dropping.
-  std::int64_t queueHighWatermarkBytes = 128 * kKiB;
-  /// Pressure below which hosts refill at full line rate.
-  double pressureLowWater = 0.25;
-  /// EWMA weight the broker gives each new global sample: the broadcast
-  /// pressure is smoothed = alpha * sample + (1 - alpha) * smoothed. A
-  /// synchronized incast round fills a queue for a few microseconds and
-  /// drains; without smoothing one unlucky sample reads as sustained
-  /// overload and sheds traffic a healthy fabric could carry. 1.0 disables
-  /// smoothing (raw samples).
-  double pressureSmoothing = 0.35;
-  /// Refill-rate fraction reached at pressure 1.0 (never throttle to zero:
-  /// a trickle keeps gold traffic moving and the signal loop alive).
-  double creditRateFractionFloor = 0.05;
-  /// Bucket capacity (burst allowance) in credit units (~bytes at weight 1).
-  std::int64_t creditBurstBytes = 64 * kKiB;
-  /// Modeled propagation of a pressure signal leg (sampler->broker and
-  /// broker->shard). Padded up to the engine lookahead when crossing shards.
-  TimeNs signalDelay = usToNs(1.0);
-  /// Suggested retry spacing for deferred flows (drivers own the retry loop).
-  TimeNs deferDelay = usToNs(50.0);
-  /// Defers before a driver should give up and count the flow shed.
-  int maxDefers = 4;
   /// Master switch: disabled => every request admits (the baseline arm of
   /// bench_overload).
   bool enabled = true;
-
-  [[nodiscard]] StatusOr validate() const;
 };
 
 enum class Decision : std::uint8_t { kAdmit = 0, kDefer = 1, kShed = 2 };
@@ -122,11 +98,6 @@ class AdmissionController {
  public:
   /// The network must already be wired and partitioned (builder does both).
   AdmissionController(sim::Simulator& sim, sim::Network& net, Policy policy = {});
-
-  /// Replace the policy. Call before start() / outside a run (the
-  /// controller distributes policies between runs, not mid-window).
-  void setPolicy(const Policy& policy) { policy_ = policy; }
-  [[nodiscard]] const Policy& policy() const { return policy_; }
 
   /// Wire decision counters, pressure gauges, and queue-fill histograms
   /// into `registry` (per-shard labels: every cell is written by exactly
@@ -194,7 +165,7 @@ class AdmissionController {
 
   sim::Simulator* sim_;
   sim::Network* net_;
-  Policy policy_;
+  bool enabled_;
   /// Non-empty: the only (switch, port) queues the samplers read.
   std::vector<std::pair<int, int>> watchPorts_;
   std::vector<ShardLane> lanes_;          ///< one per shard

@@ -263,8 +263,8 @@ class ScopedOpSpan {
 
 }  // namespace
 
-CheckReport SdtController::check(const std::vector<const topo::Topology*>& topologies,
-                                 const DeployOptions& options) const {
+CheckReport SdtController::check(
+    const std::vector<const topo::Topology*>& topologies) const {
   CheckReport report;
   report.ok = true;
 
@@ -277,7 +277,7 @@ CheckReport SdtController::check(const std::vector<const topo::Topology*>& topol
   }
 
   for (const topo::Topology* t : topologies) {
-    auto proj = projection::LinkProjector::project(*t, plant_, options.projector);
+    auto proj = projection::LinkProjector::project(*t, plant_);
     if (!proj) {
       report.ok = false;
       // Quantify the shortfall (§V-1: "inform the user of the necessary
@@ -433,7 +433,7 @@ Result<Deployment> SdtController::deploy(const topo::Topology& topo,
     }
   }
   span.phase("deploy.project");
-  auto proj = projection::LinkProjector::project(topo, plant_, options.projector);
+  auto proj = projection::LinkProjector::project(topo, plant_);
   if (!proj) return proj.error();
 
   Deployment deployment;  // epoch defaults to 1: the first configuration
@@ -498,7 +498,7 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
     }
   }
   span.phase("plan_update.project");
-  auto proj = projection::LinkProjector::project(next, plant_, options.projector);
+  auto proj = projection::LinkProjector::project(next, plant_);
   if (!proj) return proj.error();
 
   // Host-port stability: fabric links can move between fixed cables because
@@ -711,27 +711,6 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
   span.annotate("flow_mods", std::to_string(report.flowMods()));
   span.finish(report.degraded ? "degraded" : "ok");
   return report;
-}
-
-StatusOr SdtController::distributeAdmissionPolicy(
-    admission::AdmissionController& target, const admission::Policy& policy) const {
-  ScopedOpSpan span(obs_, "distribute_admission_policy");
-  span.phase("admission.validate");
-  if (const StatusOr valid = policy.validate(); !valid.ok()) {
-    span.finish("invalid");
-    return valid;
-  }
-  span.phase("admission.install");
-  target.setPolicy(policy);
-  if (obs_.metrics != nullptr) {
-    obs_.metrics
-        ->counter("sdt_controller_admission_policy_total", {{"op", "distribute"}},
-                  "Admission policies validated and pushed to the fabric edge")
-        .inc();
-  }
-  span.annotate("enabled", policy.enabled ? "true" : "false");
-  span.finish("ok");
-  return StatusOr::okStatus();
 }
 
 }  // namespace sdt::controller

@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "admission/admission.hpp"
 #include "common/result.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -57,7 +56,6 @@ struct DeployOptions {
   /// drain, GC, restamp — can never select another tenant's rules. 0 is the
   /// legacy whole-plant namespace.
   std::uint16_t tenant = 0;
-  projection::LinkProjectorOptions projector;
 };
 
 /// A deployed (projected + programmed) topology, ready for sim::buildProjectedNetwork.
@@ -249,8 +247,8 @@ class SdtController {
   /// set be projected on this plant (one at a time)? Reports the resource
   /// shortfalls otherwise (§V-1: "inform the user of the necessary link
   /// modification").
-  [[nodiscard]] CheckReport check(const std::vector<const topo::Topology*>& topologies,
-                                  const DeployOptions& options = {}) const;
+  [[nodiscard]] CheckReport check(
+      const std::vector<const topo::Topology*>& topologies) const;
 
   /// Topology Customization, deployment function: project + compile routing
   /// into flow tables. The routing algorithm must be built for `topo` and
@@ -293,16 +291,6 @@ class SdtController {
                                             const routing::RoutingAlgorithm& routing,
                                             const FailureSet& failures,
                                             const DeployOptions& options = {}) const;
-
-  /// Admission-policy distribution: validate `policy` and push it to the
-  /// fabric-edge admission controller (the overload analogue of a table
-  /// install — one policy object fans out to every host agent; here the
-  /// AdmissionController models that whole edge tier). Rejects invalid
-  /// policies without touching the live one. Call between runs: the edge
-  /// applies the policy to decisions from the next start().
-  [[nodiscard]] StatusOr distributeAdmissionPolicy(
-      admission::AdmissionController& target,
-      const admission::Policy& policy) const;
 
  private:
   projection::Plant plant_;

@@ -7,6 +7,15 @@
 
 namespace sdt::controller {
 
+namespace {
+
+/// Election priority stagger: candidate rank r waits r x this before
+/// claiming, so the highest-priority live standby wins uncontested unless the
+/// replication channel drops its claim heartbeats for a whole stagger.
+constexpr TimeNs kElectionStagger = usToNs(300.0);
+
+}  // namespace
+
 ReplicatedController::ReplicatedController(sim::Simulator& sim,
                                            SdtController& ctl,
                                            sim::ControlChannel& fabric,
@@ -18,13 +27,6 @@ ReplicatedController::ReplicatedController(sim::Simulator& sim,
       repl_(&replication),
       config_(config) {
   if (numReplicas < 1) numReplicas = 1;
-  // A non-positive ack window would make pumpStream's in-flight test always
-  // true and silently disable streaming; the queue cap below the window
-  // would drop every backlog before it could drain.
-  if (config_.ackWindow < 1) config_.ackWindow = 1;
-  if (config_.sendQueueCap < config_.ackWindow) {
-    config_.sendQueueCap = config_.ackWindow;
-  }
   replicas_.reserve(static_cast<std::size_t>(numReplicas));
   for (int id = 0; id < numReplicas; ++id) {
     auto r = std::make_unique<Replica>();
@@ -330,8 +332,7 @@ void ReplicatedController::leaseCheck(int id) {
   s.candidate = true;
   const std::uint64_t gen = ++s.electionGen;
   const TimeNs expiredAt = s.lastHeartbeatAt + config_.leaseInterval;
-  const TimeNs stagger =
-      static_cast<TimeNs>(rankOf(id)) * config_.electionStagger;
+  const TimeNs stagger = static_cast<TimeNs>(rankOf(id)) * kElectionStagger;
   sim_->scheduleOn(0, stagger, [this, tok = alive_, id, gen, expiredAt]() {
     if (!*tok) return;
     Replica& c = rep(id);
@@ -481,8 +482,7 @@ void ReplicatedController::onLeaderAppend(int owner, const JournalRecord& record
   if (stopped_ || !l.alive || !l.leader) return;
   for (const auto& target : replicas_) {
     if (target->id == owner || !target->alive) continue;
-    if (target->sendQueue.size() >=
-        static_cast<std::size_t>(config_.sendQueueCap)) {
+    if (target->sendQueue.size() >= static_cast<std::size_t>(kSendQueueCap)) {
       // The ack window has been stalled long enough to fill the backlog (a
       // partitioned standby not yet declared dead): drop the whole queue —
       // the standby's gap detection snapshot-catches-up when it reappears,
@@ -502,7 +502,7 @@ void ReplicatedController::pumpStream(int from, int to) {
   while (!s.sendQueue.empty()) {
     const std::uint64_t inFlight =
         s.streamedSeq > s.lastAckedSeq ? s.streamedSeq - s.lastAckedSeq : 0;
-    if (inFlight >= static_cast<std::uint64_t>(config_.ackWindow)) break;
+    if (inFlight >= static_cast<std::uint64_t>(kAckWindow)) break;
     JournalRecord rec = std::move(s.sendQueue.front());
     s.sendQueue.pop_front();
     s.streamedSeq = std::max(s.streamedSeq, rec.seq);

@@ -8,7 +8,7 @@
 //   lease + term   The leader holds a sim-time lease renewed by periodic
 //                  heartbeats to every standby. When a standby's view of the
 //                  lease expires, it becomes a candidate and — after a
-//                  priority stagger (rank x electionStagger, so the highest-
+//                  priority stagger (rank x kElectionStagger, so the highest-
 //                  priority live standby moves first and everyone else hears
 //                  its claim heartbeat before their own timer fires) —
 //                  claims leadership under term = (highest term seen) + 1.
@@ -71,6 +71,16 @@ namespace sdt::controller {
 class NetworkMonitor;
 struct PortFailure;
 
+/// Journal streaming flow control: max frames past the last cumulative ack
+/// before the leader queues instead of sending.
+inline constexpr int kAckWindow = 16;
+/// Leader-side bound on frames queued behind a stalled ack window (a standby
+/// that is partitioned but not declared dead). On overflow the whole backlog
+/// is dropped and the standby repairs the resulting gap via snapshot
+/// catch-up, which tolerates arbitrary loss.
+inline constexpr int kSendQueueCap = 1024;
+static_assert(kAckWindow >= 1 && kSendQueueCap >= kAckWindow);
+
 struct HaConfig {
   /// Leader lease: a standby whose last heartbeat is older than this starts
   /// an election. Takeover latency is bounded by ~1.5x this (expiry is
@@ -79,20 +89,6 @@ struct HaConfig {
   /// Heartbeat cadence; must be well under leaseInterval so a few dropped
   /// heartbeats do not read as a dead leader.
   TimeNs heartbeatPeriod = usToNs(400.0);
-  /// Election priority stagger: candidate rank r waits r x this before
-  /// claiming, so the highest-priority live standby wins uncontested unless
-  /// the replication channel drops its claim heartbeats for a whole stagger.
-  TimeNs electionStagger = usToNs(300.0);
-  /// Journal streaming flow control: max frames past the last cumulative ack
-  /// before the leader queues instead of sending. Clamped to >= 1 (a
-  /// non-positive window would silently disable streaming).
-  int ackWindow = 16;
-  /// Leader-side bound on frames queued behind a stalled ack window (a
-  /// standby that is partitioned but not declared dead). On overflow the
-  /// whole backlog is dropped and the standby repairs the resulting gap via
-  /// snapshot catch-up, which tolerates arbitrary loss. Clamped to
-  /// >= ackWindow.
-  int sendQueueCap = 1024;
   /// Backoff jitter seed of the failover RecoveryRun (RecoveryOptions).
   std::uint64_t retrySeed = SwitchSession::kDefaultSeed;
   /// Recompile knobs handed to planRecovery on takeover.
@@ -111,7 +107,7 @@ struct ReplicaStatus {
   std::uint64_t gapCatchups = 0;     ///< snapshot catch-ups requested
   std::uint64_t snapshotsInstalled = 0;
   std::size_t sendQueueDepth = 0;    ///< leader-side frames queued toward us
-  std::uint64_t queueOverflows = 0;  ///< backlogs dropped at sendQueueCap
+  std::uint64_t queueOverflows = 0;  ///< backlogs dropped at kSendQueueCap
 };
 
 /// One completed (or failed) takeover.

@@ -7,6 +7,13 @@
 
 namespace sdt::controller {
 
+namespace {
+
+/// Weight of each new queue sample in the per-port load EWMA.
+constexpr double kEwmaGain = 0.3;
+
+}  // namespace
+
 NetworkMonitor::NetworkMonitor(sim::Simulator& sim, sim::Network& net,
                                const topo::Topology& topo)
     : sim_(&sim), net_(&net), topo_(&topo), projection_(nullptr) {
@@ -23,9 +30,8 @@ NetworkMonitor::NetworkMonitor(sim::Simulator& sim, sim::Network& net,
   projection_ = &projection;
 }
 
-void NetworkMonitor::start(TimeNs period, double ewmaGain) {
+void NetworkMonitor::start(TimeNs period) {
   period_ = period;
-  gain_ = ewmaGain;
   running_ = true;
   ++epoch_;
   sim_->schedule(period_, [this, e = epoch_]() { sample(e); });
@@ -54,7 +60,7 @@ void NetworkMonitor::enableFailureDetection(TimeNs detectionTimeout) {
   }
 }
 
-void NetworkMonitor::poll(topo::SwitchId sw, topo::PortId port, double gain) {
+void NetworkMonitor::poll(topo::SwitchId sw, topo::PortId port) {
   std::int64_t bytes;
   if (projection_ != nullptr) {
     const projection::PhysPort pp = projection_->physOf(topo::SwitchPort{sw, port});
@@ -63,7 +69,8 @@ void NetworkMonitor::poll(topo::SwitchId sw, topo::PortId port, double gain) {
   } else {
     bytes = net_->switchEgressBytes(sw, port);
   }
-  ewma_[sw][port] = (1.0 - gain) * ewma_[sw][port] + gain * static_cast<double>(bytes);
+  ewma_[sw][port] =
+      (1.0 - kEwmaGain) * ewma_[sw][port] + kEwmaGain * static_cast<double>(bytes);
   if (!series_.empty() && series_[sw][port] != nullptr) {
     series_[sw][port]->record(sim_->now(), ewma_[sw][port]);
   }
@@ -145,7 +152,7 @@ void NetworkMonitor::sample(std::uint64_t epoch) {
   ++samples_;
   for (topo::SwitchId sw = 0; sw < topo_->numSwitches(); ++sw) {
     for (topo::PortId p = 0; p < static_cast<int>(ewma_[sw].size()); ++p) {
-      poll(sw, p, gain_);
+      poll(sw, p);
     }
   }
   if (detectFailures_) checkFailures();

@@ -64,7 +64,7 @@ class NetworkMonitor {
                  const projection::Projection& projection);
 
   /// Start periodic sampling (call before Simulator::run()).
-  void start(TimeNs period = usToNs(20.0), double ewmaGain = 0.3);
+  void start(TimeNs period = usToNs(20.0));
 
   /// Stop sampling. Already-queued sample events no-op (epoch-guarded), so a
   /// stopped monitor takes zero further samples and a later start() cannot
@@ -147,7 +147,7 @@ class NetworkMonitor {
   };
 
   void sample(std::uint64_t epoch);
-  void poll(topo::SwitchId sw, topo::PortId port, double gain);
+  void poll(topo::SwitchId sw, topo::PortId port);
   void checkFailures();
 
   sim::Simulator* sim_;
@@ -155,7 +155,6 @@ class NetworkMonitor {
   const topo::Topology* topo_;
   const projection::Projection* projection_;  ///< nullptr in full-testbed mode
   TimeNs period_ = 0;
-  double gain_ = 0.3;
   std::vector<std::vector<double>> ewma_;  ///< [sw][port]
   /// Mirrors ewma_ when metrics are attached (nullptr per cell otherwise):
   /// resolved once at attach time so poll() never pays a registry lookup.

@@ -134,8 +134,7 @@ Result<RecoveryPlan> planRecovery(const SdtController& controller,
         plan.topology.c_str()));
   }
 
-  auto proj = projection::LinkProjector::project(*entry->second.topology,
-                                                 controller.plant(), options.projector);
+  auto proj = projection::LinkProjector::project(*entry->second.topology, controller.plant());
   if (!proj) return proj.error();
   // Recompile with the *journaled* salt: the tables must be byte-identical
   // to what the dead controller installed, or the diff would churn every

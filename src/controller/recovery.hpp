@@ -100,10 +100,11 @@ struct RecoveryPlan {
 };
 
 /// Replay the journal and compile the recovery target. Pure planning: no
-/// switch is contacted, no state mutated. `options` supplies the projector
-/// knobs; the deadlock check is intentionally skipped (the intent passed it
-/// when first deployed, and a recovering controller must not refuse to
-/// restore the only consistent state it can prove).
+/// switch is contacted, no state mutated. `options` supplies the host
+/// address base and tenant to compile for (the salt comes from the journal);
+/// the deadlock check is intentionally skipped (the intent passed it when
+/// first deployed, and a recovering controller must not refuse to restore
+/// the only consistent state it can prove).
 Result<RecoveryPlan> planRecovery(const SdtController& controller,
                                   const Journal& journal,
                                   const IntentCatalog& catalog,

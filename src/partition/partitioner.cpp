@@ -15,6 +15,15 @@ namespace sdt::partition {
 using topo::Graph;
 using topo::GraphEdge;
 
+namespace {
+
+/// Fiduccia-Mattheyses passes per level (each stops early without gain).
+constexpr int kRefinementPasses = 8;
+/// Stop coarsening when at most this many vertices remain.
+constexpr int kCoarsenTarget = 24;
+
+}  // namespace
+
 double PartitionResult::imbalance() const {
   if (partLoad.empty()) return 0.0;
   const std::int64_t total = std::accumulate(partLoad.begin(), partLoad.end(), std::int64_t{0});
@@ -315,7 +324,7 @@ std::vector<int> multilevelBisect(const Graph& graph,
   std::vector<Level> levels;
   const Graph* current = &graph;
   const std::vector<std::int64_t>* currentWeights = &weights;
-  while (current->numVertices() > options.coarsenTarget) {
+  while (current->numVertices() > kCoarsenTarget) {
     Level level = coarsen(*current, *currentWeights, rng);
     if (level.graph.numVertices() >= current->numVertices()) break;  // no progress
     levels.push_back(std::move(level));
@@ -327,7 +336,7 @@ std::vector<int> multilevelBisect(const Graph& graph,
   std::int64_t bestCut = std::numeric_limits<std::int64_t>::max();
   for (int attempt = 0; attempt < 4; ++attempt) {
     std::vector<int> candidate = growBisection(*current, *currentWeights, targetFraction, rng);
-    for (int pass = 0; pass < options.refinementPasses; ++pass) {
+    for (int pass = 0; pass < kRefinementPasses; ++pass) {
       if (!fmPass(*current, *currentWeights, candidate, targetFraction,
                   options.maxImbalance, options.beta > 0.0)) {
         break;
@@ -349,7 +358,7 @@ std::vector<int> multilevelBisect(const Graph& graph,
         (std::next(it) == levels.rend()) ? weights : std::next(it)->vertexWeight;
     std::vector<int> fineSide(static_cast<std::size_t>(fine.numVertices()));
     for (int v = 0; v < fine.numVertices(); ++v) fineSide[v] = side[it->fineToCoarse[v]];
-    for (int pass = 0; pass < options.refinementPasses; ++pass) {
+    for (int pass = 0; pass < kRefinementPasses; ++pass) {
       if (!fmPass(fine, fineWeights, fineSide, targetFraction, options.maxImbalance,
                   options.beta > 0.0)) {
         break;

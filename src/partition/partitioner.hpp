@@ -42,9 +42,6 @@ struct PartitionOptions {
   /// result (PartitionResult::imbalanceViolated) when the cap is infeasible.
   double maxImbalance = 0.35;
   std::uint64_t seed = 1;
-  int refinementPasses = 8;
-  /// Stop coarsening when at most this many vertices remain.
-  int coarsenTarget = 24;
   PartitionMethod method = PartitionMethod::kMultilevel;
 };
 

@@ -16,6 +16,11 @@ using topo::VertexRecord;
 
 namespace {
 
+/// Fennel's gamma (> 1); 1.5 is the paper's default.
+constexpr double kFennelGamma = 1.5;
+/// HDRF's balance weight lambda (>= 0); 1.0 is the paper's default.
+constexpr double kHdrfLambda = 1.0;
+
 /// Deterministic per-vertex hash (DBH's placement function).
 std::uint64_t hashVertex(int v, std::uint64_t seed) {
   std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(v) + 1));
@@ -187,8 +192,7 @@ class VertexStreamer {
   [[nodiscard]] double fennelScore(int p, std::int64_t vertexLoad) const {
     const double x = static_cast<double>(load_[p]) / ideal_;
     const double dx = static_cast<double>(vertexLoad) / ideal_;
-    const double marginal = std::pow(x + dx, options_.fennelGamma) -
-                            std::pow(x, options_.fennelGamma);
+    const double marginal = std::pow(x + dx, kFennelGamma) - std::pow(x, kFennelGamma);
     return static_cast<double>(neighborWeight_[p]) - fennelLambda_ * marginal;
   }
 
@@ -346,8 +350,7 @@ class EdgeStreamer {
       double crep = 0.0;
       if (hasReplica(u, p)) crep += 1.0 + (1.0 - thetaU);
       if (hasReplica(v, p)) crep += 1.0 + (1.0 - thetaV);
-      const double cbal = options_.hdrfLambda *
-                          static_cast<double>(maxLoad - load_[p]) / spread;
+      const double cbal = kHdrfLambda * static_cast<double>(maxLoad - load_[p]) / spread;
       const double score = crep + cbal;
       if (score > bestScore) {
         bestScore = score;

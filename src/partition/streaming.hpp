@@ -63,10 +63,6 @@ struct StreamingOptions {
   /// re-runs with exact instead of partial degrees; DBH is already exact
   /// after one pass). The best pass by objective wins. 0 = single pass.
   int restreamPasses = 2;
-  /// Fennel's gamma (> 1); 1.5 is the paper's default.
-  double fennelGamma = 1.5;
-  /// HDRF's balance weight lambda (>= 0); 1.0 is the paper's default.
-  double hdrfLambda = 1.0;
 };
 
 struct StreamingResult {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hpp"
-#include "partition/partitioner.hpp"
 #include "topo/zoo.hpp"
 
 namespace sdt::projection {

@@ -7,9 +7,10 @@
 //   SP / SP-OS / SDT : logical ports per switch = ports * breakout
 //   TurboNet         : half the ports are loopback pairs  -> ports/2 * breakout
 //                      and recirculation halves bandwidth -> speed/2
-// A topology fits when (a) the total fabric port demand fits the budget and
-// (b) a balanced partition keeps every physical switch within its port count
-// (checked with the real partitioner, not just the aggregate).
+// A topology fits when its total fabric port demand fits the budget (and a
+// multi-switch budget has more than one logical switch to split). This is
+// aggregate arithmetic: per-switch balance and inter-link reservations bind
+// at deployment time, in LinkProjector and planPlant.
 //
 // The paper's own Table II cannot be reproduced cell-for-cell from its stated
 // port counts (see EXPERIMENTS.md); these models keep every *ordering* the

@@ -6,10 +6,14 @@
 
 #include "common/log.hpp"
 #include "common/strings.hpp"
+#include "partition/partitioner.hpp"
 
 namespace sdt::projection {
 
 namespace {
+
+/// Partition seeds tried per switch count before growing to the next one.
+constexpr int kPartitionAttempts = 4;
 
 /// Per-switch pools of still-unused plant resources during assignment.
 struct ResourcePools {
@@ -172,8 +176,7 @@ Result<Projection> LinkProjector::projectWithAssignment(const topo::Topology& to
   return proj;
 }
 
-Result<Projection> LinkProjector::project(const topo::Topology& topo, const Plant& plant,
-                                          const LinkProjectorOptions& options) {
+Result<Projection> LinkProjector::project(const topo::Topology& topo, const Plant& plant) {
   if (auto s = topo.validate(/*requireConnected=*/false); !s) return s.error();
   if (plant.numSwitches() == 0) return makeError("plant has no switches");
 
@@ -187,10 +190,10 @@ Result<Projection> LinkProjector::project(const topo::Topology& topo, const Plan
       lastError = r.error().message;
       continue;
     }
-    for (int attempt = 0; attempt < options.partitionAttempts; ++attempt) {
-      partition::PartitionOptions popt = options.partition;
+    for (int attempt = 0; attempt < kPartitionAttempts; ++attempt) {
+      partition::PartitionOptions popt;
       popt.parts = parts;
-      popt.seed = options.partition.seed + static_cast<std::uint64_t>(attempt) * 7919;
+      popt.seed += static_cast<std::uint64_t>(attempt) * 7919;
       auto part = partition::partitionGraph(topo.switchGraph(), popt);
       if (!part) {
         lastError = part.error().message;

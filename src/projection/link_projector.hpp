@@ -16,23 +16,15 @@
 #pragma once
 
 #include "common/result.hpp"
-#include "partition/partitioner.hpp"
 #include "projection/projection.hpp"
 
 namespace sdt::projection {
-
-struct LinkProjectorOptions {
-  partition::PartitionOptions partition;
-  /// Try several partition seeds before giving up on a switch count.
-  int partitionAttempts = 4;
-};
 
 class LinkProjector {
  public:
   /// Project `topo` onto `plant`. Tries the smallest number of physical
   /// switches first (fewer inter-switch links), growing until it fits.
-  static Result<Projection> project(const topo::Topology& topo, const Plant& plant,
-                                    const LinkProjectorOptions& options = {});
+  static Result<Projection> project(const topo::Topology& topo, const Plant& plant);
 
   /// Project with a caller-chosen part assignment (logical switch -> plant
   /// switch). Exposed for tests and for the SP family, which shares the

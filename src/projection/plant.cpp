@@ -208,6 +208,14 @@ Status<Error> addOpticalFlex(Plant& plant, int pairsPerSwitch, OpticalSwitchSpec
   return plant.validate();
 }
 
+namespace {
+
+constexpr int kSlackSelfLinks = 2;   ///< spare self-links per switch
+constexpr int kSlackInterLinks = 2;  ///< spare inter-switch links per pair
+constexpr int kSlackHostPorts = 1;   ///< spare host ports per switch
+
+}  // namespace
+
 Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
                         const PlanOptions& options) {
   if (topologies.empty()) return makeError("planPlant needs at least one topology");
@@ -222,8 +230,6 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
     if (parts > 1) {
       partition::PartitionOptions popt;
       popt.parts = parts;
-      popt.seed = options.partitionSeed;
-      popt.method = options.partitionMethod;
       auto part = partition::partitionGraph(t->switchGraph(), popt);
       if (!part) {
         return makeError(strFormat("planPlant: cannot partition '%s': %s",
@@ -266,7 +272,7 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
     return PhysPort{sw, nextPort[sw]++};
   };
   for (auto& [pair, need] : interNeeded) {
-    if (options.numSwitches > 1) need += options.slackInterLinks;
+    if (options.numSwitches > 1) need += kSlackInterLinks;
     for (int k = 0; k < need; ++k) {
       const auto a = allocPort(pair.first);
       const auto b = allocPort(pair.second);
@@ -278,7 +284,7 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
       plant.interLinks.push_back(PhysLink{*a, *b});
     }
   }
-  const int hostPorts = maxHosts + options.slackHostPorts;
+  const int hostPorts = maxHosts + kSlackHostPorts;
   for (int sw = 0; sw < options.numSwitches; ++sw) {
     for (int h = 0; h < hostPorts; ++h) {
       const auto p = allocPort(sw);
@@ -299,12 +305,12 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
     }
     minSelf = std::min(minSelf, count);
   }
-  if (minSelf < maxSelf + options.slackSelfLinks) {
+  if (minSelf < maxSelf + kSlackSelfLinks) {
     return makeError(strFormat(
         "planPlant: '%s' x%d leaves only %d self-links per switch but the "
         "topology set needs %d (+%d slack); use bigger or more switches",
         options.spec.model.c_str(), options.numSwitches, minSelf, maxSelf,
-        options.slackSelfLinks));
+        kSlackSelfLinks));
   }
   if (auto s = plant.validate(); !s) return s.error();
   return plant;

@@ -14,7 +14,6 @@
 
 #include "common/result.hpp"
 #include "common/units.hpp"
-#include "partition/partitioner.hpp"
 #include "topo/topology.hpp"
 
 namespace sdt::projection {
@@ -131,20 +130,12 @@ Result<Plant> buildPlant(const PlantConfig& config);
 /// the topologies in advance ... the reserved inter-switch links usually
 /// come from the maximum inter-switch links among all topologies").
 /// Partitions every topology over `numSwitches`, takes the per-switch
-/// self-link / host-port and per-pair inter-link maxima plus `slack`, and
-/// builds the corresponding plant. Fails when the switch model simply has
-/// too few ports.
+/// self-link / host-port and per-pair inter-link maxima plus a little slack,
+/// and builds the corresponding plant. Fails when the switch model simply
+/// has too few ports.
 struct PlanOptions {
   int numSwitches = 3;
   PhysicalSwitchSpec spec = openflow64x100G();
-  int slackSelfLinks = 2;    ///< spare self-links per switch
-  int slackInterLinks = 2;   ///< spare inter-switch links per pair
-  int slackHostPorts = 1;    ///< spare host ports per switch
-  std::uint64_t partitionSeed = 1;
-  /// How each topology is split over the switches: the in-memory multilevel
-  /// scheme by default, or a streaming heuristic (partition/streaming.hpp)
-  /// for warehouse-scale topologies.
-  partition::PartitionMethod partitionMethod = partition::PartitionMethod::kMultilevel;
 };
 
 Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/strings.hpp"
+#include "partition/partitioner.hpp"
 #include "projection/link_projector.hpp"
 
 namespace sdt::projection {
@@ -23,8 +24,7 @@ int CablePlan::movesFrom(const CablePlan& previous) const {
 }
 
 Result<SpResult> SwitchProjector::project(const topo::Topology& topo,
-                                          const PhysicalSwitchSpec& spec, int numSwitches,
-                                          const SpOptions& options) {
+                                          const PhysicalSwitchSpec& spec, int numSwitches) {
   if (numSwitches < 1) return makeError("SP needs at least one switch");
 
   // Choose the sub-switch placement: same partitioning problem as SDT.
@@ -32,7 +32,7 @@ Result<SpResult> SwitchProjector::project(const topo::Topology& topo,
   if (numSwitches == 1 || topo.numSwitches() <= 1) {
     assignment.assign(static_cast<std::size_t>(topo.numSwitches()), 0);
   } else {
-    partition::PartitionOptions popt = options.partition;
+    partition::PartitionOptions popt;
     popt.parts = std::min(numSwitches, topo.numSwitches());
     auto part = partition::partitionGraph(topo.switchGraph(), popt);
     if (!part) return part.error();

@@ -12,7 +12,6 @@
 #pragma once
 
 #include "common/result.hpp"
-#include "partition/partitioner.hpp"
 #include "projection/projection.hpp"
 
 namespace sdt::projection {
@@ -31,18 +30,12 @@ struct SpResult {
   CablePlan cables; ///< fabric cables (self + inter), the manual work
 };
 
-struct SpOptions {
-  partition::PartitionOptions partition;
-  int hostPortsPerSwitch = 11;
-};
-
 class SwitchProjector {
  public:
   /// Project `topo` onto `numSwitches` switches of `spec`, generating the
   /// cable plan. Fails when port counts cannot fit the topology.
   static Result<SpResult> project(const topo::Topology& topo,
-                                  const PhysicalSwitchSpec& spec, int numSwitches,
-                                  const SpOptions& options = {});
+                                  const PhysicalSwitchSpec& spec, int numSwitches);
 
   /// SP-OS capacity check: every fabric port must reach the optical switch,
   /// so the OCS needs one port per projected fabric port.

@@ -28,9 +28,7 @@ Result<TurboNetResult> TurboNetProjector::project(const topo::Topology& topo,
   const std::size_t usable = constrained.selfLinks.size() / 2;
   constrained.selfLinks.resize(usable);
 
-  LinkProjectorOptions lpOptions;
-  lpOptions.partition = options.partition;
-  auto proj = LinkProjector::project(topo, constrained, lpOptions);
+  auto proj = LinkProjector::project(topo, constrained);
   if (!proj) {
     return makeError(strFormat("TurboNet cannot emulate '%s': %s", topo.name().c_str(),
                                proj.error().message.c_str()));

@@ -15,13 +15,11 @@
 #pragma once
 
 #include "common/result.hpp"
-#include "partition/partitioner.hpp"
 #include "projection/projection.hpp"
 
 namespace sdt::projection {
 
 struct TurboNetOptions {
-  partition::PartitionOptions partition;
   int hostPortsPerSwitch = 11;
   int interLinksPerPair = 8;
 };

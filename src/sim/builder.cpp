@@ -58,11 +58,11 @@ BuiltNetwork buildLogicalNetwork(Simulator& sim, const topo::Topology& topo,
   }
   for (const topo::Link& link : topo.links()) {
     net.connectSwitches(link.a.sw, link.a.port, link.b.sw, link.b.port, link.speed,
-                        config.linkPropDelay);
+                        kLinkPropDelay);
   }
   for (const topo::HostLink& hl : topo.hostLinks()) {
     net.connectHost(hl.host, hl.attach.sw, hl.attach.port, hl.speed,
-                    config.hostPropDelay);
+                    kHostPropDelay);
   }
   net.partitionShards();
   return built;
@@ -124,7 +124,7 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
       const projection::PhysLink& phys = projection.opticalCircuits()[rl.physLink];
       // Optical circuits detour through the OCS: a little extra fiber.
       const TimeNs prop =
-          (rl.interSwitch ? config.interSwitchPropDelay : config.selfLinkPropDelay) + 25;
+          (rl.interSwitch ? kInterSwitchPropDelay : kSelfLinkPropDelay) + 25;
       net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, logical.speed,
                           prop);
     } else if (rl.interSwitch) {
@@ -139,7 +139,7 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
     const Gbps speed =
         it != selfSpeed.end() ? it->second : plant.switches[phys.a.sw].portSpeed;
     net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        config.selfLinkPropDelay);
+                        kSelfLinkPropDelay);
   }
   for (std::size_t i = 0; i < plant.interLinks.size(); ++i) {
     const projection::PhysLink& phys = plant.interLinks[i];
@@ -147,11 +147,11 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
     const Gbps speed =
         it != interSpeed.end() ? it->second : plant.switches[phys.a.sw].portSpeed;
     net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        config.interSwitchPropDelay);
+                        kInterSwitchPropDelay);
   }
   for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
     const projection::PhysPort pp = projection.hostPortOf(h);
-    net.connectHost(h, pp.sw, pp.port, topo.hostLink(h).speed, config.hostPropDelay);
+    net.connectHost(h, pp.sw, pp.port, topo.hostLink(h).speed, kHostPropDelay);
   }
   net.partitionShards();
   return built;

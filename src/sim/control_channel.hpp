@@ -42,7 +42,6 @@ struct ControlChannelConfig {
   TimeNs baseDelay = 2'000;  ///< one-way management-network latency
   TimeNs jitter = 1'000;     ///< uniform extra delay in [0, jitter)
   TimeNs reorderDelay = 10'000;  ///< extra hold-back for reordered messages
-  TimeNs dupSpacing = 1'500;     ///< second copy trails the first by this
 };
 
 struct ControlChannelStats {
@@ -114,8 +113,8 @@ class ControlChannel {
     }
     if (dupDraw < config_.dupProb) {
       ++stats_.duplicated;
-      recordDelay(delay + config_.dupSpacing);
-      sim_->scheduleOn(0, delay + config_.dupSpacing, [this, deliver]() {
+      recordDelay(delay + kDupSpacing);
+      sim_->scheduleOn(0, delay + kDupSpacing, [this, deliver]() {
         ++stats_.delivered;
         deliver();
       });
@@ -134,6 +133,8 @@ class ControlChannel {
   [[nodiscard]] const ControlChannelStats& stats() const { return stats_; }
 
  private:
+  static constexpr TimeNs kDupSpacing = 1'500;  ///< second copy trails the first by this
+
   void recordDelay(TimeNs delay) {
     stats_.delayNsTotal += static_cast<std::uint64_t>(delay);
     if (delay > stats_.delayMaxNs) stats_.delayMaxNs = delay;

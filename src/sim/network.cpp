@@ -153,7 +153,7 @@ void Network::injectFromHost(int host, Packet packet) {
   // host's own shard so this is shard-local; top-level injections (tests)
   // are routed to the owner with the lookahead pad.
   const int shard = hostShard_[host];
-  sim_->scheduleOn(shard, sim_->crossDelay(shard, config_.nicLatency),
+  sim_->scheduleOn(shard, sim_->crossDelay(shard, kNicLatency),
                    [this, host, packet]() mutable {
     enqueueEgress(NodeRef{NodeRef::Kind::kHost, host}, 0, std::move(packet));
   });
@@ -213,7 +213,7 @@ void Network::sendPause(int sw, int inPort, int cls, bool pause) {
   // shard (a shard-boundary latency floor, applied identically in serial
   // and parallel runs of the same K).
   const int peerShard = shardOf(peer);
-  sim_->scheduleOn(peerShard, sim_->crossDelay(peerShard, config_.pfcCtrlDelay),
+  sim_->scheduleOn(peerShard, sim_->crossDelay(peerShard, kPfcCtrlDelay),
                    [this, peer, peerPort, cls, pause]() {
     Port& upstream = portOf(peer, peerPort);
     upstream.egress.paused[cls] = pause;
@@ -392,7 +392,7 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
   if (decision.epoch != 0) packet.epoch = decision.epoch;
   packet.simIngressPort = inPort;
   const int outPort = decision.outPort;
-  const Time latency = config_.switchLatency + dev.extraLatency;
+  const Time latency = kSwitchLatency + dev.extraLatency;
   sim_->schedule(latency, [this, sw, outPort, packet = std::move(packet)]() mutable {
     enqueueEgress(NodeRef{NodeRef::Kind::kSwitch, sw}, outPort, std::move(packet));
   });
@@ -411,7 +411,7 @@ void Network::deliverToHost(int host, const Packet& packet) {
     return;
   }
   // NIC receive-side latency, then sniffer + transport.
-  sim_->schedule(config_.nicLatency, [this, host, packet]() {
+  sim_->schedule(kNicLatency, [this, host, packet]() {
     HostDev& d = hosts_[host];
     if (d.sniffer) d.sniffer(packet);
     if (d.receiver) d.receiver(packet);

@@ -33,7 +33,6 @@
 namespace sdt::sim {
 
 struct NetworkConfig {
-  std::int64_t mtuBytes = 1024;  ///< max payload per data packet
   bool cutThrough = true;
   bool pfcEnabled = true;
   std::int64_t pfcXoffBytes = 80 * kKiB;
@@ -41,16 +40,21 @@ struct NetworkConfig {
   bool ecnEnabled = true;
   std::int64_t ecnThresholdBytes = 64 * kKiB;
   std::int64_t lossyQueueCapBytes = 256 * kKiB;
-  TimeNs switchLatency = 350;  ///< pipeline latency per traversal
-  TimeNs nicLatency = 500;     ///< host NIC processing per direction
-  TimeNs pfcCtrlDelay = 200;   ///< PAUSE/RESUME propagation + handling
-  // Propagation delays (builder wiring). Everything sits in one rack/room
-  // (the paper's cluster), so cables are a few meters in every mode.
-  TimeNs linkPropDelay = 10;         ///< full-testbed fabric cable (~2 m)
-  TimeNs hostPropDelay = 10;         ///< host attachment cable
-  TimeNs selfLinkPropDelay = 10;     ///< SDT loopback fiber (~2 m)
-  TimeNs interSwitchPropDelay = 20;  ///< SDT cross-switch cable (~4 m)
 };
+
+inline constexpr TimeNs kSwitchLatency = 350;  ///< pipeline latency per traversal
+inline constexpr TimeNs kNicLatency = 500;     ///< host NIC processing per direction
+inline constexpr TimeNs kPfcCtrlDelay = 200;   ///< PAUSE/RESUME propagation + handling
+// Propagation delays (builder wiring). Everything sits in one rack/room (the
+// paper's cluster), so cables are a few meters in every mode.
+inline constexpr TimeNs kLinkPropDelay = 10;         ///< full-testbed fabric cable (~2 m)
+inline constexpr TimeNs kHostPropDelay = 10;         ///< host attachment cable
+inline constexpr TimeNs kSelfLinkPropDelay = 10;     ///< SDT loopback fiber (~2 m)
+inline constexpr TimeNs kInterSwitchPropDelay = 20;  ///< SDT cross-switch cable (~4 m)
+
+static_assert(Simulator::kDefaultLookahead < 2 * kNicLatency + kSwitchLatency,
+              "cross-shard state transfers rely on the lookahead staying below "
+              "the minimum host-to-host transport latency");
 
 /// Extra per-traversal latency from crossbar sharing (SDT only): the more
 /// sub-switches a physical crossbar hosts, the more arbitration it does.

@@ -381,7 +381,8 @@ class Simulator {
   /// hops up to this (crossDelay), trading a little modeled latency at
   /// shard boundaries for usable window width; it stays safely below the
   /// minimum host-to-host transport latency (2x NIC + a switch traversal,
-  /// ~1.3 us), which cross-shard state-transfer events rely on.
+  /// ~1.3 us; sim/network.hpp static_asserts it), which cross-shard
+  /// state-transfer events rely on.
   static constexpr Time kDefaultLookahead = 500;
 };
 

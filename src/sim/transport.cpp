@@ -8,6 +8,26 @@
 namespace sdt::sim {
 
 namespace {
+
+/// Max payload per data packet.
+constexpr std::int64_t kMtuBytes = 1024;
+/// Pause injection while the sender NIC already queues this much.
+constexpr std::int64_t kNicBackpressureBytes = 8 * 1024;
+constexpr std::int64_t kTcpMaxCwndBytes = 256 * 1024;
+constexpr std::int64_t kTcpInitialCwndBytes = 2 * 1024;
+constexpr TimeNs kTcpMinRto = usToNs(200.0);
+
+// DCQCN (Zhu et al., SIGCOMM'15).
+constexpr double kDcqcnGain = 1.0 / 16.0;        ///< alpha EWMA gain (g)
+constexpr TimeNs kCnpInterval = usToNs(50.0);    ///< min gap between CNPs per flow
+constexpr TimeNs kRateTimer = usToNs(55.0);      ///< recovery timer period
+constexpr int kFastRecoverySteps = 5;            ///< timer steps of rate halving recovery
+constexpr double kAdditiveIncreaseGbps = 0.5;    ///< Rai after fast recovery
+constexpr double kMinRateGbps = 0.05;
+
+}  // namespace
+
+namespace {
 constexpr std::uint64_t kRdmaFlowTag = 1ULL << 40;
 constexpr std::uint64_t kTcpFlowTag = 2ULL << 40;
 
@@ -125,8 +145,8 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   const Time now = sim_->now();
   // NIC backpressure: with PFC pausing the NIC, keep the software queue
   // short and retry once the backlog should have drained.
-  if (net_->hostQueueBytes(flow.src) > config_.nicBackpressureBytes) {
-    const Time retry = Gbps{hostLineRateGbps_}.serializationNs(config_.nicBackpressureBytes);
+  if (net_->hostQueueBytes(flow.src) > kNicBackpressureBytes) {
+    const Time retry = Gbps{hostLineRateGbps_}.serializationNs(kNicBackpressureBytes);
     sim_->schedule(std::max<Time>(retry, 500), [this, src = flow.src, fid = flow.flowId]() {
       rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
     });
@@ -150,7 +170,7 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   pkt.vc = static_cast<std::uint8_t>(flow.vc);
   pkt.ecnCapable = config_.dcqcn.enabled;
   pkt.messageId = msg.messageId;
-  pkt.payloadBytes = std::min<std::int64_t>(config_.mtuBytes, msg.bytes - msg.sentBytes);
+  pkt.payloadBytes = std::min<std::int64_t>(kMtuBytes, msg.bytes - msg.sentBytes);
   pkt.seq = static_cast<std::uint64_t>(msg.sentBytes);
   msg.sentBytes += pkt.payloadBytes;
   const std::int64_t wire = pkt.wireBytes();
@@ -178,7 +198,7 @@ void TransportManager::onRdmaData(const Packet& packet) {
   if (packet.ecnMarked && config_.dcqcn.enabled) {
     const Time now = sim_->now();
     Time& last = lane.cnpLastSent[packet.flowId];
-    if (last == 0 || now - last >= config_.dcqcn.cnpInterval) {
+    if (last == 0 || now - last >= kCnpInterval) {
       last = now;
       Packet cnp;
       cnp.id = hostTaggedId(packet.dstHost, lane.nextPacketId++);
@@ -205,17 +225,16 @@ void TransportManager::onRdmaData(const Packet& packet) {
 }
 
 void TransportManager::onCnp(RdmaFlow& flow) {
-  const DcqcnConfig& dc = config_.dcqcn;
   const Time now = sim_->now();
-  if (flow.lastCnpHandled >= 0 && now - flow.lastCnpHandled < dc.cnpInterval) return;
+  if (flow.lastCnpHandled >= 0 && now - flow.lastCnpHandled < kCnpInterval) return;
   flow.lastCnpHandled = now;
   flow.targetGbps = flow.rateGbps;
-  flow.alpha = (1.0 - dc.gain) * flow.alpha + dc.gain;
-  flow.rateGbps = std::max(dc.minRateGbps, flow.rateGbps * (1.0 - flow.alpha / 2.0));
+  flow.alpha = (1.0 - kDcqcnGain) * flow.alpha + kDcqcnGain;
+  flow.rateGbps = std::max(kMinRateGbps, flow.rateGbps * (1.0 - flow.alpha / 2.0));
   flow.recoverySteps = 0;
   if (!flow.timerRunning) {
     flow.timerRunning = true;
-    sim_->schedule(dc.rateTimer, [this, fid = flow.flowId]() { rdmaTimer(fid); });
+    sim_->schedule(kRateTimer, [this, fid = flow.flowId]() { rdmaTimer(fid); });
   }
 }
 
@@ -224,13 +243,12 @@ void TransportManager::rdmaTimer(std::uint64_t flowId) {
   auto it = flows.find(flowId);
   if (it == flows.end()) return;
   RdmaFlow& flow = it->second;
-  const DcqcnConfig& dc = config_.dcqcn;
   const double lineRate = net_->hostLinkSpeed(flow.src).value;
 
-  flow.alpha *= (1.0 - dc.gain);
+  flow.alpha *= (1.0 - kDcqcnGain);
   ++flow.recoverySteps;
-  if (flow.recoverySteps > dc.fastRecoverySteps) {
-    flow.targetGbps = std::min(lineRate, flow.targetGbps + dc.additiveIncreaseGbps);
+  if (flow.recoverySteps > kFastRecoverySteps) {
+    flow.targetGbps = std::min(lineRate, flow.targetGbps + kAdditiveIncreaseGbps);
   }
   flow.rateGbps = std::min(lineRate, (flow.rateGbps + flow.targetGbps) / 2.0);
 
@@ -239,7 +257,7 @@ void TransportManager::rdmaTimer(std::uint64_t flowId) {
     flow.timerRunning = false;
     return;
   }
-  sim_->schedule(dc.rateTimer, [this, flowId]() { rdmaTimer(flowId); });
+  sim_->schedule(kRateTimer, [this, flowId]() { rdmaTimer(flowId); });
 }
 
 // ---------------------------------------------------------------------------
@@ -254,8 +272,8 @@ std::uint64_t TransportManager::startTcpFlow(int src, int dst, std::int64_t tota
   flow.dst = dst;
   flow.totalBytes = totalBytes;
   flow.onComplete = std::move(onComplete);
-  flow.cwnd = static_cast<double>(config_.tcpInitialCwndBytes);
-  flow.ssthresh = static_cast<double>(config_.tcpMaxCwndBytes);
+  flow.cwnd = static_cast<double>(kTcpInitialCwndBytes);
+  flow.ssthresh = static_cast<double>(kTcpMaxCwndBytes);
   const std::uint64_t id = flow.flowId;
   tcpFlows_.emplace(id, std::move(flow));
   sim_->schedule(0, [this, id]() { tcpPump(tcpFlows_.at(id)); });
@@ -280,7 +298,7 @@ std::uint64_t TransportManager::cnpsSent() const {
 Time TransportManager::tcpRto(const TcpFlow& flow) const {
   if (flow.srtt <= 0.0) return msToNs(1.0);
   const double rto = flow.srtt + 4.0 * std::max(flow.rttvar, 1000.0);
-  return std::max<Time>(config_.tcpMinRto, static_cast<Time>(rto));
+  return std::max<Time>(kTcpMinRto, static_cast<Time>(rto));
 }
 
 void TransportManager::tcpArmRto(TcpFlow& flow) {
@@ -293,8 +311,8 @@ void TransportManager::tcpArmRto(TcpFlow& flow) {
     if (f.completed || f.rtoEpoch != epoch) return;  // superseded
     if (f.highestAcked > ackedAtArm || f.nextSeq == f.highestAcked) return;  // progress/idle
     // Timeout: multiplicative collapse and go-back-N.
-    f.ssthresh = std::max(f.cwnd / 2.0, 2.0 * static_cast<double>(config_.mtuBytes));
-    f.cwnd = static_cast<double>(config_.mtuBytes);
+    f.ssthresh = std::max(f.cwnd / 2.0, 2.0 * static_cast<double>(kMtuBytes));
+    f.cwnd = static_cast<double>(kMtuBytes);
     f.dupAcks = 0;
     f.nextSeq = f.highestAcked;
     tcpPump(f);
@@ -318,7 +336,7 @@ void TransportManager::tcpPump(TcpFlow& flow) {
     pkt.kind = PacketKind::kData;
     pkt.vc = 0;
     pkt.payloadBytes =
-        std::min<std::int64_t>(config_.mtuBytes, std::min(windowEnd, dataEnd) - flow.nextSeq);
+        std::min<std::int64_t>(kMtuBytes, std::min(windowEnd, dataEnd) - flow.nextSeq);
     pkt.seq = static_cast<std::uint64_t>(flow.nextSeq);
     pkt.messageId = static_cast<std::uint64_t>(sim_->now());  // RTT echo
     flow.nextSeq += pkt.payloadBytes;
@@ -367,13 +385,13 @@ void TransportManager::onTcpAck(TcpFlow& flow, const Packet& packet) {
     const std::int64_t newlyAcked = acked - flow.highestAcked;
     flow.highestAcked = acked;
     flow.dupAcks = 0;
-    const auto mtu = static_cast<double>(config_.mtuBytes);
+    const auto mtu = static_cast<double>(kMtuBytes);
     if (flow.cwnd < flow.ssthresh) {
       flow.cwnd += static_cast<double>(newlyAcked);  // slow start
     } else {
       flow.cwnd += mtu * mtu / flow.cwnd;  // congestion avoidance
     }
-    flow.cwnd = std::min(flow.cwnd, static_cast<double>(config_.tcpMaxCwndBytes));
+    flow.cwnd = std::min(flow.cwnd, static_cast<double>(kTcpMaxCwndBytes));
     if (flow.totalBytes >= 0 && flow.highestAcked >= flow.totalBytes) {
       flow.completed = true;
       if (flow.onComplete) flow.onComplete(sim_->now());
@@ -383,7 +401,7 @@ void TransportManager::onTcpAck(TcpFlow& flow, const Packet& packet) {
   } else if (acked == flow.highestAcked && flow.nextSeq > flow.highestAcked) {
     if (++flow.dupAcks == 3) {
       // Fast retransmit, go-back-N.
-      flow.ssthresh = std::max(flow.cwnd / 2.0, 2.0 * static_cast<double>(config_.mtuBytes));
+      flow.ssthresh = std::max(flow.cwnd / 2.0, 2.0 * static_cast<double>(kMtuBytes));
       flow.cwnd = flow.ssthresh;
       flow.dupAcks = 0;
       flow.nextSeq = flow.highestAcked;

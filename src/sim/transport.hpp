@@ -22,22 +22,10 @@ namespace sdt::sim {
 
 struct DcqcnConfig {
   bool enabled = true;
-  double gain = 1.0 / 16.0;           ///< alpha EWMA gain (g)
-  TimeNs cnpInterval = usToNs(50.0);  ///< min gap between CNPs per flow
-  TimeNs rateTimer = usToNs(55.0);    ///< recovery timer period
-  int fastRecoverySteps = 5;          ///< timer steps of rate halving recovery
-  double additiveIncreaseGbps = 0.5;  ///< Rai after fast recovery
-  double minRateGbps = 0.05;
 };
 
 struct TransportConfig {
-  std::int64_t mtuBytes = 1024;
   DcqcnConfig dcqcn;
-  /// Pause injection while the sender NIC already queues this much.
-  std::int64_t nicBackpressureBytes = 8 * 1024;
-  std::int64_t tcpMaxCwndBytes = 256 * 1024;
-  std::int64_t tcpInitialCwndBytes = 2 * 1024;
-  TimeNs tcpMinRto = usToNs(200.0);
 };
 
 /// Receiver-side completion: (message id, delivery time).

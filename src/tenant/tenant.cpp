@@ -494,7 +494,7 @@ sim::BuiltNetwork TenantManager::buildNetwork(sim::Simulator& sim,
                            ? speedIt->second
                            : plant_.switches[static_cast<std::size_t>(phys.a.sw)].portSpeed;
     net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        config.selfLinkPropDelay);
+                        sim::kSelfLinkPropDelay);
   }
   for (std::size_t i = 0; i < plant_.interLinks.size(); ++i) {
     const projection::PhysLink& phys = plant_.interLinks[i];
@@ -503,13 +503,13 @@ sim::BuiltNetwork TenantManager::buildNetwork(sim::Simulator& sim,
                            ? speedIt->second
                            : plant_.switches[static_cast<std::size_t>(phys.a.sw)].portSpeed;
     net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        config.interSwitchPropDelay);
+                        sim::kInterSwitchPropDelay);
   }
   for (const auto& [id, slice] : slices_) {
     for (topo::HostId h = 0; h < slice.topology->numHosts(); ++h) {
       const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
       net.connectHost(static_cast<int>(slice.hostBase) + h, pp.sw, pp.port,
-                      slice.topology->hostLink(h).speed, config.hostPropDelay);
+                      slice.topology->hostLink(h).speed, sim::kHostPropDelay);
     }
   }
   net.partitionShards();

@@ -53,7 +53,7 @@ struct TenantSpec {
   /// tenant can take them) but carry no traffic until a repair needs them.
   int spareSelfLinksPerSwitch = 0;
   int spareInterLinksPerPair = 0;
-  /// Deploy knobs (deadlock check, ECMP salt, projector). `tenant` and
+  /// Deploy options (deadlock check, ECMP salt). `tenant` and
   /// `hostAddrBase` are overwritten by the manager.
   controller::DeployOptions deploy;
 };

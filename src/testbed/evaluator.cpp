@@ -70,22 +70,21 @@ RunResult runWorkload(Instance& instance, const workloads::Workload& workload,
   return result;
 }
 
-double SimulatorCostModel::wallNs(const RunResult& run, int numLogicalSwitches) const {
+double SimulatorCostModel::wallNs(const RunResult& run, int numLogicalSwitches) {
   const double flits =
-      static_cast<double>(run.fabricTxBytes) / static_cast<double>(flitBytes);
+      static_cast<double>(run.fabricTxBytes) / static_cast<double>(kFlitBytes);
   const double activeNs = std::max<double>(
       0.0, static_cast<double>(run.act - run.avgComputePerRank));
-  return flits * pipelineStages * perFlitHopNs +
-         activeNs * perSwitchActiveFactor * numLogicalSwitches;
+  return flits * kPipelineStages * kPerFlitHopNs +
+         activeNs * kPerSwitchActiveFactor * numLogicalSwitches;
 }
 
 Comparison compare(const RunResult& sdtRun, TimeNs sdtDeployTime,
-                   const RunResult& fullRun, int numLogicalSwitches, double scaleK,
-                   const SimulatorCostModel& model) {
+                   const RunResult& fullRun, int numLogicalSwitches, double scaleK) {
   Comparison c;
   c.sdtEvalSeconds = nsToSec(sdtDeployTime) + scaleK * nsToSec(sdtRun.act);
   c.simulatorEvalSeconds =
-      scaleK * model.wallNs(fullRun, numLogicalSwitches) / 1e9;
+      scaleK * SimulatorCostModel::wallNs(fullRun, numLogicalSwitches) / 1e9;
   c.fullTestbedEvalSeconds = scaleK * nsToSec(fullRun.act);
   c.speedupVsSimulator =
       c.sdtEvalSeconds > 0 ? c.simulatorEvalSeconds / c.sdtEvalSeconds : 0.0;

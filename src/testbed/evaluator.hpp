@@ -76,18 +76,18 @@ RunResult runWorkload(Instance& instance, const workloads::Workload& workload,
                       std::vector<int> rankToHost = {});
 
 /// Cost model for the paper's flit-level cycle-accurate simulator baseline.
-/// wall = perFlitHop * (fabricBytes/flitBytes) * pipelineStages
-///      + perSwitchActive * networkActiveTime * numSwitches
+/// wall = kPerFlitHopNs * (fabricBytes/kFlitBytes) * kPipelineStages
+///      + kPerSwitchActiveFactor * networkActiveTime * numSwitches
 /// where networkActiveTime = ACT - avg per-rank compute (idle compute gaps
 /// are fast-forwarded by an event-driven simulator; congested network time
 /// is simulated cycle by cycle).
 struct SimulatorCostModel {
-  double perFlitHopNs = 250.0;
-  int flitBytes = 64;
-  int pipelineStages = 4;
-  double perSwitchActiveFactor = 30.0;  ///< wall ns per sim ns per switch
+  static constexpr double kPerFlitHopNs = 250.0;
+  static constexpr int kFlitBytes = 64;
+  static constexpr int kPipelineStages = 4;
+  static constexpr double kPerSwitchActiveFactor = 30.0;  ///< wall ns per sim ns per switch
 
-  [[nodiscard]] double wallNs(const RunResult& run, int numLogicalSwitches) const;
+  [[nodiscard]] static double wallNs(const RunResult& run, int numLogicalSwitches);
 };
 
 /// Table IV / Fig. 13 arithmetic for one cell: evaluation times of the three
@@ -104,6 +104,6 @@ struct Comparison {
 
 Comparison compare(const RunResult& sdtRun, TimeNs sdtDeployTime,
                    const RunResult& fullRun, int numLogicalSwitches,
-                   double scaleK = 1.0, const SimulatorCostModel& model = {});
+                   double scaleK = 1.0);
 
 }  // namespace sdt::testbed

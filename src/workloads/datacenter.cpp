@@ -117,12 +117,11 @@ double ServingRuntime::scaleFor(const Source& src) const {
 }
 
 int ServingRuntime::maxDefers() const {
-  return admission_ != nullptr ? admission_->policy().maxDefers : 0;
+  return admission_ != nullptr ? admission::kMaxDefers : 0;
 }
 
 TimeNs ServingRuntime::sloFor(Priority cls) const {
-  const admission::Policy& p = admission_ != nullptr ? admission_->policy() : sloPolicy_;
-  return p.classes[static_cast<std::size_t>(priorityIndex(cls))].sloNs;
+  return admission::kClasses[static_cast<std::size_t>(priorityIndex(cls))].sloNs;
 }
 
 ServingRuntime::ClassStats& ServingRuntime::statsHere(Priority cls) {
@@ -307,7 +306,7 @@ void ServingRuntime::tryStart(int srcHost, Priority cls, std::int64_t chargeByte
       case admission::Decision::kDefer:
         if (defersLeft > 0) {
           ++statsHere(cls).deferRetries;
-          sim_->schedule(admission_->policy().deferDelay,
+          sim_->schedule(admission::kDeferDelay,
                          [this, srcHost, cls, chargeBytes, defersLeft, bornAt,
                           admitAction = std::move(admitAction)]() mutable {
                            tryStart(srcHost, cls, chargeBytes, defersLeft - 1, bornAt,

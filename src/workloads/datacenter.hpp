@@ -17,8 +17,8 @@
 // Every source is an event-driven generator homed on shard 0 drawing from
 // its own seeded RNG; flow starts are dispatched to the source host's shard
 // (lookahead-padded), where the optional AdmissionController is consulted —
-// admit sends on the RoCE transport, defer retries after Policy::deferDelay
-// up to Policy::maxDefers, then the flow is shed. Completions are scored
+// admit sends on the RoCE transport, defer retries after
+// admission::kDeferDelay up to admission::kMaxDefers, then the flow is shed. Completions are scored
 // against the priority class SLO where they land (receiver shard), into
 // per-shard stats merged at read time — the whole pipeline stays
 // bit-identical serial vs K-shard parallel at fixed K.
@@ -95,12 +95,8 @@ class ServingRuntime {
                  sim::TransportManager& transport, ServingConfig config);
 
   /// Gate every flow start through `adm` (nullptr = open loop, no brake).
-  /// The admission policy's class table also provides the SLO targets.
+  /// Completions score against admission::kClasses' SLOs either way.
   void setAdmission(admission::AdmissionController* adm) { admission_ = adm; }
-
-  /// Per-class SLO targets used for scoring when no admission controller is
-  /// attached (defaults to admission::Policy{} classes).
-  void setSloPolicy(const admission::Policy& policy) { sloPolicy_ = policy; }
 
   void addIncast(IncastSpec spec);
   void addPartitionAggregate(PartitionAggregateSpec spec);
@@ -196,7 +192,6 @@ class ServingRuntime {
   sim::TransportManager* transport_;
   ServingConfig config_;
   admission::AdmissionController* admission_ = nullptr;
-  admission::Policy sloPolicy_;  ///< SLO fallback when admission_ == nullptr
   std::vector<Source> sources_;
   std::vector<ShardStats> shardStats_;  ///< one per shard
   // Rate scaling; shard-0-owned (generators and overload sink live there).

@@ -4,6 +4,13 @@
 
 namespace sdt::workloads {
 
+namespace {
+
+/// Fixed cost of a barrier release (models the tree sync latency).
+constexpr TimeNs kBarrierLatency = usToNs(1.0);
+
+}  // namespace
+
 std::int64_t Workload::totalSendBytes() const {
   std::int64_t sum = 0;
   for (const Program& p : perRank) {
@@ -145,7 +152,7 @@ void MpiRuntime::releaseBarrier() {
   barrierWaiting_ = 0;
   if (sim_->numShards() == 1) {
     // Legacy schedule: one release event advancing every rank in order.
-    sim_->schedule(barrierLatency_, [this]() {
+    sim_->schedule(kBarrierLatency, [this]() {
       for (int r = 0; r < numRanks(); ++r) {
         RankState& st = states_[r];
         if (st.inBarrier) {
@@ -162,7 +169,7 @@ void MpiRuntime::releaseBarrier() {
   // before this), so touching its state from the release event is safe.
   for (int r = 0; r < numRanks(); ++r) {
     const int shard = rankShard(r);
-    sim_->scheduleOn(shard, sim_->crossDelay(shard, barrierLatency_), [this, r]() {
+    sim_->scheduleOn(shard, sim_->crossDelay(shard, kBarrierLatency), [this, r]() {
       RankState& st = states_[r];
       if (st.inBarrier) {
         st.inBarrier = false;

@@ -70,9 +70,6 @@ class MpiRuntime {
     return messagesSent_.load(std::memory_order_relaxed);
   }
 
-  /// Fixed cost of a barrier release (models the tree sync latency).
-  void setBarrierLatency(TimeNs ns) { barrierLatency_ = ns; }
-
   /// Invoked once when the last rank finishes — e.g. to stop a periodic
   /// NetworkMonitor so Simulator::run() can drain.
   void setOnFinished(std::function<void()> fn) { onFinished_ = std::move(fn); }
@@ -108,7 +105,6 @@ class MpiRuntime {
   std::vector<RankState> states_;
   int finishedRanks_ = 0;
   int barrierWaiting_ = 0;
-  TimeNs barrierLatency_ = usToNs(1.0);
   TimeNs completionTime_ = 0;
   std::atomic<std::int64_t> messagesSent_{0};
   std::function<void()> onFinished_;

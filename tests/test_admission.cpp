@@ -11,7 +11,6 @@
 
 #include "admission/admission.hpp"
 #include "common/hash.hpp"
-#include "controller/controller.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/faults.hpp"
 #include "testbed/evaluator.hpp"
@@ -35,83 +34,17 @@ std::uint64_t workloadSeed() {
 }
 
 TEST(AdmissionPolicy, DefaultValidatesAndOrdersClasses) {
-  const Policy p;
-  EXPECT_TRUE(p.validate().ok());
   // The whole point of the class table: gold is worth more per credit, has
   // the tightest SLO, and sheds last.
-  const auto& gold = p.classes[admission::priorityIndex(Priority::kGold)];
-  const auto& silver = p.classes[admission::priorityIndex(Priority::kSilver)];
-  const auto& bronze = p.classes[admission::priorityIndex(Priority::kBronze)];
+  const auto& gold = admission::kClasses[admission::priorityIndex(Priority::kGold)];
+  const auto& silver = admission::kClasses[admission::priorityIndex(Priority::kSilver)];
+  const auto& bronze = admission::kClasses[admission::priorityIndex(Priority::kBronze)];
   EXPECT_GT(gold.utilityWeight, silver.utilityWeight);
   EXPECT_GT(silver.utilityWeight, bronze.utilityWeight);
   EXPECT_LT(gold.sloNs, silver.sloNs);
   EXPECT_LT(silver.sloNs, bronze.sloNs);
   EXPECT_GT(gold.shedAtPressure, silver.shedAtPressure);
   EXPECT_GT(silver.shedAtPressure, bronze.shedAtPressure);
-}
-
-TEST(AdmissionPolicy, ValidateRejectsEachBadKnob) {
-  const auto expectBad = [](Policy p, const char* what) {
-    EXPECT_FALSE(p.validate().ok()) << what;
-  };
-  Policy p;
-  p.sampleInterval = 0;
-  expectBad(p, "sampleInterval");
-  p = {};
-  p.queueHighWatermarkBytes = 0;
-  expectBad(p, "watermark");
-  p = {};
-  p.pressureLowWater = 1.0;
-  expectBad(p, "lowWater");
-  p = {};
-  p.creditRateFractionFloor = 0.0;
-  expectBad(p, "floor");
-  p = {};
-  p.pressureSmoothing = 0.0;
-  expectBad(p, "smoothing");
-  p = {};
-  p.pressureSmoothing = 1.5;
-  expectBad(p, "smoothing high");
-  p = {};
-  p.creditBurstBytes = -1;
-  expectBad(p, "burst");
-  p = {};
-  p.deferDelay = 0;
-  expectBad(p, "deferDelay");
-  p = {};
-  p.maxDefers = -1;
-  expectBad(p, "maxDefers");
-  p = {};
-  p.classes[1].utilityWeight = 0.0;
-  expectBad(p, "weight");
-  p = {};
-  p.classes[2].sloNs = 0;
-  expectBad(p, "slo");
-  p = {};
-  p.classes[0].shedAtPressure = 0.0;
-  expectBad(p, "shedAt");
-}
-
-TEST(AdmissionController, DistributeThroughSdtController) {
-  const topo::Topology topo = topo::makeLine(3);
-  const routing::ShortestPathRouting routing(topo);
-  auto plant = projection::planPlant({&topo}, {.numSwitches = 2});
-  ASSERT_TRUE(plant.ok());
-  auto inst = testbed::makeFullTestbed(topo, routing);
-  AdmissionController adm(*inst.sim, inst.net());
-
-  const controller::SdtController ctl(plant.value());
-  Policy next;
-  next.creditBurstBytes = 32 * kKiB;
-  EXPECT_TRUE(ctl.distributeAdmissionPolicy(adm, next).ok());
-  EXPECT_EQ(adm.policy().creditBurstBytes, 32 * kKiB);
-
-  Policy bad = next;
-  bad.classes[0].utilityWeight = -1.0;
-  EXPECT_FALSE(ctl.distributeAdmissionPolicy(adm, bad).ok());
-  // The invalid policy never reached the live controller.
-  EXPECT_EQ(adm.policy().creditBurstBytes, 32 * kKiB);
-  EXPECT_GT(adm.policy().classes[0].utilityWeight, 0.0);
 }
 
 /// Run `fn` inside host `h`'s shard context (request() asserts this).

@@ -7,8 +7,10 @@
 // times, event counts, and per-port counters.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -22,6 +24,8 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/streaming.hpp"
+#include "routing/routing.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/builder.hpp"
 #include "sim/consistency.hpp"
@@ -31,8 +35,10 @@
 #include "testbed/evaluator.hpp"
 #include "testbed/sweep.hpp"
 #include "topo/generators.hpp"
+#include "topo/stream.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/datacenter.hpp"
+#include "workloads/mpi.hpp"
 
 namespace sdt::testbed {
 namespace {
@@ -956,6 +962,255 @@ TEST(Determinism, TenantControlPlaneMatchesRecordedValues) {
   for (const TenantPin& pin : pins) {
     EXPECT_EQ(runTenantControlPoint(pin.seed, pin.crash), pin.want)
         << "tenant seed " << pin.seed << (pin.crash ? " crashed" : "");
+  }
+}
+
+// ---- Recorded data-plane values --------------------------------------------
+//
+// Every fixed latency, transport, DCQCN, TCP, MPI-barrier, admission,
+// plant-planning, projection and partitioning constant feeds one of these
+// numbers. Each engine is an explicit sim::Simulator(1, 1), as perfbench
+// builds them, so the literals hold whatever SDT_SHARDS the suite runs
+// under.
+
+using PinValues = std::vector<std::pair<std::string, std::uint64_t>>;
+
+std::uint64_t sumPorts(const sim::Network& net, std::uint64_t sim::PortCounters::*field) {
+  std::uint64_t total = 0;
+  for (int sw = 0; sw < net.numSwitches(); ++sw) {
+    for (int p = 0; p < net.switchPortCount(sw); ++p) {
+      total += net.switchPortCounters(sw, p).*field;
+    }
+  }
+  return total;
+}
+
+/// IMB Alltoall (8 ranks on hosts 0..7, so it runs barriers) on
+/// Dragonfly(4,9,2): on its SDT projection over the fewest 128-port switches
+/// it fits (`sdt`, which also pins the plant and the compiled tables), or on
+/// the logical network.
+void pinAlltoall(bool sdt, PinValues& out) {
+  const std::string tag = sdt ? "sdt." : "logical.";
+  const topo::Topology topo = topo::makeDragonfly(4, 9, 2);
+  auto routing = routing::makeRouting("dragonfly-minimal", topo);
+  ASSERT_TRUE(routing.ok());
+  const InstanceOptions defaults;
+  sim::Simulator engine(1, 1);
+  std::optional<projection::Plant> plant;
+  std::optional<controller::Deployment> dep;
+  sim::BuiltNetwork built;
+  if (sdt) {
+    for (int n = 2; n <= 8 && !plant; ++n) {
+      auto p = projection::planPlant(
+          {&topo}, {.numSwitches = n, .spec = projection::openflow128x100G()});
+      if (p) plant = std::move(p).value();
+    }
+    ASSERT_TRUE(plant.has_value());
+    auto d = controller::SdtController(*plant).deploy(topo, *routing.value());
+    ASSERT_TRUE(d.ok()) << d.error().message;
+    dep = std::move(d).value();
+    hash::Fnv64 tables;
+    for (const auto& sw : dep->switches) {
+      for (const openflow::FlowEntry& e : sw->table().entries()) {
+        tables.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(
+            e.match.describe());
+        for (const openflow::Action& a : e.actions) {
+          tables.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
+        }
+      }
+    }
+    out.emplace_back("plant.switches", static_cast<std::uint64_t>(plant->numSwitches()));
+    out.emplace_back("plant.self_links", static_cast<std::uint64_t>(plant->selfLinks.size()));
+    out.emplace_back("plant.inter_links", static_cast<std::uint64_t>(plant->interLinks.size()));
+    out.emplace_back("plant.host_ports", static_cast<std::uint64_t>(plant->hostPorts.size()));
+    out.emplace_back("deploy.rules", static_cast<std::uint64_t>(dep->totalFlowEntries));
+    out.emplace_back("deploy.tables_fnv", static_cast<std::uint64_t>(tables.value()));
+    built = sim::buildProjectedNetwork(engine, topo, dep->projection, *plant, dep->switches,
+                                       defaults.network, defaults.crossbar);
+  } else {
+    built = sim::buildLogicalNetwork(engine, topo, *routing.value(), defaults.network);
+  }
+  sim::TransportManager transport(engine, *built.net, defaults.transport);
+  workloads::MpiRuntime mpi(engine, transport, {0, 1, 2, 3, 4, 5, 6, 7});
+  mpi.run(workloads::imbAlltoall(8, 16 * kKiB, 2));
+  engine.run();
+  ASSERT_TRUE(mpi.finished());
+  out.emplace_back(tag + "act", static_cast<std::uint64_t>(mpi.completionTime()));
+  out.emplace_back(tag + "events", static_cast<std::uint64_t>(engine.eventsProcessed()));
+  out.emplace_back(tag + "fabric_tx_bytes", sumPorts(*built.net, &sim::PortCounters::txBytes));
+}
+
+/// RoCE incast on a PFC + ECN star: 15 leaf hosts answer the hub's host.
+void pinRoceIncast(PinValues& out) {
+  const topo::Topology topo = topo::makeStar(4, {.hostsPerSwitch = 4});
+  const routing::ShortestPathRouting routing(topo);
+  const InstanceOptions defaults;
+  sim::Simulator engine(1, 1);
+  sim::BuiltNetwork built =
+      sim::buildLogicalNetwork(engine, topo, routing, defaults.network);
+  sim::TransportManager transport(engine, *built.net, defaults.transport);
+  std::vector<int> hosts(static_cast<std::size_t>(topo.numHosts()));
+  std::iota(hosts.begin(), hosts.end(), 0);
+  workloads::MpiRuntime mpi(engine, transport, hosts);
+  mpi.run(workloads::incast(topo.numHosts(), 128 * kKiB, 2));
+  engine.run();
+  ASSERT_TRUE(mpi.finished());
+  out.emplace_back("roce.act", static_cast<std::uint64_t>(mpi.completionTime()));
+  out.emplace_back("roce.cnps", static_cast<std::uint64_t>(transport.cnpsSent()));
+  out.emplace_back("roce.ecn_marks", sumPorts(*built.net, &sim::PortCounters::ecnMarks));
+  out.emplace_back("roce.pauses", sumPorts(*built.net, &sim::PortCounters::pausesSent));
+}
+
+/// Two TCP flows into one host across a lossy star.
+void pinTcpIncast(PinValues& out) {
+  const topo::Topology topo = topo::makeStar(3);
+  const routing::ShortestPathRouting routing(topo);
+  InstanceOptions options;
+  options.network.pfcEnabled = false;
+  sim::Simulator engine(1, 1);
+  sim::BuiltNetwork built = sim::buildLogicalNetwork(engine, topo, routing, options.network);
+  sim::TransportManager transport(engine, *built.net, options.transport);
+  TimeNs done1 = -1;
+  TimeNs done2 = -1;
+  transport.startTcpFlow(1, 0, 2 * kMiB, [&](sim::Time at) { done1 = at; });
+  transport.startTcpFlow(2, 0, 2 * kMiB, [&](sim::Time at) { done2 = at; });
+  engine.run();
+  out.emplace_back("tcp.done1", static_cast<std::uint64_t>(done1));
+  out.emplace_back("tcp.done2", static_cast<std::uint64_t>(done2));
+  out.emplace_back("tcp.drops", static_cast<std::uint64_t>(built.net->totalDrops()));
+}
+
+/// perfbench's serving mix at 2x saturation on a lossy fat-tree k=4, with
+/// admission on.
+void pinServing(PinValues& out) {
+  const topo::Topology topo = topo::makeFatTree(4);
+  const routing::ShortestPathRouting routing(topo);
+  InstanceOptions options;
+  options.network.pfcEnabled = false;
+  sim::Simulator engine(1, 1);
+  sim::BuiltNetwork built = sim::buildLogicalNetwork(engine, topo, routing, options.network);
+  sim::TransportManager transport(engine, *built.net, options.transport);
+  admission::Policy policy;
+  policy.enabled = true;
+  admission::AdmissionController adm(engine, *built.net, policy);
+  workloads::ServingConfig cfg;
+  cfg.duration = msToNs(5.0);
+  cfg.seed = 7;
+  workloads::ServingRuntime serving(engine, *built.net, transport, cfg);
+  serving.setAdmission(&adm);
+  workloads::PartitionAggregateSpec pa;
+  pa.root = 0;
+  pa.workers = {8, 9, 13, 14};
+  serving.addPartitionAggregate(pa);
+  for (const int aggregator : {4, 10}) {
+    workloads::IncastSpec incast;
+    incast.aggregator = aggregator;
+    for (int h = 0; h < topo.numHosts(); ++h) {
+      if (h != aggregator) incast.senders.push_back(h);
+    }
+    incast.bytesPerFlow = 8 * kKiB;
+    incast.meanRoundInterval = usToNs(100.0);
+    serving.addIncast(incast);
+  }
+  workloads::ReplicationSpec repl;
+  repl.client = 1;
+  repl.primary = 6;
+  repl.replicas = {9, 13};
+  serving.addReplication(repl);
+  workloads::BurstyMixSpec mix;
+  for (int h = 0; h < topo.numHosts(); ++h) mix.hosts.push_back(h);
+  mix.meanFlowInterval = usToNs(200.0);
+  serving.addBurstyMix(mix);
+  serving.setRateScale(2.0);
+  adm.start(cfg.start + cfg.duration);
+  serving.start();
+  engine.run();
+  out.emplace_back("serving.digest", static_cast<std::uint64_t>(serving.statsDigest()));
+  for (const auto cls : {admission::Priority::kGold, admission::Priority::kSilver,
+                         admission::Priority::kBronze}) {
+    const std::string name = std::string("serving.") + admission::priorityName(cls);
+    const auto cc = adm.classCounters(cls);
+    out.emplace_back(name + ".admitted", static_cast<std::uint64_t>(cc.admitted));
+    out.emplace_back(name + ".deferred", static_cast<std::uint64_t>(cc.deferred));
+    out.emplace_back(name + ".shed", static_cast<std::uint64_t>(cc.shed));
+  }
+}
+
+/// The partition every streaming method streams from fat-tree k=8 into 5
+/// parts: its cut, its assignment and its replication factor.
+void pinStreamingCuts(PinValues& out) {
+  const topo::FatTreeStream stream(8);
+  for (const auto method : {partition::PartitionMethod::kLDG, partition::PartitionMethod::kFennel,
+                            partition::PartitionMethod::kHDRF, partition::PartitionMethod::kDBH}) {
+    auto r = partition::partitionStream(stream, {.method = method, .parts = 5});
+    ASSERT_TRUE(r.ok());
+    const std::string name = std::string("stream.") + partition::partitionMethodName(method);
+    hash::Fnv64 assignment;
+    for (const int part : r.value().partition.assignment) {
+      assignment.mix(static_cast<std::uint64_t>(part));
+    }
+    out.emplace_back(name + ".cut", static_cast<std::uint64_t>(r.value().partition.cutWeight));
+    out.emplace_back(name + ".assignment_fnv", assignment.value());
+    out.emplace_back(name + ".replicas_ppm",
+                     static_cast<std::uint64_t>(std::llround(r.value().replicationFactor * 1e6)));
+  }
+}
+
+TEST(Determinism, DataPlaneMatchesRecordedValues) {
+  const PinValues want = {
+      {"plant.switches", 2},
+      {"plant.self_links", 86},
+      {"plant.inter_links", 22},
+      {"plant.host_ports", 38},
+      {"deploy.rules", 11700},
+      {"deploy.tables_fnv", 0xa2b94fc82d119b67},
+      {"sdt.act", 452470},
+      {"sdt.events", 30900},
+      {"sdt.fabric_tx_bytes", 5586048},
+      {"logical.act", 452748},
+      {"logical.events", 32400},
+      {"logical.fabric_tx_bytes", 5606400},
+      {"roce.act", 3607784},
+      {"roce.cnps", 575},
+      {"roce.ecn_marks", 5219},
+      {"roce.pauses", 204},
+      {"tcp.done1", 4105934},
+      {"tcp.done2", 5240105},
+      {"tcp.drops", 250},
+      {"serving.digest", 0xfd9d34baa8dedcd3},
+      {"serving.gold.admitted", 22},
+      {"serving.gold.deferred", 7},
+      {"serving.gold.shed", 3},
+      {"serving.silver.admitted", 1185},
+      {"serving.silver.deferred", 21},
+      {"serving.silver.shed", 1747},
+      {"serving.bronze.admitted", 8},
+      {"serving.bronze.deferred", 0},
+      {"serving.bronze.shed", 13},
+      {"stream.ldg.cut", 104},
+      {"stream.ldg.assignment_fnv", 0x065c0e948fb75f42},
+      {"stream.ldg.replicas_ppm", 1000000},
+      {"stream.fennel.cut", 106},
+      {"stream.fennel.assignment_fnv", 0x63c522db759be8e7},
+      {"stream.fennel.replicas_ppm", 1000000},
+      {"stream.hdrf.cut", 108},
+      {"stream.hdrf.assignment_fnv", 0xb5589f88253d1740},
+      {"stream.hdrf.replicas_ppm", 1712500},
+      {"stream.dbh.cut", 122},
+      {"stream.dbh.assignment_fnv", 0x6a4f64a60126e6c6},
+      {"stream.dbh.replicas_ppm", 2350000},
+  };
+  PinValues got;
+  pinAlltoall(true, got);
+  pinAlltoall(false, got);
+  pinRoceIncast(got);
+  pinTcpIncast(got);
+  pinServing(got);
+  pinStreamingCuts(got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second) << want[i].first;
   }
 }
 

@@ -3,6 +3,7 @@
 // contract (paper Fig. 2's "configuration file" workflow).
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "controller/config.hpp"
@@ -74,6 +75,54 @@ TEST(ExampleConfigs, FabricKnobsApplied) {
   applyFabricKnobs(config.value(), net);
   EXPECT_FALSE(net.pfcEnabled);   // the triangle config runs lossy
   EXPECT_FALSE(net.ecnEnabled);
+}
+
+TEST(ExampleConfigs, EveryShippedConfigParses) {
+  int parsed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(configDir())) {
+    if (entry.path().extension() != ".json") continue;
+    auto config = loadExperimentConfig(entry.path().string());
+    EXPECT_TRUE(config.ok()) << entry.path() << ": " << config.error().message;
+    ++parsed;
+  }
+  EXPECT_GE(parsed, 8);
+}
+
+// Out-of-range topology parameters must be rejected with an error that names
+// the key. Unchecked, they abort a generator (std::length_error from a
+// negative size) or build what the document did not say: an empty fabric, a
+// size or switch id wrapped around by narrowing, a negative host count read
+// as none, a zero-speed link.
+TEST(ConfigJson, RejectsOutOfRangeTopologyParameters) {
+  struct Case {
+    const char* topology;
+    const char* key;  ///< what the error must name
+  };
+  const Case cases[] = {
+      {R"({"type": "line", "n": -3})", "'n'"},
+      {R"({"type": "torus2d", "x": -2})", "'x'"},
+      {R"({"type": "hypercube", "dims": 31})", "'dims'"},
+      {R"({"type": "line", "n": 0})", "'n'"},
+      {R"({"type": "mesh2d", "x": 0})", "'x'"},
+      {R"({"type": "ring", "n": 1})", "'n'"},
+      {R"({"type": "star", "n": 1})", "'n'"},
+      {R"({"type": "fullmesh", "n": 1})", "'n'"},
+      {R"({"type": "line", "n": 4294967300})", "'n'"},
+      {R"({"type": "custom", "switches": 3, "links": [[0, 4294967297]]})", "link"},
+      {R"({"type": "custom", "switches": 3, "links": [[0, 1]], "hosts": [4294967298]})",
+       "host"},
+      {R"({"type": "line", "n": 4, "hosts_per_switch": -1})", "'hosts_per_switch'"},
+      {R"({"type": "line", "n": 4, "link_gbps": 0})", "'link_gbps'"},
+      {R"({"type": "line", "n": 4, "link_gbps": -10})", "'link_gbps'"},
+  };
+  for (const Case& c : cases) {
+    auto doc = json::parse(c.topology);
+    ASSERT_TRUE(doc.ok()) << c.topology;
+    auto topo = topologyFromJson(doc.value());
+    ASSERT_FALSE(topo.ok()) << c.topology << " parsed as " << topo.value().name();
+    EXPECT_NE(topo.error().message.find(c.key), std::string::npos)
+        << c.topology << ": " << topo.error().message;
+  }
 }
 
 }  // namespace

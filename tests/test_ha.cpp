@@ -1134,35 +1134,6 @@ TEST(HaFailover, CascadingTakeoverBindsRecoveryToClaimingTerm) {
 // snapshot catch-up.
 // ---------------------------------------------------------------------------
 
-TEST(HaStreaming, NonPositiveAckWindowIsClampedNotWedged) {
-  const topo::Topology from = topo::makeLine(6);
-  routing::ShortestPathRouting rFrom(from);
-  auto plantR = projection::planPlant({&from}, {.numSwitches = 2});
-  ASSERT_TRUE(plantR.ok());
-  controller::SdtController ctl(plantR.value());
-  auto depR = ctl.deploy(from, rFrom);
-  ASSERT_TRUE(depR.ok());
-
-  sim::Simulator sim;
-  sim::ControlChannel fabric(sim, faultSeed());
-  sim::ControlChannelConfig rcfg;
-  rcfg.baseDelay = 1'000;
-  rcfg.jitter = 500;
-  sim::ControlChannel repl(sim, faultSeed() + 3, rcfg);
-
-  controller::HaConfig hcfg;
-  hcfg.ackWindow = 0;  // misconfiguration: must clamp to 1, not disable
-  controller::ReplicatedController ha(sim, ctl, fabric, repl, 2, hcfg);
-  ASSERT_TRUE(ha.adoptDeployment(depR.value()).ok());
-  ha.start();
-  sim.runUntil(msToNs(5.0));
-
-  const controller::ReplicaStatus st = ha.status(1);
-  EXPECT_GT(st.framesReceived, 0u) << "ackWindow=0 silently disabled streaming";
-  EXPECT_EQ(st.lastAppliedSeq, ha.leaderJournal().nextSeq() - 1);
-  EXPECT_EQ(st.sendQueueDepth, 0u);
-}
-
 TEST(HaStreaming, DeadStandbyAccumulatesNoSendQueue) {
   const topo::Topology from = topo::makeLine(6);
   routing::ShortestPathRouting rFrom(from);
@@ -1223,19 +1194,18 @@ TEST(HaStreaming, PartitionedStandbyQueueIsCappedAndRepairedByCatchup) {
   rcfg.jitter = 500;
   sim::ControlChannel repl(sim, faultSeed() + 3, rcfg);
 
-  // Tight cap so the overflow path triggers quickly; long lease so the
-  // partition cannot turn into an election mid-test.
+  // More records than the ack window plus the queue cap, so the overflow
+  // path triggers; long lease so the partition cannot turn into an election
+  // mid-test.
   controller::HaConfig hcfg;
-  hcfg.ackWindow = 4;  // cap is clamped to >= ackWindow, so keep it below
-  hcfg.sendQueueCap = 8;
   hcfg.leaseInterval = msToNs(500.0);
   controller::ReplicatedController ha(sim, ctl, fabric, repl, 2, hcfg);
   ASSERT_TRUE(ha.adoptDeployment(depR.value()).ok());
   ha.start();
 
   repl.disconnect(1, usToNs(50.0), msToNs(10.0));
-  for (int i = 0; i < 64; ++i) {
-    sim.schedule(usToNs(100.0) + i * usToNs(10.0), [&ha, i]() {
+  for (int i = 0; i < controller::kSendQueueCap + controller::kAckWindow + 64; ++i) {
+    sim.schedule(usToNs(100.0) + i * usToNs(1.0), [&ha, i]() {
       controller::JournalRecord rec;
       rec.kind = controller::JournalRecordKind::kDeploy;
       rec.epoch = static_cast<std::uint32_t>(i + 2);
@@ -1246,7 +1216,8 @@ TEST(HaStreaming, PartitionedStandbyQueueIsCappedAndRepairedByCatchup) {
   }
   // Mid-partition: the backlog is bounded by the cap, overflow counted.
   sim.runUntil(msToNs(5.0));
-  EXPECT_LE(ha.status(1).sendQueueDepth, 8u);
+  EXPECT_LE(ha.status(1).sendQueueDepth,
+            static_cast<std::size_t>(controller::kSendQueueCap));
   EXPECT_GE(ha.status(1).queueOverflows, 1u);
 
   // After the heal, heartbeat stall detection pulls the full image over and

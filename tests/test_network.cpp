@@ -43,10 +43,10 @@ TEST(Network, SinglePacketLatencyComposition) {
   // Store-and-forward path: nicTx + 3 serializations (host link, fabric
   // link, host link) + 2 switch latencies + 3 props + nicRx.
   const Time ser = Gbps{10.0}.serializationNs(1000 + kWireHeaderBytes);
-  const Time expected = cfg.nicLatency + ser + cfg.hostPropDelay  // host -> sw0
-                        + cfg.switchLatency + ser + cfg.linkPropDelay  // sw0 -> sw1
-                        + cfg.switchLatency + ser + cfg.hostPropDelay  // sw1 -> host
-                        + cfg.nicLatency;
+  const Time expected = kNicLatency + ser + kHostPropDelay  // host -> sw0
+                        + kSwitchLatency + ser + kLinkPropDelay  // sw0 -> sw1
+                        + kSwitchLatency + ser + kHostPropDelay  // sw1 -> host
+                        + kNicLatency;
   EXPECT_EQ(delivered, expected);
 }
 
