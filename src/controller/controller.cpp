@@ -504,6 +504,12 @@ Result<UpdatePlan> SdtController::planUpdate(const Deployment& current,
   // Host-port stability: fabric links can move between fixed cables because
   // the spares are already wired, but a host NIC sits on one physical port —
   // a plan that moves it would need a human with a cable mid-update.
+  if (next.numHosts() > current.projection.numHosts()) {
+    return makeError(strFormat(
+        "live update to '%s' has %d hosts but the deployment cabled only %d; "
+        "an added host has no cabled NIC",
+        next.name().c_str(), next.numHosts(), current.projection.numHosts()));
+  }
   for (topo::HostId h = 0; h < next.numHosts(); ++h) {
     const projection::PhysPort was = current.projection.hostPortOf(h);
     const projection::PhysPort now = proj.value().hostPortOf(h);

@@ -180,9 +180,38 @@ Result<Projection> LinkProjector::project(const topo::Topology& topo, const Plan
   if (auto s = topo.validate(/*requireConnected=*/false); !s) return s.error();
   if (plant.numSwitches() == 0) return makeError("plant has no switches");
 
+  // An assignment onto parts [0, k) realizes each logical link on one
+  // self-link, inter-switch cable or two-flex-port circuit among physical
+  // switches [0, k), and each host on one host port there. A part count
+  // whose switches hold too few of them fails for every seed, so it is
+  // skipped before partitioning; the first fit found is unchanged.
+  const auto n = static_cast<std::size_t>(plant.numSwitches());
+  std::vector<int> selfOn(n, 0), interWithin(n, 0), flexOn(n, 0), hostsOn(n, 0);
+  for (const PhysLink& l : plant.selfLinks) ++selfOn[l.a.sw];
+  for (const PhysLink& l : plant.interLinks) ++interWithin[std::max(l.a.sw, l.b.sw)];
+  for (const PhysPort& p : plant.flexPorts) ++flexOn[p.sw];
+  for (const PhysPort& p : plant.hostPorts) ++hostsOn[p.sw];
+  int selfLinks = 0, interLinks = 0, flexPorts = 0, hostPorts = 0;
+
   std::string lastError = "projection failed";
   const int maxParts = std::min(plant.numSwitches(), std::max(1, topo.numSwitches()));
   for (int parts = 1; parts <= maxParts; ++parts) {
+    selfLinks += selfOn[parts - 1];
+    interLinks += interWithin[parts - 1];
+    flexPorts += flexOn[parts - 1];
+    hostPorts += hostsOn[parts - 1];
+    if (selfLinks + interLinks + flexPorts / 2 < topo.numLinks()) {
+      lastError = strFormat(
+          "physical switches [0, %d) hold %d self-links, %d inter-switch links and %d "
+          "flex ports, too few for %d logical links",
+          parts, selfLinks, interLinks, flexPorts, topo.numLinks());
+      continue;
+    }
+    if (hostPorts < topo.numHosts()) {
+      lastError = strFormat("physical switches [0, %d) have %d host ports, too few for %d hosts",
+                            parts, hostPorts, topo.numHosts());
+      continue;
+    }
     if (parts == 1) {
       std::vector<int> assignment(static_cast<std::size_t>(topo.numSwitches()), 0);
       auto r = projectWithAssignment(topo, plant, assignment);

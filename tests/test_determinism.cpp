@@ -7,6 +7,7 @@
 // times, event counts, and per-port counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -25,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/streaming.hpp"
+#include "projection/link_projector.hpp"
 #include "routing/routing.hpp"
 #include "routing/shortest_path.hpp"
 #include "sim/builder.hpp"
@@ -1207,6 +1209,136 @@ TEST(Determinism, DataPlaneMatchesRecordedValues) {
   pinTcpIncast(got);
   pinServing(got);
   pinStreamingCuts(got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second) << want[i].first;
+  }
+}
+
+// ---- Recorded projections --------------------------------------------------
+//
+// LinkProjector::project on the plants the benches, perfbench and the
+// projection tests use: whether it fits and, when it does, which part count
+// and seed won (physical switches used, the link split and an FNV-1a over
+// every placement).
+
+void pinProjection(const std::string& name, const topo::Topology& topo,
+                   const projection::Plant& plant, PinValues& out) {
+  auto proj = projection::LinkProjector::project(topo, plant);
+  out.emplace_back(name + ".ok", proj.ok() ? 1 : 0);
+  if (!proj) return;
+  const projection::Projection& p = proj.value();
+  std::vector<char> used(static_cast<std::size_t>(plant.numSwitches()), 0);
+  hash::Fnv64 placement;
+  for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+    used[static_cast<std::size_t>(p.physSwitchOf(sw))] = 1;
+    placement.mix(static_cast<std::uint64_t>(p.physSwitchOf(sw)));
+  }
+  for (const projection::RealizedLink& rl : p.realizedLinks()) {
+    placement.mix(static_cast<std::uint64_t>(rl.logicalLink))
+        .mix(rl.interSwitch ? 1 : 0)
+        .mix(rl.optical ? 1 : 0)
+        .mix(static_cast<std::uint64_t>(rl.physLink));
+  }
+  const auto mixPort = [&](projection::PhysPort port) {
+    placement.mix(static_cast<std::uint64_t>(port.sw)).mix(static_cast<std::uint64_t>(port.port));
+  };
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) mixPort(p.hostPortOf(h));
+  for (const projection::PhysLink& circuit : p.opticalCircuits()) {
+    mixPort(circuit.a);
+    mixPort(circuit.b);
+  }
+  out.emplace_back(name + ".phys_switches",
+                   static_cast<std::uint64_t>(std::count(used.begin(), used.end(), 1)));
+  out.emplace_back(name + ".inter_switch_links",
+                   static_cast<std::uint64_t>(p.interSwitchLinkCount()));
+  out.emplace_back(name + ".optical_circuits",
+                   static_cast<std::uint64_t>(p.opticalCircuits().size()));
+  out.emplace_back(name + ".placement_fnv", placement.value());
+}
+
+projection::Plant builtPlant(int switches, projection::PhysicalSwitchSpec spec, int hostPorts,
+                             int interLinks) {
+  auto plant = projection::buildPlant({.numSwitches = switches,
+                                       .spec = std::move(spec),
+                                       .hostPortsPerSwitch = hostPorts,
+                                       .interLinksPerPair = interLinks});
+  EXPECT_TRUE(plant.ok()) << plant.error().message;
+  return std::move(plant).value();
+}
+
+projection::Plant plannedPlant(const topo::Topology& topo, int switches,
+                               projection::PhysicalSwitchSpec spec) {
+  auto plant =
+      projection::planPlant({&topo}, {.numSwitches = switches, .spec = std::move(spec)});
+  EXPECT_TRUE(plant.ok()) << plant.error().message;
+  return std::move(plant).value();
+}
+
+TEST(Determinism, ProjectionMatchesRecordedValues) {
+  const PinValues want = {
+      {"df.reroute.ok", 1},
+      {"df.reroute.phys_switches", 6},
+      {"df.reroute.inter_switch_links", 42},
+      {"df.reroute.optical_circuits", 0},
+      {"df.reroute.placement_fnv", 0x9b894ff1d5b901e9},
+      {"df.microbench.ok", 1},
+      {"df.microbench.phys_switches", 3},
+      {"df.microbench.inter_switch_links", 27},
+      {"df.microbench.optical_circuits", 0},
+      {"df.microbench.placement_fnv", 0x6f90eadd5c06183d},
+      {"df.fig13.ok", 1},
+      {"df.fig13.phys_switches", 2},
+      {"df.fig13.inter_switch_links", 20},
+      {"df.fig13.optical_circuits", 0},
+      {"df.fig13.placement_fnv", 0x85ba77001cabd6fd},
+      {"ft4.ok", 1},
+      {"ft4.phys_switches", 3},
+      {"ft4.inter_switch_links", 12},
+      {"ft4.optical_circuits", 0},
+      {"ft4.placement_fnv", 0xed0443f502e07961},
+      {"ring20.flex.ok", 1},
+      {"ring20.flex.phys_switches", 1},
+      {"ring20.flex.inter_switch_links", 0},
+      {"ring20.flex.optical_circuits", 4},
+      {"ring20.flex.placement_fnv", 0x1d70d2ebe39df365},
+      {"torus444.no_inter.ok", 0},
+      {"mesh10.one_switch.ok", 0},
+      {"mesh4.hosts.ok", 1},
+      {"mesh4.hosts.phys_switches", 4},
+      {"mesh4.hosts.inter_switch_links", 6},
+      {"mesh4.hosts.optical_circuits", 0},
+      {"mesh4.hosts.placement_fnv", 0x6ff6d2f6eaeeb1d2},
+  };
+  PinValues got;
+  const topo::Topology dragonfly = topo::makeDragonfly(4, 9, 2);
+  // perfbench's re-route plant (6 x 64 ports): part counts 1-5 hold too
+  // few host ports for the 36 hosts.
+  pinProjection("df.reroute", dragonfly,
+                plannedPlant(dragonfly, 6, projection::openflow64x100G()), got);
+  // The engine microbench's plant and Fig. 13's.
+  pinProjection("df.microbench", dragonfly,
+                plannedPlant(dragonfly, 3, projection::openflow128x100G()), got);
+  pinProjection("df.fig13", dragonfly,
+                plannedPlant(dragonfly, 2, projection::openflow128x100G()), got);
+  const topo::Topology fatTree = topo::makeFatTree(4);
+  pinProjection("ft4", fatTree, plannedPlant(fatTree, 3, projection::openflow64x100G()), got);
+  // 20 ring links on 16 fixed self-links plus 10 flex ports.
+  const topo::Topology ring = topo::makeRing(20, {.hostsPerSwitch = 0});
+  projection::Plant flex = builtPlant(1, projection::openflow64x100G(), 22, 0);
+  ASSERT_TRUE(projection::addOpticalFlex(flex, 5).ok());
+  pinProjection("ring20.flex", ring, flex, got);
+  // test_projection's failures: inter-switch and self-links short.
+  pinProjection("torus444.no_inter", topo::makeTorus3D(4, 4, 4),
+                builtPlant(2, projection::openflow128x100G(), 32, 0), got);
+  pinProjection("mesh10.one_switch", topo::makeFullMesh(10),
+                builtPlant(1, projection::openflow64x100G(), 2, 0), got);
+  // Part counts 1 and 2 hold too few host ports for 12 hosts; 3 holds
+  // exactly 12, but every 3-way split puts 6 hosts on one 4-port switch; 4
+  // fits.
+  pinProjection("mesh4.hosts", topo::makeFullMesh(4, {.hostsPerSwitch = 3}),
+                builtPlant(4, projection::openflow64x100G(), 4, 6), got);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].first);

@@ -1,8 +1,13 @@
 // Tests: Link Projection (the SDT core algorithm, paper §IV).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "partition/partitioner.hpp"
 #include "projection/link_projector.hpp"
 #include "topo/generators.hpp"
 
@@ -171,6 +176,133 @@ TEST_P(ProjectionSweep, ProjectsOnPlant) {
 INSTANTIATE_TEST_SUITE_P(PaperTopologies, ProjectionSweep,
                          ::testing::Values("fattree4", "dragonfly", "torus2d",
                                            "torus3d"));
+
+// project() skips a part count whose physical switches hold too few links or
+// host ports for the topology. The reference is the search without that
+// skip: part counts 1..min(plant switches, logical switches), the
+// projector's 4 partition seeds 1 + attempt * 7919 for each count above 1,
+// first success wins. Keep it in step with link_projector.cpp.
+constexpr int kReferenceAttempts = 4;
+
+Result<Projection> exhaustiveProject(const topo::Topology& topo, const Plant& plant) {
+  const int maxParts = std::min(plant.numSwitches(), std::max(1, topo.numSwitches()));
+  for (int parts = 1; parts <= maxParts; ++parts) {
+    if (parts == 1) {
+      auto r = LinkProjector::projectWithAssignment(
+          topo, plant, std::vector<int>(static_cast<std::size_t>(topo.numSwitches()), 0));
+      if (r) return r;
+      continue;
+    }
+    for (int attempt = 0; attempt < kReferenceAttempts; ++attempt) {
+      partition::PartitionOptions popt;
+      popt.parts = parts;
+      popt.seed = 1 + static_cast<std::uint64_t>(attempt) * 7919;
+      auto part = partition::partitionGraph(topo.switchGraph(), popt);
+      if (!part) continue;
+      auto r = LinkProjector::projectWithAssignment(topo, plant, part.value().assignment);
+      if (r) return r;
+    }
+  }
+  return makeError("no part count fits");
+}
+
+/// Every placement a projection records, flattened for comparison.
+std::vector<int> placements(const topo::Topology& topo, const Projection& p) {
+  std::vector<int> out;
+  for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
+    out.push_back(p.physSwitchOf(sw));
+    for (topo::PortId port = 0; port < topo.fabricRadix(sw); ++port) {
+      const PhysPort pp = p.physOf(topo::SwitchPort{sw, port});
+      out.insert(out.end(), {pp.sw, pp.port});
+    }
+  }
+  for (const RealizedLink& rl : p.realizedLinks()) {
+    out.insert(out.end(), {rl.logicalLink, rl.interSwitch, rl.optical, rl.physLink});
+  }
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+    out.insert(out.end(), {p.hostPortOf(h).sw, p.hostPortOf(h).port});
+  }
+  for (const PhysLink& c : p.opticalCircuits()) {
+    out.insert(out.end(), {c.a.sw, c.a.port, c.b.sw, c.b.port});
+  }
+  return out;
+}
+
+/// project() and the exhaustive search agree; returns whether they fit.
+bool expectSameAsExhaustive(const topo::Topology& topo, const Plant& plant) {
+  const auto bounded = LinkProjector::project(topo, plant);
+  const auto exhaustive = exhaustiveProject(topo, plant);
+  EXPECT_EQ(bounded.ok(), exhaustive.ok()) << (bounded ? "" : bounded.error().message);
+  if (bounded && exhaustive) {
+    EXPECT_EQ(placements(topo, bounded.value()), placements(topo, exhaustive.value()));
+  }
+  return bounded.ok();
+}
+
+topo::Topology randomTopology(Rng& rng) {
+  const auto pick = [&](int lo, int hi) { return static_cast<int>(rng.between(lo, hi)); };
+  const topo::GenOptions opt{.hostsPerSwitch = pick(0, 3), .linkSpeed = Gbps{10.0}};
+  switch (rng.below(6)) {
+    case 0:
+      return topo::makeRing(pick(3, 40), opt);
+    case 1:
+      return topo::makeLine(pick(2, 40), opt);
+    case 2: {
+      const int x = pick(3, 6);
+      const int y = pick(3, 6);
+      return topo::makeTorus2D(x, y, opt);
+    }
+    case 3:
+      return topo::makeFatTree(2 * pick(1, 3), opt);
+    case 4: {
+      const int a = pick(2, 4);
+      const int h = pick(1, 2);
+      const int g = pick(2, a * h + 1);
+      return topo::makeDragonfly(a, g, h, opt);
+    }
+    default:
+      return topo::makeFullMesh(pick(3, 12), opt);
+  }
+}
+
+Plant randomPlant(Rng& rng) {
+  const auto pick = [&](int lo, int hi) { return static_cast<int>(rng.between(lo, hi)); };
+  const int switches = pick(1, 6);
+  const PhysicalSwitchSpec spec = rng.below(2) == 0 ? openflow64x100G() : openflow128x100G();
+  const int hostPorts = pick(0, 16);
+  const int inter = pick(0, 8);
+  Plant plant = canonicalPlant(switches, hostPorts, inter, spec);
+  if (rng.below(2) == 0) {
+    EXPECT_TRUE(addOpticalFlex(plant, pick(1, 4)).ok());
+  }
+  return plant;
+}
+
+TEST(LinkProjection, BoundedSearchMatchesExhaustiveSearch) {
+  Rng rng(19);
+  int fits = 0;
+  constexpr int kCases = 240;
+  for (int i = 0; i < kCases; ++i) {
+    const topo::Topology topo = randomTopology(rng);
+    const Plant plant = randomPlant(rng);
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + topo.name() + " on " +
+                 std::to_string(plant.numSwitches()) + " switches");
+    fits += expectSameAsExhaustive(topo, plant) ? 1 : 0;
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(fits, kCases / 4);
+  EXPECT_LT(fits, kCases * 3 / 4);
+
+  // Exact fits, where supply equals demand, still project.
+  // 21 ring links on 16 fixed self-links + 10 flex ports (16 + 10 / 2).
+  const topo::Topology ring = topo::makeRing(21, {.hostsPerSwitch = 0});
+  Plant flex = canonicalPlant(1, 22, 0);
+  ASSERT_TRUE(addOpticalFlex(flex, 5).ok());
+  EXPECT_TRUE(expectSameAsExhaustive(ring, flex));
+  // 12 hosts on 4 switches with 3 host ports each.
+  const topo::Topology mesh = topo::makeFullMesh(4, {.hostsPerSwitch = 3});
+  EXPECT_TRUE(expectSameAsExhaustive(mesh, canonicalPlant(4, 3, 6)));
+}
 
 }  // namespace
 }  // namespace sdt::projection

@@ -332,6 +332,31 @@ TEST(Reconfig, PlanUpdateAbortsCleanlyWhenBothVersionsExceedCapacity) {
   expectPureEpoch(dep, 1);
 }
 
+TEST(Reconfig, PlanUpdateRefusesAnAddedHost) {
+  // The same ring plus one host on switch 0: the six old hosts keep their
+  // ports, and the seventh has no NIC in the deployment to stay on.
+  const topo::Topology ring = topo::makeRing(6);
+  topo::Topology grown = topo::makeRing(6);
+  grown.attachHost(0);
+  routing::ShortestPathRouting rRing(ring);
+  routing::ShortestPathRouting rGrown(grown);
+  auto plantR = projection::planPlant({&ring, &grown}, {.numSwitches = 2});
+  ASSERT_TRUE(plantR.ok()) << plantR.error().message;
+  const projection::Plant plant = std::move(plantR).value();
+  controller::SdtController ctl(plant);
+  controller::DeployOptions opt;
+  opt.requireDeadlockFree = false;
+  auto depR = ctl.deploy(ring, rRing, opt);
+  ASSERT_TRUE(depR.ok()) << depR.error().message;
+  const controller::Deployment dep = std::move(depR).value();
+
+  auto planR = ctl.planUpdate(dep, grown, rGrown, opt);
+  ASSERT_FALSE(planR.ok());
+  EXPECT_NE(planR.error().message.find("has 7 hosts but the deployment cabled only 6"),
+            std::string::npos)
+      << planR.error().message;
+}
+
 // ---------------------------------------------------------------------------
 // Fuzz: 200+ random control-channel schedules through a live reconfiguration.
 // Every run must (a) terminate, (b) end committed-and-pure or
