@@ -47,11 +47,14 @@
 //                                             (--json for machine-readable
 //                                             output)
 //
-// Common flags: --switches N (default 2), --spec 64|128|h3c (default 128),
-//               --flex P (add P optical flex pairs per switch, §VII-A)
+// Common flags: --switches N (1-64, default 2), --spec 64|128|h3c (default
+//               128), --flex P (add 0-160 optical flex pairs per switch,
+//               §VII-A); --standbys N takes 0-16
 // Recovery flags: --journal FILE (default in-memory), --json,
 //                 --crash-at prepare|mid-install|pre-flip|post-flip|mid-gc,
-//                 --reboot-switch N
+//                 --reboot-switch N (a switch of the plant, 0..switches-1)
+// A numeric flag outside its range, or not a whole decimal number, is an
+// error naming the flag (exit status 2).
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -109,18 +112,37 @@ int usage() {
   return 2;
 }
 
+/// A numeric flag's value: a whole decimal number in [lo, hi]. The bounds
+/// keep every size the commands derive from a flag small (the MEMS optical
+/// switch has 320 ports, so at most 160 flex pairs fit one switch).
+Result<int> parseIntFlag(const std::string& flag, const std::string& text, int lo, int hi) {
+  int value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value < lo || value > hi) {
+    return makeError(strFormat("%s: expected a whole number in %d..%d, got '%s'", flag.c_str(),
+                               lo, hi, text.c_str()));
+  }
+  return value;
+}
+
 Result<CliOptions> parseArgs(int argc, char** argv, std::string& workload) {
   CliOptions opt;
+  constexpr int kMaxSwitches = 64;
+  constexpr int kMaxStandbys = 16;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--switches" && i + 1 < argc) {
-      opt.switches = std::atoi(argv[++i]);
+      auto n = parseIntFlag(arg, argv[++i], 1, kMaxSwitches);
+      if (!n) return n.error();
+      opt.switches = n.value();
     } else if (arg == "--journal" && i + 1 < argc) {
       opt.journalPath = argv[++i];
     } else if (arg == "--json") {
       opt.jsonOut = true;
     } else if (arg == "--reboot-switch" && i + 1 < argc) {
-      opt.rebootSwitch = std::atoi(argv[++i]);
+      auto n = parseIntFlag(arg, argv[++i], 0, kMaxSwitches - 1);
+      if (!n) return n.error();
+      opt.rebootSwitch = n.value();
     } else if (arg == "--crash-at" && i + 1 < argc) {
       const std::string point = argv[++i];
       bool known = false;
@@ -141,10 +163,13 @@ Result<CliOptions> parseArgs(int argc, char** argv, std::string& workload) {
       else if (spec == "h3c") opt.spec = projection::h3cS6861();
       else return makeError("unknown --spec: " + spec);
     } else if (arg == "--flex" && i + 1 < argc) {
-      opt.flexPairs = std::atoi(argv[++i]);
+      auto n = parseIntFlag(arg, argv[++i], 0, projection::mems320().numPorts / 2);
+      if (!n) return n.error();
+      opt.flexPairs = n.value();
     } else if (arg == "--standbys" && i + 1 < argc) {
-      opt.standbys = std::atoi(argv[++i]);
-      if (opt.standbys < 0) return makeError("--standbys must be >= 0");
+      auto n = parseIntFlag(arg, argv[++i], 0, kMaxStandbys);
+      if (!n) return n.error();
+      opt.standbys = n.value();
     } else if (!arg.empty() && arg[0] != '-' && arg.find(".json") != std::string::npos) {
       opt.configs.push_back(arg);
     } else if (!arg.empty() && arg[0] != '-') {
@@ -152,6 +177,10 @@ Result<CliOptions> parseArgs(int argc, char** argv, std::string& workload) {
     } else {
       return makeError("unknown flag: " + arg);
     }
+  }
+  if (opt.rebootSwitch >= opt.switches) {
+    return makeError(strFormat("--reboot-switch: switch %d is not in the %d-switch plant",
+                               opt.rebootSwitch, opt.switches));
   }
   // `status` works from the journal alone; every other command needs configs
   // (main enforces the count per command).
@@ -461,8 +490,7 @@ int cmdRecover(const std::vector<controller::ExperimentConfig>& configs,
                 "no-drift audit)\n");
   }
 
-  if (opt.rebootSwitch >= 0 &&
-      opt.rebootSwitch < static_cast<int>(deployment.switches.size())) {
+  if (opt.rebootSwitch >= 0) {
     deployment.switches[static_cast<std::size_t>(opt.rebootSwitch)]->reboot();
     std::printf("switch %d power-cycled while the controller was down\n",
                 opt.rebootSwitch);
@@ -671,8 +699,7 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
   // anti-entropies the fabric. On a clean fabric that is one readback round
   // with zero drift; --reboot-switch N power-cycles a switch first, so the
   // run also converges it and verifies.
-  if (opt.rebootSwitch >= 0 &&
-      opt.rebootSwitch < static_cast<int>(deployment.switches.size())) {
+  if (opt.rebootSwitch >= 0) {
     deployment.switches[static_cast<std::size_t>(opt.rebootSwitch)]->reboot();
   }
   {

@@ -7,8 +7,7 @@
 
 #include "common/strings.hpp"
 #include "controller/table_diff.hpp"
-#include "partition/partitioner.hpp"
-#include "routing/degraded.hpp"
+#include "routing/shortest_path.hpp"
 
 namespace sdt::controller {
 
@@ -286,44 +285,18 @@ CheckReport SdtController::check(
       // offending topology. Falls back to the projector's error when the
       // demand analysis finds no concrete gap (e.g. partitioning failed).
       bool quantified = false;
-      const int parts = std::min(plant_.numSwitches(), std::max(1, t->numSwitches()));
-      std::vector<int> assignment(static_cast<std::size_t>(t->numSwitches()), 0);
-      bool partitioned = true;
-      if (parts > 1) {
-        partition::PartitionOptions popt;
-        popt.parts = parts;
-        auto part = partition::partitionGraph(t->switchGraph(), popt);
-        if (part) {
-          assignment = std::move(part.value().assignment);
-        } else {
-          partitioned = false;
-        }
-      }
-      if (partitioned) {
-        std::vector<int> selfPer(static_cast<std::size_t>(parts), 0);
-        std::map<std::pair<int, int>, int> interPer;
-        for (const topo::Link& link : t->links()) {
-          const int pa = assignment[link.a.sw];
-          const int pb = assignment[link.b.sw];
-          if (pa == pb) {
-            ++selfPer[pa];
-          } else {
-            ++interPer[std::minmax(pa, pb)];
-          }
-        }
-        std::vector<int> hostsPer(static_cast<std::size_t>(parts), 0);
-        for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-          ++hostsPer[assignment[t->hostSwitch(h)]];
-        }
-        const int needSelf = *std::max_element(selfPer.begin(), selfPer.end());
-        const int needHosts = *std::max_element(hostsPer.begin(), hostsPer.end());
+      if (const auto demand = projection::plantDemand(*t, plant_.numSwitches())) {
+        const projection::PlantDemand& d = demand.value();
+        const int needSelf =
+            *std::max_element(d.selfLinksPerPart.begin(), d.selfLinksPerPart.end());
+        const int needHosts = *std::max_element(d.hostsPerPart.begin(), d.hostsPerPart.end());
         if (needSelf > minSelfSupply) {
           report.problems.push_back(
               strFormat("topo '%s': needs %d self-links/switch, plant has %d",
                         t->name().c_str(), needSelf, minSelfSupply));
           quantified = true;
         }
-        for (const auto& [pair, count] : interPer) {
+        for (const auto& [pair, count] : d.interLinksPerPair) {
           const int supply =
               static_cast<int>(plant_.interLinksBetween(pair.first, pair.second).size());
           if (count > supply) {
@@ -647,12 +620,12 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
   // Phase 2 — routing on what survives. With every link re-projected the
   // original routing still holds (the logical topology is intact); severed
   // links force a detour-routing recompute and may split the fabric.
-  std::unique_ptr<routing::DegradedRouting> degradedRouting;
+  std::unique_ptr<routing::ShortestPathRouting> degradedRouting;
   const routing::RoutingAlgorithm* effective = &routing;
   std::vector<char> severedMask;
   if (report.degraded) {
-    degradedRouting = std::make_unique<routing::DegradedRouting>(topo, severedIds,
-                                                                 routing.numVcs());
+    degradedRouting = std::make_unique<routing::ShortestPathRouting>(topo, severedIds,
+                                                                     routing.numVcs());
     effective = degradedRouting.get();
     severedMask.assign(topo.links().size(), 0);
     for (const int li : severedIds) severedMask[static_cast<std::size_t>(li)] = 1;

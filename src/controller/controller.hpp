@@ -281,7 +281,8 @@ class SdtController {
   /// switch's ingress stamps are restored), and patch `deployment` in place.
   /// A tenant deployment touches only the rules and ingress ports its scope
   /// owns. When no spare exists the logical link is severed: surviving
-  /// traffic is re-routed around it (routing::DegradedRouting) and the
+  /// traffic is re-routed around it (routing::ShortestPathRouting over the
+  /// surviving links, with the deployment routing's VC count) and the
   /// report lists the severed links and newly unreachable host pairs.
   /// `routing` must be the algorithm the deployment was compiled with; the
   /// recompile uses the deployment's own ECMP salt, so an unchanged fabric

@@ -8,7 +8,6 @@
 
 #include "common/rng.hpp"
 #include "common/strings.hpp"
-#include "partition/streaming.hpp"
 
 namespace sdt::partition {
 
@@ -531,26 +530,12 @@ Result<PartitionResult> multilevelPartition(const Graph& graph,
 
 }  // namespace
 
-const char* partitionMethodName(PartitionMethod method) {
-  switch (method) {
-    case PartitionMethod::kMultilevel: return "multilevel";
-    case PartitionMethod::kLDG: return "ldg";
-    case PartitionMethod::kFennel: return "fennel";
-    case PartitionMethod::kHDRF: return "hdrf";
-    case PartitionMethod::kDBH: return "dbh";
-  }
-  return "unknown";
-}
-
 Result<PartitionResult> partitionGraph(const Graph& graph, const PartitionOptions& options) {
   if (options.parts < 1) return makeError("parts must be >= 1");
   if (graph.numVertices() == 0) return makeError("cannot partition an empty graph");
   if (options.parts > graph.numVertices()) {
     return makeError(strFormat("cannot split %d vertices into %d parts",
                                graph.numVertices(), options.parts));
-  }
-  if (options.method != PartitionMethod::kMultilevel) {
-    return streamingPartitionOfGraph(graph, options);
   }
   return multilevelPartition(graph, options);
 }

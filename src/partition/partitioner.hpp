@@ -23,15 +23,6 @@
 
 namespace sdt::partition {
 
-/// Which algorithm partitions the graph. kMultilevel is the METIS-style
-/// in-memory scheme below; the rest are single-shot streaming heuristics
-/// (O(parts) state plus a compact per-vertex table, see streaming.hpp) that
-/// scale to topologies too large to refine in memory. kLDG/kFennel stream
-/// vertices; kHDRF/kDBH stream edges and replicate cut vertices.
-enum class PartitionMethod { kMultilevel, kLDG, kFennel, kHDRF, kDBH };
-
-[[nodiscard]] const char* partitionMethodName(PartitionMethod method);
-
 struct PartitionOptions {
   int parts = 2;
   /// Objective weights (paper's alpha/beta).
@@ -42,7 +33,6 @@ struct PartitionOptions {
   /// result (PartitionResult::imbalanceViolated) when the cap is infeasible.
   double maxImbalance = 0.35;
   std::uint64_t seed = 1;
-  PartitionMethod method = PartitionMethod::kMultilevel;
 };
 
 struct PartitionResult {
@@ -74,11 +64,10 @@ struct PartitionResult {
                                         std::int64_t totalEdgeWeight, int parts,
                                         const PartitionOptions& options);
 
-/// K-way partition. Dispatches on options.method: the multilevel scheme by
-/// default, or one of the streaming heuristics (the graph is replayed as an
-/// edge stream; see streaming.hpp for partitioning without materializing a
-/// Graph at all). Fails if the graph is empty or parts < 1. Every part is
-/// non-empty whenever parts <= numVertices.
+/// K-way multilevel partition (see streaming.hpp for the single-pass
+/// heuristics that partition without materializing a Graph at all). Fails
+/// if the graph is empty or parts < 1. Every part is non-empty whenever
+/// parts <= numVertices.
 Result<PartitionResult> partitionGraph(const topo::Graph& graph,
                                        const PartitionOptions& options = {});
 

@@ -402,6 +402,16 @@ class EdgeStreamer {
 
 }  // namespace
 
+const char* partitionMethodName(PartitionMethod method) {
+  switch (method) {
+    case PartitionMethod::kLDG: return "ldg";
+    case PartitionMethod::kFennel: return "fennel";
+    case PartitionMethod::kHDRF: return "hdrf";
+    case PartitionMethod::kDBH: return "dbh";
+  }
+  return "unknown";
+}
+
 PartitionResult evaluateStreamAssignment(const EdgeStream& stream,
                                          std::vector<int> assignment, int parts,
                                          const PartitionOptions& options) {
@@ -440,9 +450,6 @@ Result<StreamingResult> partitionStream(const EdgeStream& stream,
     return makeError(strFormat("cannot split %d vertices into %d parts",
                                stream.numVertices(), options.parts));
   }
-  if (options.method == PartitionMethod::kMultilevel) {
-    return makeError("kMultilevel is not a streaming method; use partitionGraph");
-  }
   if (options.parts == 1) {
     StreamingResult r;
     r.partition = evaluateStreamAssignment(
@@ -480,26 +487,8 @@ Result<StreamingResult> partitionStream(const EdgeStream& stream,
       }
       return result;
     }
-    case PartitionMethod::kMultilevel:
-      break;  // unreachable; handled above
   }
   return makeError("unknown partition method");
-}
-
-Result<PartitionResult> streamingPartitionOfGraph(const topo::Graph& graph,
-                                                  const PartitionOptions& options) {
-  topo::GraphStream stream(graph);
-  StreamingOptions so;
-  so.method = options.method;
-  so.parts = options.parts;
-  so.alpha = options.alpha;
-  so.beta = options.beta;
-  so.maxImbalance = options.maxImbalance;
-  so.seed = options.seed;
-  so.restreamPasses = 2;
-  auto r = partitionStream(stream, so);
-  if (!r) return r.error();
-  return std::move(r.value().partition);
 }
 
 }  // namespace sdt::partition

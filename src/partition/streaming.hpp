@@ -46,9 +46,13 @@
 
 namespace sdt::partition {
 
+/// Which single-shot streaming heuristic partitions the stream. kLDG/kFennel
+/// stream vertices; kHDRF/kDBH stream edges and replicate cut vertices.
+enum class PartitionMethod { kLDG, kFennel, kHDRF, kDBH };
+
+[[nodiscard]] const char* partitionMethodName(PartitionMethod method);
+
 struct StreamingOptions {
-  /// Must be a streaming method (kMultilevel is rejected: it cannot run in
-  /// O(parts) state).
   PartitionMethod method = PartitionMethod::kLDG;
   int parts = 2;
   /// Objective weights for the reported PartitionResult (paper alpha/beta).
@@ -85,8 +89,8 @@ struct StreamingResult {
   int passes = 1;
 };
 
-/// Partition a streamed graph. Fails on parts < 1, an empty stream,
-/// parts > numVertices, or method == kMultilevel.
+/// Partition a streamed graph. Fails on parts < 1, an empty stream, or
+/// parts > numVertices.
 Result<StreamingResult> partitionStream(const topo::EdgeStream& stream,
                                         const StreamingOptions& options);
 
@@ -96,11 +100,5 @@ Result<StreamingResult> partitionStream(const topo::EdgeStream& stream,
 PartitionResult evaluateStreamAssignment(const topo::EdgeStream& stream,
                                          std::vector<int> assignment, int parts,
                                          const PartitionOptions& options);
-
-/// partitionGraph's dispatch target for streaming methods: wraps `graph` in
-/// a GraphStream, maps PartitionOptions onto StreamingOptions (restream
-/// passes default to 2), and returns the vertex-assignment view.
-Result<PartitionResult> streamingPartitionOfGraph(const topo::Graph& graph,
-                                                  const PartitionOptions& options);
 
 }  // namespace sdt::partition

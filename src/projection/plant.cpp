@@ -17,7 +17,6 @@ PhysicalSwitchSpec openflow64x100G() {
   s.portSpeed = Gbps{100.0};
   s.flowTableCapacity = 65536;
   s.costUsd = 5'000.0;
-  s.kind = SwitchKind::kOpenFlow;
   return s;
 }
 
@@ -33,7 +32,6 @@ PhysicalSwitchSpec p4Switch64x100G() {
   PhysicalSwitchSpec s = openflow64x100G();
   s.model = "p4-64x100G";
   s.costUsd = 15'000.0;
-  s.kind = SwitchKind::kP4;
   return s;
 }
 
@@ -55,7 +53,6 @@ PhysicalSwitchSpec h3cS6861() {
   s.maxBreakout = 1;  // SFP+ ports do not break out further
   s.flowTableCapacity = 4096;
   s.costUsd = 4'000.0;
-  s.kind = SwitchKind::kOpenFlow;
   return s;
 }
 
@@ -185,11 +182,15 @@ Result<Plant> buildPlant(const PlantConfig& config) {
 
 Status<Error> addOpticalFlex(Plant& plant, int pairsPerSwitch, OpticalSwitchSpec optical) {
   if (pairsPerSwitch < 0) return makeError("negative flex reservation");
-  const int portsNeeded =
-      2 * pairsPerSwitch * plant.numSwitches() + static_cast<int>(plant.flexPorts.size());
+  // 64-bit: two ports per pair on every switch overflows int long before
+  // any optical switch could hold the pairs.
+  const std::int64_t portsNeeded =
+      2 * static_cast<std::int64_t>(pairsPerSwitch) * plant.numSwitches() +
+      static_cast<std::int64_t>(plant.flexPorts.size());
   if (portsNeeded > optical.numPorts) {
-    return makeError(strFormat("optical switch '%s' has %d ports; %d needed",
-                               optical.model.c_str(), optical.numPorts, portsNeeded));
+    return makeError(strFormat("optical switch '%s' has %d ports; %lld needed",
+                               optical.model.c_str(), optical.numPorts,
+                               static_cast<long long>(portsNeeded)));
   }
   plant.optical = optical;
   for (int sw = 0; sw < plant.numSwitches(); ++sw) {
@@ -206,6 +207,35 @@ Status<Error> addOpticalFlex(Plant& plant, int pairsPerSwitch, OpticalSwitchSpec
     }
   }
   return plant.validate();
+}
+
+Result<PlantDemand> plantDemand(const topo::Topology& topo, int numSwitches) {
+  if (numSwitches < 1) return makeError("plant needs at least one switch");
+  const int parts = std::min(numSwitches, std::max(1, topo.numSwitches()));
+  std::vector<int> assignment(static_cast<std::size_t>(topo.numSwitches()), 0);
+  if (parts > 1) {
+    partition::PartitionOptions popt;
+    popt.parts = parts;
+    auto part = partition::partitionGraph(topo.switchGraph(), popt);
+    if (!part) return part.error();
+    assignment = std::move(part.value().assignment);
+  }
+  PlantDemand demand;
+  demand.selfLinksPerPart.assign(static_cast<std::size_t>(parts), 0);
+  demand.hostsPerPart.assign(static_cast<std::size_t>(parts), 0);
+  for (const topo::Link& link : topo.links()) {
+    const int pa = assignment[link.a.sw];
+    const int pb = assignment[link.b.sw];
+    if (pa == pb) {
+      ++demand.selfLinksPerPart[pa];
+    } else {
+      ++demand.interLinksPerPair[std::minmax(pa, pb)];
+    }
+  }
+  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+    ++demand.hostsPerPart[assignment[topo.hostSwitch(h)]];
+  }
+  return demand;
 }
 
 namespace {
@@ -225,39 +255,17 @@ Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
   int maxHosts = 0;
   std::map<std::pair<int, int>, int> interNeeded;  // per concrete switch pair
   for (const topo::Topology* t : topologies) {
-    const int parts = std::min(options.numSwitches, std::max(1, t->numSwitches()));
-    std::vector<int> assignment(static_cast<std::size_t>(t->numSwitches()), 0);
-    if (parts > 1) {
-      partition::PartitionOptions popt;
-      popt.parts = parts;
-      auto part = partition::partitionGraph(t->switchGraph(), popt);
-      if (!part) {
-        return makeError(strFormat("planPlant: cannot partition '%s': %s",
-                                   t->name().c_str(), part.error().message.c_str()));
-      }
-      assignment = std::move(part.value().assignment);
+    auto demand = plantDemand(*t, options.numSwitches);
+    if (!demand) {
+      return makeError(strFormat("planPlant: cannot partition '%s': %s",
+                                 t->name().c_str(), demand.error().message.c_str()));
     }
-    std::vector<int> selfPer(static_cast<std::size_t>(parts), 0);
-    std::map<std::pair<int, int>, int> interPer;
-    for (const topo::Link& link : t->links()) {
-      const int pa = assignment[link.a.sw];
-      const int pb = assignment[link.b.sw];
-      if (pa == pb) {
-        ++selfPer[pa];
-      } else {
-        ++interPer[std::minmax(pa, pb)];
-      }
-    }
-    std::vector<int> hostsPer(static_cast<std::size_t>(parts), 0);
-    for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-      ++hostsPer[assignment[t->hostSwitch(h)]];
-    }
-    for (const int s : selfPer) maxSelf = std::max(maxSelf, s);
-    for (const auto& [pair, count] : interPer) {
+    for (const int s : demand.value().selfLinksPerPart) maxSelf = std::max(maxSelf, s);
+    for (const auto& [pair, count] : demand.value().interLinksPerPair) {
       int& need = interNeeded[pair];
       need = std::max(need, count);
     }
-    for (const int h : hostsPer) maxHosts = std::max(maxHosts, h);
+    for (const int h : demand.value().hostsPerPart) maxHosts = std::max(maxHosts, h);
   }
 
   // Wire the plant with *exactly* the per-pair inter-switch reservations the

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -17,11 +19,6 @@
 #include "topo/topology.hpp"
 
 namespace sdt::projection {
-
-enum class SwitchKind {
-  kOpenFlow,  ///< commodity OpenFlow switch (SDT, SP, SP-OS)
-  kP4,        ///< Tofino-class programmable switch (TurboNet)
-};
 
 /// One purchasable switch model. Costs follow the paper's Table II
 /// extrapolations ("current market price").
@@ -33,7 +30,6 @@ struct PhysicalSwitchSpec {
   int maxBreakout = 4;
   std::size_t flowTableCapacity = 8192;
   double costUsd = 5'000.0;
-  SwitchKind kind = SwitchKind::kOpenFlow;
 };
 
 /// Catalog entries used by the Table II comparison.
@@ -140,6 +136,19 @@ struct PlanOptions {
 
 Result<Plant> planPlant(const std::vector<const topo::Topology*>& topologies,
                         const PlanOptions& options);
+
+/// What one topology demands of a plant of `numSwitches` switches, counted
+/// on the multilevel partition of its switch graph into min(numSwitches,
+/// logical switches) parts — the split planPlant sizes a plant for and
+/// SdtController::check() quantifies a shortfall against.
+struct PlantDemand {
+  std::vector<int> selfLinksPerPart;
+  std::vector<int> hostsPerPart;
+  std::map<std::pair<int, int>, int> interLinksPerPair;  ///< keyed (lower, higher) part
+};
+
+/// Fails when `numSwitches` < 1 or the partitioner does (its error, as is).
+Result<PlantDemand> plantDemand(const topo::Topology& topo, int numSwitches);
 
 /// §VII-A flexibility enhancement: re-cable `pairsPerSwitch` of each
 /// switch's self-links into the optical circuit switch, making their ports

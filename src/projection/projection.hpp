@@ -1,5 +1,7 @@
 // Projection result: the concrete assignment of a logical topology onto a
-// physical plant, shared by every TP method (SDT, SP, SP-OS, TurboNet).
+// physical plant, as LinkProjector computes it for SDT. (The SP, SP-OS and
+// TurboNet baselines of Table II are capacity, cost and reconfiguration-time
+// models in feasibility.hpp; they place no projection.)
 //
 // A Projection answers three questions:
 //   1. which physical port realizes each logical (switch, port)?      (map)

@@ -6,33 +6,68 @@
 
 namespace sdt::routing {
 
-ShortestPathRouting::ShortestPathRouting(const topo::Topology& topo)
-    : RoutingAlgorithm(topo) {
-  const topo::Graph g = topo.switchGraph();
-  dist_.reserve(static_cast<std::size_t>(g.numVertices()));
-  for (int sw = 0; sw < g.numVertices(); ++sw) {
-    dist_.push_back(g.bfsDistances(sw));
+ShortestPathRouting::ShortestPathRouting(const topo::Topology& topo,
+                                         const std::vector<int>& severedLinks, int numVcs)
+    : RoutingAlgorithm(topo),
+      severedMask_(topo.links().size(), 0),
+      severedCount_(static_cast<int>(severedLinks.size())),
+      vcs_(numVcs) {
+  for (const int li : severedLinks) {
+    if (li >= 0 && li < static_cast<int>(severedMask_.size())) severedMask_[li] = 1;
+  }
+  // Severed links are dropped here, once: the BFS and every candidates()
+  // call walk only the surviving incident links, in linksOf() order (which
+  // fixes the ECMP candidate order).
+  const int n = topo.numSwitches();
+  adjacent_.resize(static_cast<std::size_t>(n));
+  for (int li = 0; li < topo.numLinks(); ++li) {
+    if (severedMask_[li]) continue;
+    const topo::Link& link = topo.link(li);
+    adjacent_[link.a.sw].push_back({link.a.port, link.b.sw});
+    if (link.b.sw != link.a.sw) adjacent_[link.b.sw].push_back({link.b.port, link.a.sw});
+  }
+  // Per-destination BFS over the surviving switch graph.
+  dist_.assign(static_cast<std::size_t>(n), std::vector<int>(static_cast<std::size_t>(n), -1));
+  std::vector<int> frontier(static_cast<std::size_t>(n));
+  for (int target = 0; target < n; ++target) {
+    std::vector<int>& dist = dist_[target];
+    dist[target] = 0;
+    frontier[0] = target;
+    for (int head = 0, tail = 1; head < tail; ++head) {
+      const int sw = frontier[head];
+      for (const Adjacent& adj : adjacent_[sw]) {
+        if (dist[adj.peer] < 0) {
+          dist[adj.peer] = dist[sw] + 1;
+          frontier[tail++] = adj.peer;
+        }
+      }
+    }
   }
 }
 
 std::vector<topo::PortId> ShortestPathRouting::candidates(topo::SwitchId sw,
                                                           topo::HostId dst) const {
-  const topo::SwitchId target = topo_->hostSwitch(dst);
-  const std::vector<int>& dist = dist_[target];
+  const std::vector<int>& dist = dist_[topo_->hostSwitch(dst)];
   std::vector<topo::PortId> out;
-  for (const int li : topo_->linksOf(sw)) {
-    const topo::Link& link = topo_->link(li);
-    const topo::SwitchPort mine = link.a.sw == sw ? link.a : link.b;
-    const topo::SwitchPort peer = link.peerOf(sw);
-    if (dist[peer.sw] >= 0 && dist[peer.sw] == dist[sw] - 1) out.push_back(mine.port);
+  for (const Adjacent& adj : adjacent_[sw]) {
+    if (dist[adj.peer] >= 0 && dist[adj.peer] == dist[sw] - 1) out.push_back(adj.port);
   }
   return out;
+}
+
+bool ShortestPathRouting::reachable(topo::SwitchId sw, topo::HostId dst) const {
+  return dist_[topo_->hostSwitch(dst)][sw] >= 0;
 }
 
 Result<Hop> ShortestPathRouting::nextHop(topo::SwitchId sw, topo::HostId dst, int vc,
                                          std::uint64_t flowHash) const {
   auto cands = candidates(sw, dst);
   if (cands.empty()) {
+    if (severedCount_ > 0) {
+      return makeError(strFormat(
+          "shortest: no surviving route from switch %d to host %d (%d link(s) severed)", sw,
+          dst, severedCount_));
+    }
     return makeError(strFormat("shortest: no route from switch %d to host %d", sw, dst));
   }
   if (oracle_ && cands.size() > 1) {

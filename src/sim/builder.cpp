@@ -1,7 +1,7 @@
 #include "sim/builder.hpp"
 
 #include <cassert>
-#include <unordered_map>
+#include <optional>
 
 #include "sim/consistency.hpp"
 
@@ -68,9 +68,8 @@ BuiltNetwork buildLogicalNetwork(Simulator& sim, const topo::Topology& topo,
   return built;
 }
 
-BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
-                                   const projection::Projection& projection,
-                                   const projection::Plant& plant,
+BuiltNetwork buildProjectedNetwork(Simulator& sim, const projection::Plant& plant,
+                                   const std::vector<PlacedTopology>& placed, int numHosts,
                                    std::vector<std::shared_ptr<openflow::Switch>>
                                        programmedSwitches,
                                    const NetworkConfig& config,
@@ -98,63 +97,83 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
       result.epoch = decision.stampEpoch;
       return result;
     };
-    const TimeNs extra = crossbar.extra(projection.subSwitchCountOn(psw));
-    const int id = net.addSwitch(plant.switches[psw].numPorts, std::move(forwarder), extra);
+    // Crossbar arbitration scales with the total sub-switch load the
+    // physical switch carries across every placed topology (co-tenancy is
+    // visible as latency, never as misrouting).
+    int subSwitches = 0;
+    for (const PlacedTopology& p : placed) subSwitches += p.projection->subSwitchCountOn(psw);
+    const int id = net.addSwitch(plant.switches[psw].numPorts, std::move(forwarder),
+                                 crossbar.extra(subSwitches));
     assert(id == psw);
     (void)id;
   }
-  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
+  // Ids no placed topology claims (a tenant plane's evicted host ranges)
+  // are orphan hosts: no NIC link, never inject.
+  for (topo::HostId h = 0; h < numHosts; ++h) {
     const int id = net.addHost();
     assert(id == h);
     (void)id;
   }
 
   // The plant's fixed cabling is installed once and never moves (§IV), so
-  // wire *every* fixed cable — not just the ones this projection realized.
+  // wire *every* fixed cable — not just the ones a projection realized.
   // Spare cables carry no flow entries (no traffic can touch them), but they
   // are exactly the healthy ports SdtController::repair() re-projects onto
   // after a failure, so the data plane must have them. Realized links run at
   // the logical link's configured speed (breakout), spares at native port
-  // speed. On-demand optical circuits exist only while realized.
-  std::unordered_map<int, Gbps> selfSpeed;
-  std::unordered_map<int, Gbps> interSpeed;
-  for (const projection::RealizedLink& rl : projection.realizedLinks()) {
-    const topo::Link& logical = topo.link(rl.logicalLink);
-    if (rl.optical) {
-      const projection::PhysLink& phys = projection.opticalCircuits()[rl.physLink];
-      // Optical circuits detour through the OCS: a little extra fiber.
-      const TimeNs prop =
-          (rl.interSwitch ? kInterSwitchPropDelay : kSelfLinkPropDelay) + 25;
-      net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, logical.speed,
-                          prop);
-    } else if (rl.interSwitch) {
-      interSpeed.emplace(rl.physLink, logical.speed);
-    } else {
-      selfSpeed.emplace(rl.physLink, logical.speed);
+  // speed; a realized cable is found by its `a` end port, which a slice
+  // plant shares with the shared plant while its link indices differ.
+  // On-demand optical circuits exist only while realized.
+  std::vector<std::vector<std::optional<Gbps>>> realizedSpeed(
+      static_cast<std::size_t>(plant.numSwitches()));
+  for (int psw = 0; psw < plant.numSwitches(); ++psw) {
+    realizedSpeed[psw].resize(static_cast<std::size_t>(plant.switches[psw].numPorts));
+  }
+  for (const PlacedTopology& p : placed) {
+    for (const projection::RealizedLink& rl : p.projection->realizedLinks()) {
+      const Gbps speed = p.topology->link(rl.logicalLink).speed;
+      if (rl.optical) {
+        const projection::PhysLink& phys = p.projection->opticalCircuits()[rl.physLink];
+        // Optical circuits detour through the OCS: a little extra fiber.
+        const TimeNs prop =
+            (rl.interSwitch ? kInterSwitchPropDelay : kSelfLinkPropDelay) + 25;
+        net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed, prop);
+        continue;
+      }
+      const projection::PhysLink& phys = rl.interSwitch ? p.plant->interLinks[rl.physLink]
+                                                        : p.plant->selfLinks[rl.physLink];
+      std::optional<Gbps>& slot = realizedSpeed[phys.a.sw][phys.a.port];
+      if (!slot) slot = speed;
     }
   }
-  for (std::size_t i = 0; i < plant.selfLinks.size(); ++i) {
-    const projection::PhysLink& phys = plant.selfLinks[i];
-    const auto it = selfSpeed.find(static_cast<int>(i));
+  const auto wire = [&](const projection::PhysLink& phys, TimeNs prop) {
     const Gbps speed =
-        it != selfSpeed.end() ? it->second : plant.switches[phys.a.sw].portSpeed;
-    net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        kSelfLinkPropDelay);
-  }
-  for (std::size_t i = 0; i < plant.interLinks.size(); ++i) {
-    const projection::PhysLink& phys = plant.interLinks[i];
-    const auto it = interSpeed.find(static_cast<int>(i));
-    const Gbps speed =
-        it != interSpeed.end() ? it->second : plant.switches[phys.a.sw].portSpeed;
-    net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        kInterSwitchPropDelay);
-  }
-  for (topo::HostId h = 0; h < topo.numHosts(); ++h) {
-    const projection::PhysPort pp = projection.hostPortOf(h);
-    net.connectHost(h, pp.sw, pp.port, topo.hostLink(h).speed, kHostPropDelay);
+        realizedSpeed[phys.a.sw][phys.a.port].value_or(plant.switches[phys.a.sw].portSpeed);
+    net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed, prop);
+  };
+  for (const projection::PhysLink& phys : plant.selfLinks) wire(phys, kSelfLinkPropDelay);
+  for (const projection::PhysLink& phys : plant.interLinks) wire(phys, kInterSwitchPropDelay);
+  for (const PlacedTopology& p : placed) {
+    for (topo::HostId h = 0; h < p.topology->numHosts(); ++h) {
+      const projection::PhysPort pp = p.projection->hostPortOf(h);
+      net.connectHost(p.hostBase + h, pp.sw, pp.port, p.topology->hostLink(h).speed,
+                      kHostPropDelay);
+    }
   }
   net.partitionShards();
   return built;
+}
+
+BuiltNetwork buildProjectedNetwork(Simulator& sim, const topo::Topology& topo,
+                                   const projection::Projection& projection,
+                                   const projection::Plant& plant,
+                                   std::vector<std::shared_ptr<openflow::Switch>>
+                                       programmedSwitches,
+                                   const NetworkConfig& config,
+                                   const CrossbarModel& crossbar,
+                                   EpochConsistencyChecker* checker) {
+  return buildProjectedNetwork(sim, plant, {{&topo, &projection, &plant, 0}}, topo.numHosts(),
+                               std::move(programmedSwitches), config, crossbar, checker);
 }
 
 }  // namespace sdt::sim

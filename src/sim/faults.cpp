@@ -4,23 +4,6 @@
 
 namespace sdt::sim {
 
-const char* faultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kPortDown: return "port-down";
-    case FaultKind::kPortUp: return "port-up";
-    case FaultKind::kCableCut: return "cable-cut";
-    case FaultKind::kCableRestore: return "cable-restore";
-    case FaultKind::kSwitchCrash: return "switch-crash";
-    case FaultKind::kSwitchReboot: return "switch-reboot";
-    case FaultKind::kPortStall: return "port-stall";
-    case FaultKind::kPortUnstall: return "port-unstall";
-    case FaultKind::kImpair: return "impair";
-    case FaultKind::kOverloadStorm: return "overload-storm";
-    case FaultKind::kOverloadEnd: return "overload-end";
-  }
-  return "?";
-}
-
 FaultInjector::FaultInjector(Simulator& sim, Network& net, std::uint64_t seed)
     : sim_(&sim), net_(&net) {
   net_->seedFaultRng(seed);
@@ -67,11 +50,6 @@ void FaultInjector::apply(const FaultSpec& spec) {
       }
       break;
     }
-    case FaultKind::kSwitchCrash:
-      assert(spec.sw >= 0 && spec.sw < static_cast<int>(ofSwitches_.size()) &&
-             "attachSwitches() before crashing a switch");
-      ofSwitches_[spec.sw]->table().clear();
-      break;
     case FaultKind::kSwitchReboot:
       assert(spec.sw >= 0 && spec.sw < static_cast<int>(ofSwitches_.size()) &&
              "attachSwitches() before rebooting a switch");

@@ -4,8 +4,8 @@
 // module injects the failures that force such rewrites: loopback-cable cuts
 // (both peer ports die, paper footnote 2 — the §IV self-link fibers are the
 // most numerous and therefore most failure-prone cables in the plant),
-// physical-port failures, whole-switch crashes (flow-table wipe, as after a
-// power-cycle of a commodity OpenFlow switch), silently wedged transceivers
+// physical-port failures, whole-switch reboots (a power cycle of a commodity
+// OpenFlow switch wipes its flow table), silently wedged transceivers
 // (tx counters freeze while backlog builds), and probabilistic frame
 // drop/corruption on a port.
 //
@@ -33,7 +33,6 @@ enum class FaultKind : std::uint8_t {
   kPortUp,       ///< the port comes back
   kCableCut,     ///< cut the cable at (sw, port): both peer ports go down
   kCableRestore, ///< re-seat the cable: both peer ports come back
-  kSwitchCrash,  ///< physical switch loses its flow table (power cycle)
   kSwitchReboot, ///< full power cycle: table, ingress epoch, xid cache, stats
   kPortStall,    ///< transceiver wedges: tx freezes, backlog builds
   kPortUnstall,  ///< the wedge clears
@@ -47,14 +46,12 @@ enum class FaultKind : std::uint8_t {
   kOverloadEnd,    ///< the storm ends: rates return to nominal
 };
 
-const char* faultKindName(FaultKind kind);
-
 /// One scheduled fault. `sw`/`port` address the *physical* (sim) switch.
 struct FaultSpec {
   TimeNs at = 0;
   FaultKind kind = FaultKind::kPortDown;
   int sw = -1;
-  int port = -1;           ///< unused for kSwitchCrash
+  int port = -1;           ///< unused for kSwitchReboot
   double dropProb = 0.0;   ///< kImpair only
   double corruptProb = 0.0;///< kImpair only
   double intensity = 1.0;  ///< kOverloadStorm: offered-load multiplier
@@ -82,7 +79,7 @@ class FaultInjector {
   FaultInjector(Simulator& sim, Network& net, std::uint64_t seed = 0x5D7C0FFEEULL);
 
   /// Give the injector the controller-programmed switch models so
-  /// kSwitchCrash can wipe the right flow table (index == sim switch id).
+  /// kSwitchReboot can power-cycle the right one (index == sim switch id).
   void attachSwitches(std::vector<std::shared_ptr<openflow::Switch>> switches) {
     ofSwitches_ = std::move(switches);
   }
@@ -101,10 +98,8 @@ class FaultInjector {
   void upPort(TimeNs at, int sw, int port) {
     schedule({at, FaultKind::kPortUp, sw, port});
   }
-  void crashSwitch(TimeNs at, int sw) { schedule({at, FaultKind::kSwitchCrash, sw, -1}); }
-  /// Unlike kSwitchCrash (table wipe only, the PR-2 repair scenario), a
-  /// reboot also clears the ingress-epoch config and xid cache — the state
-  /// crash recovery must read back and repopulate.
+  /// A reboot wipes the flow table and also clears the ingress-epoch config
+  /// and xid cache — the state crash recovery must read back and repopulate.
   void rebootSwitch(TimeNs at, int sw) {
     schedule({at, FaultKind::kSwitchReboot, sw, -1});
   }

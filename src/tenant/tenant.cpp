@@ -4,11 +4,9 @@
 #include <cassert>
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "common/strings.hpp"
 #include "openflow/flow_table.hpp"
-#include "sim/consistency.hpp"
 
 namespace sdt::tenant {
 
@@ -69,7 +67,6 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   candidate.switches = plant_.switches;
   std::vector<int> candSelfToShared;
   std::vector<int> candInterToShared;
-  std::vector<int> candHostToShared;
   for (std::size_t i = 0; i < plant_.selfLinks.size(); ++i) {
     if (selfOwner_[i] != 0) continue;
     candidate.selfLinks.push_back(plant_.selfLinks[i]);
@@ -81,9 +78,7 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
     candInterToShared.push_back(static_cast<int>(i));
   }
   for (std::size_t i = 0; i < plant_.hostPorts.size(); ++i) {
-    if (hostPortOwner_[i] != 0) continue;
-    candidate.hostPorts.push_back(plant_.hostPorts[i]);
-    candHostToShared.push_back(static_cast<int>(i));
+    if (hostPortOwner_[i] == 0) candidate.hostPorts.push_back(plant_.hostPorts[i]);
   }
   // No flexPorts: on-demand optical circuits are plant-global state and are
   // not sliced (a slice that needs more links asks for more fixed spares).
@@ -160,15 +155,12 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   slice.plant.switches = plant_.switches;
   for (const int i : ownSelf) {
     slice.plant.selfLinks.push_back(plant_.selfLinks[static_cast<std::size_t>(i)]);
-    slice.selfToShared.push_back(i);
   }
   for (const int i : ownInter) {
     slice.plant.interLinks.push_back(plant_.interLinks[static_cast<std::size_t>(i)]);
-    slice.interToShared.push_back(i);
   }
   for (const int i : ownHostPorts) {
     slice.plant.hostPorts.push_back(plant_.hostPorts[static_cast<std::size_t>(i)]);
-    slice.hostPortToShared.push_back(i);
   }
   slice.controller = std::make_unique<controller::SdtController>(slice.plant);
   auto deployed = slice.controller->deploy(*spec.topology, *spec.routing, opts);
@@ -329,21 +321,15 @@ void TenantManager::refreshSlice(TenantSlice& slice) {
         switches_[static_cast<std::size_t>(sw)]->table().countTenant(slice.id);
   }
   // Egress queues this slice's traffic can occupy: both ends of every owned
-  // cable plus its host attachment ports.
+  // cable plus its host attachment ports — exactly what the slice plant holds.
   std::set<std::pair<int, int>> watch;
-  for (const int i : slice.selfToShared) {
-    const projection::PhysLink& pl = plant_.selfLinks[static_cast<std::size_t>(i)];
-    watch.insert(portKey(pl.a));
-    watch.insert(portKey(pl.b));
+  for (const auto* links : {&slice.plant.selfLinks, &slice.plant.interLinks}) {
+    for (const projection::PhysLink& pl : *links) {
+      watch.insert(portKey(pl.a));
+      watch.insert(portKey(pl.b));
+    }
   }
-  for (const int i : slice.interToShared) {
-    const projection::PhysLink& pl = plant_.interLinks[static_cast<std::size_t>(i)];
-    watch.insert(portKey(pl.a));
-    watch.insert(portKey(pl.b));
-  }
-  for (const int i : slice.hostPortToShared) {
-    watch.insert(portKey(plant_.hostPorts[static_cast<std::size_t>(i)]));
-  }
+  for (const projection::PhysPort& p : slice.plant.hostPorts) watch.insert(portKey(p));
   slice.watchPorts.assign(watch.begin(), watch.end());
   recomputeReservations();
 }
@@ -430,90 +416,15 @@ sim::BuiltNetwork TenantManager::buildNetwork(sim::Simulator& sim,
                                               const sim::NetworkConfig& config,
                                               const sim::CrossbarModel& crossbar,
                                               sim::EpochConsistencyChecker* checker) const {
-  sim::BuiltNetwork built;
-  built.net = std::make_unique<sim::Network>(sim, config);
-  built.ofSwitches = switches_;
-  sim::Network& net = *built.net;
-
-  for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
-    std::shared_ptr<openflow::Switch> ofs = switches_[static_cast<std::size_t>(psw)];
-    sim::Forwarder forwarder = [ofs, checker, psw](const sim::Packet& pkt, int inPort) {
-      const openflow::ForwardDecision decision =
-          ofs->process(pkt.header(inPort), pkt.wireBytes());
-      if (checker != nullptr) {
-        checker->onLookup(pkt.id, psw, decision.matched, decision.ruleEpoch);
-      }
-      sim::ForwardResult result;
-      result.drop = decision.drop;
-      result.outPort = decision.outPort;
-      result.vc = decision.vc >= 0 ? decision.vc : pkt.vc;
-      result.epoch = decision.stampEpoch;
-      return result;
-    };
-    // Crossbar arbitration scales with the TOTAL sub-switch load the
-    // physical switch carries across every slice (co-tenancy is visible as
-    // latency, never as misrouting).
-    int subSwitches = 0;
-    for (const auto& [id, slice] : slices_) {
-      subSwitches += slice.deployment.projection.subSwitchCountOn(psw);
-    }
-    const int id = net.addSwitch(plant_.switches[static_cast<std::size_t>(psw)].numPorts,
-                                 std::move(forwarder), crossbar.extra(subSwitches));
-    assert(id == psw);
-    (void)id;
-  }
-  // Global host-id space, holes from evicted slices included: an orphan
-  // host has no NIC link and never injects.
-  for (int h = 0; h < hostSlots_; ++h) {
-    const int id = net.addHost();
-    assert(id == h);
-    (void)id;
-  }
-
-  // Every fixed cable is wired (spares are repair's landing zone); realized
-  // links run at their slice's configured logical speed.
-  std::unordered_map<int, Gbps> selfSpeed;
-  std::unordered_map<int, Gbps> interSpeed;
+  std::vector<sim::PlacedTopology> placed;
+  placed.reserve(slices_.size());
   for (const auto& [id, slice] : slices_) {
-    for (const projection::RealizedLink& rl :
-         slice.deployment.projection.realizedLinks()) {
-      const topo::Link& logical = slice.topology->link(rl.logicalLink);
-      if (rl.interSwitch) {
-        interSpeed.emplace(slice.interToShared[static_cast<std::size_t>(rl.physLink)],
-                           logical.speed);
-      } else {
-        selfSpeed.emplace(slice.selfToShared[static_cast<std::size_t>(rl.physLink)],
-                          logical.speed);
-      }
-    }
+    placed.push_back({slice.topology, &slice.deployment.projection, &slice.plant,
+                      static_cast<topo::HostId>(slice.hostBase)});
   }
-  for (std::size_t i = 0; i < plant_.selfLinks.size(); ++i) {
-    const projection::PhysLink& phys = plant_.selfLinks[i];
-    const auto speedIt = selfSpeed.find(static_cast<int>(i));
-    const Gbps speed = speedIt != selfSpeed.end()
-                           ? speedIt->second
-                           : plant_.switches[static_cast<std::size_t>(phys.a.sw)].portSpeed;
-    net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        sim::kSelfLinkPropDelay);
-  }
-  for (std::size_t i = 0; i < plant_.interLinks.size(); ++i) {
-    const projection::PhysLink& phys = plant_.interLinks[i];
-    const auto speedIt = interSpeed.find(static_cast<int>(i));
-    const Gbps speed = speedIt != interSpeed.end()
-                           ? speedIt->second
-                           : plant_.switches[static_cast<std::size_t>(phys.a.sw)].portSpeed;
-    net.connectSwitches(phys.a.sw, phys.a.port, phys.b.sw, phys.b.port, speed,
-                        sim::kInterSwitchPropDelay);
-  }
-  for (const auto& [id, slice] : slices_) {
-    for (topo::HostId h = 0; h < slice.topology->numHosts(); ++h) {
-      const projection::PhysPort pp = slice.deployment.projection.hostPortOf(h);
-      net.connectHost(static_cast<int>(slice.hostBase) + h, pp.sw, pp.port,
-                      slice.topology->hostLink(h).speed, sim::kHostPropDelay);
-    }
-  }
-  net.partitionShards();
-  return built;
+  // The global host-id space keeps evicted slices' ranges as orphan hosts.
+  return sim::buildProjectedNetwork(sim, plant_, placed, hostSlots_, switches_, config,
+                                    crossbar, checker);
 }
 
 }  // namespace sdt::tenant

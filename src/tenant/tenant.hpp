@@ -77,13 +77,6 @@ struct TenantSlice {
   /// the slice's entries live side by side with co-tenants', separated by
   /// cookie namespace.
   controller::Deployment deployment;
-  /// Slice-plant link index -> shared-plant link index (projection results
-  /// index the slice plant; the network builder needs shared indices).
-  std::vector<int> selfToShared;
-  std::vector<int> interToShared;
-  /// Shared-plant host-port indices this slice owns (parallel to logical
-  /// host ids).
-  std::vector<int> hostPortToShared;
   /// (switch, port) egress queues the slice's traffic can occupy — feed
   /// these to AdmissionController::restrictToPorts() so a co-tenant's storm
   /// never throttles this slice's credits.

@@ -14,8 +14,8 @@
 //    generators derive a vertex's neighborhood in O(degree) arithmetic, so
 //    vertex-major replay needs no adjacency storage either.
 //
-// Implementations: GraphStream wraps an in-memory Graph (used to route the
-// existing partitionGraph callers through the streaming heuristics), and
+// Implementations: GraphStream wraps an in-memory Graph (to run the
+// streaming heuristics on a materialized topology), and
 // synthetic generators mirror generators.cpp vertex-for-vertex at any scale:
 // FatTreeStream(k) == makeFatTree(k).switchGraph(), Torus3DStream(x,y,z) ==
 // makeTorus3D(x,y,z).switchGraph(), and ScaledZooStream tiles a zoo WAN into

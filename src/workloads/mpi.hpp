@@ -4,9 +4,8 @@
 // miniGhost, miniFE, IMB) and feeds its simulator with traces collected from
 // them (§VI-A2). We model an application as one Program per rank — a list of
 // compute / send / recv / barrier ops — and interpret the programs
-// event-driven on top of the RoCE transport. The same Program doubles as the
-// trace format (workloads/trace.hpp), so "collect a trace and replay it in
-// the simulator" is the identity operation here by construction.
+// event-driven on top of the RoCE transport (workloads/apps.hpp generates
+// the paper's applications as Programs).
 //
 // Semantics (deliberately simple but sufficient for collective patterns):
 //  - kSend is non-blocking (eager); message completion is receiver-side.

@@ -1,5 +1,6 @@
-// Tests: routing::DegradedRouting — the algorithm SdtController::repair()
-// swaps in when a failed physical link has no spare to re-project onto.
+// Tests: routing::ShortestPathRouting over severed links — the algorithm
+// SdtController::repair() swaps in when a failed physical link has no spare
+// to re-project onto.
 // Covers the repair-path corners the controller relies on: the VC dimension
 // of the routing being replaced is preserved (recompiled tables keep their
 // per-VC shape), overlapping severed-link sets across independent instances
@@ -10,7 +11,7 @@
 
 #include <cstdint>
 
-#include "routing/degraded.hpp"
+#include "routing/shortest_path.hpp"
 #include "topo/generators.hpp"
 
 namespace sdt::routing {
@@ -33,7 +34,7 @@ TEST(Degraded, PreservesVcDimension) {
   // keep numVcs()==2 and pass the requested VC through unchanged so the
   // recompiled flow entries still match per (in_port, dst, vc).
   const topo::Topology topo = topo::makeRing(6);
-  DegradedRouting algo(topo, {linkBetween(topo, 0, 1)}, /*numVcs=*/2);
+  ShortestPathRouting algo(topo, {linkBetween(topo, 0, 1)}, /*numVcs=*/2);
   EXPECT_EQ(algo.numVcs(), 2);
   for (int vc = 0; vc < 2; ++vc) {
     auto hop = algo.nextHop(/*sw=*/0, /*dst=*/3, vc, /*flowHash=*/7);
@@ -46,7 +47,7 @@ TEST(Degraded, RoutesAroundSeveredLink) {
   // Ring-6 minus one link is a line: every pair stays reachable, and the
   // pair the severed link used to join goes all the way around.
   const topo::Topology topo = topo::makeRing(6);
-  DegradedRouting algo(topo, {linkBetween(topo, 0, 1)}, /*numVcs=*/2);
+  ShortestPathRouting algo(topo, {linkBetween(topo, 0, 1)}, /*numVcs=*/2);
   for (topo::HostId src = 0; src < topo.numHosts(); ++src) {
     for (topo::HostId dst = 0; dst < topo.numHosts(); ++dst) {
       if (src == dst) continue;
@@ -66,8 +67,8 @@ TEST(Degraded, OverlappingSeveredSetsStayIndependent) {
   const int a = linkBetween(topo, 0, 1);
   const int b = linkBetween(topo, 1, 2);
   const int c = linkBetween(topo, 3, 4);
-  DegradedRouting first(topo, {a, b}, /*numVcs=*/2);
-  DegradedRouting second(topo, {b, c}, /*numVcs=*/2);
+  ShortestPathRouting first(topo, {a, b}, /*numVcs=*/2);
+  ShortestPathRouting second(topo, {b, c}, /*numVcs=*/2);
 
   EXPECT_TRUE(first.isSevered(a));
   EXPECT_TRUE(first.isSevered(b));
@@ -101,8 +102,8 @@ TEST(Degraded, DuplicateSeveredIndicesCollapse) {
   // cut cable map to it); duplicates must behave like a single severing.
   const topo::Topology topo = topo::makeTorus2D(3, 3);
   const int a = linkBetween(topo, 0, 1);
-  DegradedRouting once(topo, {a}, /*numVcs=*/2);
-  DegradedRouting twice(topo, {a, a, a}, /*numVcs=*/2);
+  ShortestPathRouting once(topo, {a}, /*numVcs=*/2);
+  ShortestPathRouting twice(topo, {a, a, a}, /*numVcs=*/2);
   for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
     for (topo::HostId dst = 0; dst < topo.numHosts(); ++dst) {
       if (topo.hostSwitch(dst) == sw) continue;
@@ -118,7 +119,7 @@ TEST(Degraded, UnreachablePairsErrorInsteadOfBlackHoling) {
   // error and an empty candidate set — never a Hop onto a dead port.
   const topo::Topology topo = topo::makeRing(6);
   const std::vector<int> cut = {linkBetween(topo, 0, 1), linkBetween(topo, 1, 2)};
-  DegradedRouting algo(topo, cut, /*numVcs=*/2);
+  ShortestPathRouting algo(topo, cut, /*numVcs=*/2);
 
   const topo::HostId marooned = 1;  // hosts attach one per switch, in order
   ASSERT_EQ(topo.hostSwitch(marooned), 1);

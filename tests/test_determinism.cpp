@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <ostream>
@@ -1339,6 +1340,224 @@ TEST(Determinism, ProjectionMatchesRecordedValues) {
   // fits.
   pinProjection("mesh4.hosts", topo::makeFullMesh(4, {.hostsPerSwitch = 3}),
                 builtPlant(4, projection::openflow64x100G(), 4, 6), got);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first);
+    EXPECT_EQ(got[i].second, want[i].second) << want[i].first;
+  }
+}
+
+// ---- Recorded projected planes ---------------------------------------------
+//
+// The paths that wire and program a projected plant beyond one topology on
+// fixed cables: the tenant manager's shared plane (two slices, then one
+// after an eviction), a topology realized partly through optical circuits,
+// a degraded repair's recompiled 2-VC tables, and check()'s demand reports.
+// Engines are explicit sim::Simulator(1, 1), so the literals hold whatever
+// SDT_SHARDS the suite runs under.
+
+/// FNV-1a over every rule of every switch, in table order.
+std::uint64_t hashTables(const std::vector<std::shared_ptr<openflow::Switch>>& switches) {
+  hash::Fnv64 h;
+  for (const auto& sw : switches) {
+    for (const openflow::FlowEntry& e : sw->table().entries()) {
+      h.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(e.match.describe());
+      for (const openflow::Action& a : e.actions) {
+        h.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
+      }
+    }
+  }
+  return h.value();
+}
+
+/// One RoCE exchange per slice base (logical hosts 0 <-> 3 of a line(4), at
+/// base + h) on the manager's shared plane with a nonzero crossbar model.
+void pinTenantExchange(const std::string& tag, const tenant::TenantManager& mgr,
+                       const std::vector<std::uint32_t>& bases, PinValues& out) {
+  const InstanceOptions defaults;
+  sim::Simulator engine(1, 1);
+  sim::BuiltNetwork built = mgr.buildNetwork(engine, defaults.network, {2.0, 1.0});
+  sim::TransportManager transport(engine, *built.net, defaults.transport);
+  std::vector<TimeNs> done(bases.size(), -1);
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const int base = static_cast<int>(bases[i]);
+    for (const auto& [src, dst] : {std::pair{0, 3}, std::pair{3, 0}}) {
+      transport.sendMessage(base + src, base + dst, 64 * kKiB, 0,
+                            [&done, i](std::uint64_t, TimeNs at) {
+                              done[i] = std::max(done[i], at);
+                            });
+    }
+  }
+  engine.run();
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    out.emplace_back(tag + ".done" + std::to_string(bases[i]),
+                     static_cast<std::uint64_t>(done[i]));
+  }
+  out.emplace_back(tag + ".events", static_cast<std::uint64_t>(engine.eventsProcessed()));
+  out.emplace_back(tag + ".hosts", static_cast<std::uint64_t>(built.net->numHosts()));
+  out.emplace_back(tag + ".ports_fnv", hashPorts(*built.net));
+}
+
+void pinTenantPlane(PinValues& out) {
+  TenantWorld w;
+  pinTenantExchange("tenant", w.mgr, {w.mgr.slice(1)->hostBase, w.mgr.slice(2)->hostBase},
+                    out);
+  // Bob holds the higher host range; his hosts stay as orphans after he goes.
+  ASSERT_GT(w.mgr.slice(2)->hostBase, w.mgr.slice(1)->hostBase);
+  ASSERT_TRUE(w.mgr.evict(2).ok());
+  pinTenantExchange("evicted", w.mgr, {w.mgr.slice(1)->hostBase}, out);
+}
+
+/// ring(20) on 16 fixed self-links plus 10 flex ports (the projection pin's
+/// plant, with one host per switch), and one message across a circuit.
+void pinOpticalPlane(PinValues& out) {
+  const topo::Topology ring = topo::makeRing(20);
+  const routing::ShortestPathRouting routing(ring);
+  projection::Plant plant = builtPlant(1, projection::openflow64x100G(), 22, 0);
+  ASSERT_TRUE(projection::addOpticalFlex(plant, 5).ok());
+  auto dep = controller::SdtController(plant).deploy(ring, routing,
+                                                     {.requireDeadlockFree = false});
+  ASSERT_TRUE(dep.ok()) << dep.error().message;
+  const projection::Projection& proj = dep.value().projection;
+  const auto& realized = proj.realizedLinks();
+  const auto circuit = std::find_if(realized.begin(), realized.end(),
+                                    [](const projection::RealizedLink& rl) {
+                                      return rl.optical;
+                                    });
+  ASSERT_NE(circuit, realized.end());
+  const topo::Link& link = ring.link(circuit->logicalLink);
+  const topo::HostId src = ring.hostsOf(link.a.sw).front();
+  const topo::HostId dst = ring.hostsOf(link.b.sw).front();
+
+  const InstanceOptions defaults;
+  sim::Simulator engine(1, 1);
+  sim::BuiltNetwork built =
+      sim::buildProjectedNetwork(engine, ring, proj, plant, dep.value().switches,
+                                 defaults.network, defaults.crossbar);
+  sim::TransportManager transport(engine, *built.net, defaults.transport);
+  TimeNs done = -1;
+  transport.sendMessage(src, dst, 64 * kKiB, 0, [&done](std::uint64_t, TimeNs at) { done = at; });
+  engine.run();
+  const projection::PhysPort end = proj.opticalCircuits()[circuit->physLink].a;
+  ASSERT_GT(built.net->switchPortCounters(end.sw, end.port).txPackets +
+                built.net->switchPortCounters(end.sw, end.port).rxPackets,
+            0u)
+      << "the message never crossed the circuit";
+  out.emplace_back("optical.circuits", static_cast<std::uint64_t>(proj.opticalCircuits().size()));
+  out.emplace_back("optical.done", static_cast<std::uint64_t>(done));
+  out.emplace_back("optical.events", static_cast<std::uint64_t>(engine.eventsProcessed()));
+  out.emplace_back("optical.ports_fnv", hashPorts(*built.net));
+}
+
+/// torus-clue (two dateline VCs per dimension) on torus2d-3x3 over one
+/// switch with no spare cable; one realized cable is cut, so repair severs
+/// it and re-routes with the routing's VC count.
+void pinDegradedRepair(PinValues& out) {
+  projection::Plant plant;
+  plant.switches.push_back(projection::openflow64x100G());
+  plant.switches[0].numPorts = 48;
+  for (int k = 0; k < 18; ++k) plant.selfLinks.push_back({{0, 2 * k}, {0, 2 * k + 1}});
+  for (int h = 0; h < 9; ++h) plant.hostPorts.push_back({0, 36 + h});
+  ASSERT_TRUE(plant.validate().ok());
+  const topo::Topology torus = topo::makeTorus2D(3, 3);
+  auto routing = routing::makeRouting("torus-clue", torus);
+  ASSERT_TRUE(routing.ok());
+  const controller::SdtController ctl(plant);
+  auto dep = ctl.deploy(torus, *routing.value());
+  ASSERT_TRUE(dep.ok()) << dep.error().message;
+  const projection::RealizedLink rl = dep.value().projection.realizedLinks().front();
+  const projection::PhysLink cable = plant.selfLinks[static_cast<std::size_t>(rl.physLink)];
+  controller::FailureSet failures;
+  failures.ports = {cable.a, cable.b};
+  auto rep = ctl.repair(dep.value(), torus, *routing.value(), failures);
+  ASSERT_TRUE(rep.ok()) << rep.error().message;
+  const controller::RepairReport& r = rep.value();
+  out.emplace_back("repair.vcs", static_cast<std::uint64_t>(routing.value()->numVcs()));
+  out.emplace_back("repair.severed", static_cast<std::uint64_t>(r.severedLinks.size()));
+  out.emplace_back("repair.remapped", static_cast<std::uint64_t>(r.remappedLinks));
+  out.emplace_back("repair.unreachable", static_cast<std::uint64_t>(r.unreachablePairs.size()));
+  out.emplace_back("repair.removed", static_cast<std::uint64_t>(r.flowModsRemoved));
+  out.emplace_back("repair.added", static_cast<std::uint64_t>(r.flowModsAdded));
+  out.emplace_back("repair.deadlock_free", r.deadlockFree ? 1 : 0);
+  out.emplace_back("repair.tables_fnv", hashTables(dep.value().switches));
+}
+
+void pinCheck(const std::string& name, const projection::Plant& plant,
+              const std::vector<const topo::Topology*>& topologies, PinValues& out) {
+  const controller::CheckReport r = controller::SdtController(plant).check(topologies);
+  hash::Fnv64 problems;
+  for (const std::string& p : r.problems) problems.bytes(p).mix(p.size());
+  out.emplace_back(name + ".ok", r.ok ? 1 : 0);
+  out.emplace_back(name + ".max_self", static_cast<std::uint64_t>(r.maxSelfLinksPerSwitch));
+  out.emplace_back(name + ".max_inter", static_cast<std::uint64_t>(r.maxInterLinksPerPair));
+  out.emplace_back(name + ".max_hosts", static_cast<std::uint64_t>(r.maxHostPortsPerSwitch));
+  out.emplace_back(name + ".max_entries",
+                   static_cast<std::uint64_t>(r.maxFlowEntriesPerSwitch));
+  out.emplace_back(name + ".problems", static_cast<std::uint64_t>(r.problems.size()));
+  out.emplace_back(name + ".problems_fnv", problems.value());
+}
+
+TEST(Determinism, SharedPlaneMatchesRecordedValues) {
+  const PinValues want = {
+      {"tenant.done0", 58362},
+      {"tenant.done4", 58364},
+      {"tenant.events", 5636},
+      {"tenant.hosts", 8},
+      {"tenant.ports_fnv", 0x6b680716f66cad25},
+      {"evicted.done0", 58354},
+      {"evicted.events", 2818},
+      {"evicted.hosts", 8},
+      {"evicted.ports_fnv", 0xb9641c5f8240bd25},
+      {"optical.circuits", 4},
+      {"optical.done", 57579},
+      {"optical.events", 897},
+      {"optical.ports_fnv", 0x33ccb6e4957b09a5},
+      {"repair.vcs", 4},
+      {"repair.severed", 1},
+      {"repair.remapped", 0},
+      {"repair.unreachable", 0},
+      {"repair.removed", 650},
+      {"repair.added", 650},
+      {"repair.deadlock_free", 0},
+      {"repair.tables_fnv", 0x057a9cb2d1a7a392},
+      {"check.df.one_switch.ok", 0},
+      {"check.df.one_switch.max_self", 0},
+      {"check.df.one_switch.max_inter", 0},
+      {"check.df.one_switch.max_hosts", 0},
+      {"check.df.one_switch.max_entries", 0},
+      {"check.df.one_switch.problems", 1},
+      {"check.df.one_switch.problems_fnv", 0xa0344d465db6fd66},
+      {"check.torus5.one_switch.ok", 0},
+      {"check.torus5.one_switch.max_self", 0},
+      {"check.torus5.one_switch.max_inter", 0},
+      {"check.torus5.one_switch.max_hosts", 0},
+      {"check.torus5.one_switch.max_entries", 0},
+      {"check.torus5.one_switch.problems", 1},
+      {"check.torus5.one_switch.problems_fnv", 0xd79ec96ba2d7328d},
+      {"check.df_ring.inter_short.ok", 0},
+      {"check.df_ring.inter_short.max_self", 6},
+      {"check.df_ring.inter_short.max_inter", 0},
+      {"check.df_ring.inter_short.max_hosts", 6},
+      {"check.df_ring.inter_short.max_entries", 72},
+      {"check.df_ring.inter_short.problems", 3},
+      {"check.df_ring.inter_short.problems_fnv", 0xa90a31b21e292fe6},
+  };
+  PinValues got;
+  pinTenantPlane(got);
+  pinOpticalPlane(got);
+  pinDegradedRepair(got);
+  // The dragonfly and torus_5x5 example configs on one 128-port switch (too
+  // few self-links for either), and dragonfly with ring(6) on three switches
+  // cabled with 2 inter-switch links per pair.
+  const topo::Topology dragonfly = topo::makeDragonfly(4, 9, 2);
+  const topo::Topology torus = topo::makeTorus2D(5, 5);
+  const topo::Topology ring = topo::makeRing(6);
+  pinCheck("check.df.one_switch", builtPlant(1, projection::openflow128x100G(), 36, 0),
+           {&dragonfly}, got);
+  pinCheck("check.torus5.one_switch", builtPlant(1, projection::openflow128x100G(), 36, 0),
+           {&torus}, got);
+  pinCheck("check.df_ring.inter_short", builtPlant(3, projection::openflow128x100G(), 13, 2),
+           {&dragonfly, &ring}, got);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].first);

@@ -3,6 +3,8 @@
 // inter-switch links when the fixed reservation runs out.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "projection/link_projector.hpp"
 #include "topo/generators.hpp"
 
@@ -36,6 +38,20 @@ TEST(OpticalFlex, RespectsOpticalPortBudget) {
   tiny.numPorts = 4;
   EXPECT_FALSE(addOpticalFlex(plant, 3, tiny).ok());  // needs 12 ports
   EXPECT_TRUE(addOpticalFlex(plant, 1, tiny).ok());   // needs 4 ports
+}
+
+TEST(OpticalFlex, HugePairCountRejectedWithoutOverflow) {
+  // 2^30 pairs on each of two switches need 2^32 optical ports: the count
+  // must not wrap in int, and the request fails against the 320-port OCS
+  // before any self-link is converted.
+  Plant plant = basePlant(2, 8, 4);
+  const std::size_t selfBefore = plant.selfLinks.size();
+  const auto s = addOpticalFlex(plant, 1 << 30);
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.error().message.find("has 320 ports; 4294967296 needed"), std::string::npos)
+      << s.error().message;
+  EXPECT_EQ(plant.selfLinks.size(), selfBefore);
+  EXPECT_TRUE(plant.flexPorts.empty());
 }
 
 TEST(OpticalFlex, FailsWhenNoSelfLinksLeft) {

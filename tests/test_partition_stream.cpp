@@ -139,9 +139,6 @@ TEST(PartitionStream, RejectsBadInputs) {
   const topo::GraphStream stream(g);
   EXPECT_FALSE(partitionStream(stream, {.parts = 0}).ok());
   EXPECT_FALSE(partitionStream(stream, {.parts = 7}).ok());
-  EXPECT_FALSE(
-      partitionStream(stream, {.method = PartitionMethod::kMultilevel, .parts = 2})
-          .ok());
   const Graph empty{};
   const topo::GraphStream emptyStream(empty);
   EXPECT_FALSE(partitionStream(emptyStream, {.parts = 1}).ok());
@@ -179,15 +176,14 @@ TEST(PartitionStream, EveryHeuristicNearExactOnSmallGraphs) {
     const auto exact = exactBisection(graph, opt);
     ASSERT_TRUE(exact.ok()) << label;
     for (const PartitionMethod m : kAllStreaming) {
-      opt.method = m;
-      auto r = partitionGraph(graph, opt);
+      auto r = partitionStream(topo::GraphStream(graph), {.method = m, .parts = 2});
       ASSERT_TRUE(r.ok()) << label << " " << partitionMethodName(m);
       // Bounded optimality gap: streaming sees each edge once (plus bounded
       // restreams) and cannot refine globally, but on these small structured
       // graphs it must stay within 3x of the exhaustive optimum.
-      EXPECT_LE(r.value().objective, 3.0 * exact.value().objective + 1e-9)
+      EXPECT_LE(r.value().partition.objective, 3.0 * exact.value().objective + 1e-9)
           << label << " " << partitionMethodName(m)
-          << " streaming=" << r.value().objective
+          << " streaming=" << r.value().partition.objective
           << " exact=" << exact.value().objective;
     }
   }
@@ -220,10 +216,9 @@ TEST(PartitionStream, SanityVersusMultilevelOnZooTopologies) {
     const auto multi = partitionGraph(g, opt);
     ASSERT_TRUE(multi.ok());
     for (const PartitionMethod m : kAllStreaming) {
-      opt.method = m;
-      auto r = partitionGraph(g, opt);
+      auto r = partitionStream(topo::GraphStream(g), {.method = m, .parts = parts, .seed = 3});
       ASSERT_TRUE(r.ok()) << partitionMethodName(m) << " zoo" << zoo;
-      const PartitionResult& res = r.value();
+      const PartitionResult& res = r.value().partition;
       ASSERT_EQ(res.assignment.size(), static_cast<std::size_t>(g.numVertices()));
       std::vector<int> count(static_cast<std::size_t>(parts), 0);
       for (const int p : res.assignment) {
@@ -264,20 +259,6 @@ TEST(PartitionStream, ReplicationFactorSemantics) {
     }
     EXPECT_GT(r.value().edgesStreamed, 0);
     EXPECT_GT(r.value().peakStateBytes, 0);
-  }
-}
-
-TEST(PartitionStream, DispatchMatchesDirectStreamingCall) {
-  // partitionGraph(method=streaming) must be exactly streamingPartitionOfGraph.
-  const Graph g = topo::makeZooTopology(33).switchGraph();
-  for (const PartitionMethod m : kAllStreaming) {
-    PartitionOptions opt{.parts = 3, .seed = 9};
-    opt.method = m;
-    auto viaDispatch = partitionGraph(g, opt);
-    auto direct = streamingPartitionOfGraph(g, opt);
-    ASSERT_TRUE(viaDispatch.ok() && direct.ok()) << partitionMethodName(m);
-    EXPECT_EQ(viaDispatch.value().assignment, direct.value().assignment)
-        << partitionMethodName(m);
   }
 }
 

@@ -73,7 +73,7 @@ TEST(Plant, SpecCatalog) {
   EXPECT_EQ(openflow64x100G().numPorts, 64);
   EXPECT_EQ(openflow128x100G().numPorts, 128);
   EXPECT_GT(p4Switch64x100G().costUsd, openflow64x100G().costUsd);
-  EXPECT_EQ(p4Switch128x100G().kind, SwitchKind::kP4);
+  EXPECT_EQ(p4Switch128x100G().model, "p4-128x100G");
   EXPECT_DOUBLE_EQ(h3cS6861().portSpeed.value, 10.0);
   EXPECT_EQ(mems320().numPorts, 320);
 }

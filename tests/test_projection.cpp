@@ -302,6 +302,11 @@ TEST(LinkProjection, BoundedSearchMatchesExhaustiveSearch) {
   // 12 hosts on 4 switches with 3 host ports each.
   const topo::Topology mesh = topo::makeFullMesh(4, {.hostsPerSwitch = 3});
   EXPECT_TRUE(expectSameAsExhaustive(mesh, canonicalPlant(4, 3, 6)));
+  // 16 ring links on the 28 self-links of one 64-port switch with 8 host
+  // ports: every link a self-link, where a loopback-pair budget of half the
+  // ports (14 pairs) would not fit.
+  const topo::Topology ring16 = topo::makeRing(16, {.hostsPerSwitch = 0});
+  EXPECT_TRUE(expectSameAsExhaustive(ring16, canonicalPlant(1, 8, 0)));
 }
 
 }  // namespace

@@ -368,10 +368,8 @@ TEST_F(Tenancy, FaultContainmentRoutesFailuresToOwningSliceOnly) {
   const tenant::TenantSlice* alice = mgr.slice(1);
   ASSERT_FALSE(alice->deployment.projection.realizedLinks().empty());
   const projection::RealizedLink rl = alice->deployment.projection.realizedLinks()[0];
-  const projection::PhysLink cable =
-      rl.interSwitch
-          ? mgr.plant().interLinks[alice->interToShared[rl.physLink]]
-          : mgr.plant().selfLinks[alice->selfToShared[rl.physLink]];
+  const projection::PhysLink cable = rl.interSwitch ? alice->plant.interLinks[rl.physLink]
+                                                    : alice->plant.selfLinks[rl.physLink];
   EXPECT_EQ(mgr.tenantOwningPort(cable.a), 1);
   EXPECT_EQ(mgr.tenantOwningPort(cable.b), 1);
 
