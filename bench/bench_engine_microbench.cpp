@@ -121,7 +121,7 @@ openflow::FlowTable makeProjectorShapedTable(int entries) {
     e.priority = 100;
     e.match.inPort = i % 48;
     e.match.dstAddr = static_cast<std::uint32_t>(i);
-    e.actions = {openflow::Action::output(i % 48)};
+    e.outPort = i % 48;
     (void)table.add(std::move(e));
   }
   return table;

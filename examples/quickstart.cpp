@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < std::min<std::size_t>(3, table0.size()); ++i) {
     const openflow::FlowEntry& e = table0.entries()[i];
     std::printf("  rule[%zu]: prio=%d match=%s -> port %d\n", i, e.priority,
-                e.match.describe().c_str(), e.actions.back().arg);
+                e.match.describe().c_str(), e.outPort);
   }
 
   // 5. Run IMB Pingpong between the first two hosts on the SDT testbed.

@@ -622,7 +622,7 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
   obs::Tracer tracer;
   sim::Simulator sim;
   controller::SdtController ctl(plant.value());
-  ctl.setObservability({&registry, &tracer, [&sim]() { return sim.now(); }});
+  ctl.setObservability({&tracer, [&sim]() { return sim.now(); }});
 
   controller::DeployOptions dopt;
   dopt.requireDeadlockFree = from.pfc;

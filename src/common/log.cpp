@@ -5,8 +5,6 @@
 namespace sdt {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
-
 const char* levelName(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -19,11 +17,8 @@ const char* levelName(LogLevel level) {
 }
 }  // namespace
 
-void setLogLevel(LogLevel level) { g_level = level; }
-LogLevel logLevel() { return g_level; }
-
 void logMessage(LogLevel level, const std::string& msg) {
-  if (level < g_level) return;
+  if (level < kMinLogLevel) return;
   std::fprintf(stderr, "[sdt %-5s] %s\n", levelName(level), msg.c_str());
 }
 

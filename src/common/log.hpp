@@ -10,9 +10,8 @@ namespace sdt {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Global minimum level; messages below it are discarded.
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
+/// Messages below this level are discarded.
+inline constexpr LogLevel kMinLogLevel = LogLevel::kWarn;
 
 void logMessage(LogLevel level, const std::string& msg);
 
@@ -37,7 +36,7 @@ class LogLine {
 }  // namespace detail
 
 #define SDT_LOG(level)                          \
-  if (::sdt::logLevel() <= ::sdt::LogLevel::level) \
+  if (::sdt::kMinLogLevel <= ::sdt::LogLevel::level) \
   ::sdt::detail::LogLine(::sdt::LogLevel::level)
 
 #define SDT_DEBUG SDT_LOG(kDebug)

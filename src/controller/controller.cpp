@@ -4,7 +4,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <unordered_map>
 
+#include "common/hash.hpp"
 #include "common/strings.hpp"
 #include "controller/table_diff.hpp"
 #include "routing/shortest_path.hpp"
@@ -118,11 +120,9 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
           }
           entry.cookie =
               openflow::makeCookie(epoch, static_cast<std::uint32_t>(sw) + 1);
-          if (!local && hop.vc != vc) {
-            entry.actions.push_back(openflow::Action::setVc(hop.vc));
-          }
-          entry.actions.push_back(openflow::Action::output(outPhysPort));
-          tables[physSw].push_back(std::move(entry));
+          if (!local && hop.vc != vc) entry.setVc = hop.vc;
+          entry.outPort = outPhysPort;
+          tables[physSw].push_back(entry);
         }
       }
     }
@@ -130,34 +130,61 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
   return tables;
 }
 
-std::string ruleKey(const openflow::FlowEntry& e) {
-  std::string key = strFormat("p%d c%u m", e.priority, openflow::cookieTag(e.cookie));
-  key += e.match.describe();
-  for (const openflow::Action& a : e.actions) {
-    key += strFormat(" a%d:%d", static_cast<int>(a.type), a.arg);
+namespace {
+
+/// A rule's identity in the incremental diffs: sameRule() without the
+/// cookie's epoch half. A rule that survives a reconfiguration unchanged
+/// except for its epoch stamp is the same rule — charging a delete+add for
+/// it would make every diff as expensive as a full redeploy.
+struct RuleId {
+  int priority;
+  std::uint32_t tag;
+  openflow::Match match;
+  int setVc;
+  int outPort;
+
+  explicit RuleId(const openflow::FlowEntry& e)
+      : priority(e.priority), tag(openflow::cookieTag(e.cookie)), match(e.match),
+        setVc(e.setVc), outPort(e.outPort) {}
+  bool operator==(const RuleId&) const = default;
+};
+
+/// Hashes the fields compiled rules differ in; equality compares them all.
+struct RuleIdHash {
+  std::size_t operator()(const RuleId& r) const {
+    return hash::Fnv64()
+        .mix(r.tag)
+        .mix(static_cast<std::uint64_t>(r.match.inPort.value_or(-1)))
+        .mix(r.match.dstAddr.value_or(0))
+        .mix(r.match.trafficClass.value_or(0xFF))
+        .mix(static_cast<std::uint64_t>(r.outPort))
+        .value();
   }
-  return key;
-}
+};
+
+}  // namespace
 
 TableDiff diffEntries(const std::vector<openflow::FlowEntry>& live,
                       const std::vector<openflow::FlowEntry>& desired) {
+  struct Copies {
+    int want = 0;  ///< desired copies not yet matched by a live one
+    int have = 0;  ///< live copies not yet matched by a desired one
+  };
+  std::unordered_map<RuleId, Copies, RuleIdHash> copies(live.size() + desired.size());
+  for (const openflow::FlowEntry& e : desired) ++copies[RuleId(e)].want;
   TableDiff diff;
-  std::map<std::string, int> want;
-  for (const openflow::FlowEntry& e : desired) ++want[ruleKey(e)];
   for (const openflow::FlowEntry& e : live) {
-    const auto it = want.find(ruleKey(e));
-    if (it == want.end() || it->second == 0) {
-      diff.toRemove.push_back(e);
+    Copies& c = copies[RuleId(e)];
+    ++c.have;
+    if (c.want > 0) {
+      --c.want;
     } else {
-      --it->second;
+      diff.toRemove.push_back(e);
     }
   }
-  std::map<std::string, int> have;
-  for (const openflow::FlowEntry& e : live) ++have[ruleKey(e)];
   for (const openflow::FlowEntry& e : desired) {
-    const auto it = have.find(ruleKey(e));
-    if (it != have.end() && it->second > 0) {
-      --it->second;
+    if (int& have = copies.find(RuleId(e))->second.have; have > 0) {
+      --have;
     } else {
       diff.toAdd.push_back(e);
     }
@@ -351,35 +378,25 @@ CheckReport SdtController::check(
     for (const int c : hostsPerSwitch) {
       report.maxHostPortsPerSwitch = std::max(report.maxHostPortsPerSwitch, c);
     }
-    // Flow-table demand (§VII-C). Matches compileFlowTables exactly at one
-    // VC — (ingress ports - 1) entries per reachable destination — and is a
-    // lower bound for multi-VC strategies.
-    const std::vector<int> component = componentLabels(*t, nullptr);
-    std::map<int, int> hostsInComponent;
-    for (topo::HostId h = 0; h < t->numHosts(); ++h) {
-      ++hostsInComponent[component[t->hostSwitch(h)]];
-    }
-    std::vector<int> entriesPerPhys(static_cast<std::size_t>(plant_.numSwitches()), 0);
-    for (topo::SwitchId sw = 0; sw < t->numSwitches(); ++sw) {
-      int ingress = static_cast<int>(t->hostsOf(sw).size());
-      for (topo::PortId lp = 0; lp < t->radix(sw); ++lp) {
-        if (p.physOf(topo::SwitchPort{sw, lp}).valid()) ++ingress;
-      }
-      const int dsts = hostsInComponent[component[sw]];
-      if (ingress > 1 && dsts > 0) {
-        entriesPerPhys[p.physSwitchOf(sw)] += (ingress - 1) * dsts;
-      }
+    // Flow-table demand (§VII-C): the tables a one-VC shortest-path deploy
+    // compiles — a lower bound for multi-VC strategies.
+    const routing::ShortestPathRouting oneVc(*t);
+    const auto tables = compileFlowTables(*t, p, plant_, oneVc, DeployOptions{}, 1);
+    if (!tables) {
+      report.ok = false;
+      report.problems.push_back(
+          strFormat("topo '%s': %s", t->name().c_str(), tables.error().message.c_str()));
+      continue;
     }
     for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
-      report.maxFlowEntriesPerSwitch =
-          std::max(report.maxFlowEntriesPerSwitch, entriesPerPhys[psw]);
+      const int entries = static_cast<int>(tables.value()[psw].size());
+      report.maxFlowEntriesPerSwitch = std::max(report.maxFlowEntriesPerSwitch, entries);
       const auto capacity = plant_.switches[psw].flowTableCapacity;
-      if (static_cast<std::size_t>(entriesPerPhys[psw]) > capacity) {
+      if (static_cast<std::size_t>(entries) > capacity) {
         report.ok = false;
         report.problems.push_back(strFormat(
             "topo '%s': needs >=%d flow entries on physical switch %d, '%s' holds %zu",
-            t->name().c_str(), entriesPerPhys[psw], psw,
-            plant_.switches[psw].model.c_str(), capacity));
+            t->name().c_str(), entries, psw, plant_.switches[psw].model.c_str(), capacity));
       }
     }
   }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "common/result.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "openflow/of_switch.hpp"
 #include "projection/feasibility.hpp"
@@ -220,10 +219,9 @@ struct RepairReport {
 
 class SdtController {
  public:
-  /// Optional observability sinks for the controller's operations. Pointees
-  /// must outlive the controller (or be detached with setObservability({})).
+  /// Optional trace sink for the controller's operations. The tracer must
+  /// outlive the controller (or be detached with setObservability({})).
   struct ObsContext {
-    obs::Registry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
     /// Timestamp source for span start times — normally the simulator clock
     /// ([&sim] { return sim.now(); }). Null means spans start at t=0. The
@@ -237,11 +235,10 @@ class SdtController {
 
   [[nodiscard]] const projection::Plant& plant() const { return plant_; }
 
-  /// Attach (or detach, with a default-constructed context) metric/trace
-  /// sinks. Every deploy/planUpdate/repair afterwards emits a root span
-  /// named after the op with per-phase child spans.
+  /// Attach (or detach, with a default-constructed context) the trace sink.
+  /// Every deploy/planUpdate/repair afterwards emits a root span named
+  /// after the op with per-phase child spans.
   void setObservability(ObsContext obs) { obs_ = std::move(obs); }
-  [[nodiscard]] const ObsContext& observability() const { return obs_; }
 
   /// Topology Customization, checking function: can every topology in the
   /// set be projected on this plant (one at a time)? Reports the resource

@@ -101,7 +101,7 @@ ReplicaStatus ReplicatedController::status(int replica) const {
 
 std::uint64_t ReplicatedController::fencedWritesTotal() const {
   std::uint64_t total = 0;
-  for (const auto& sw : switches_) total += sw->fencedWrites();
+  for (const auto& sw : deployment_.switches) total += sw->fencedWrites();
   return total;
 }
 
@@ -187,7 +187,6 @@ void ReplicatedController::attachMetrics(obs::Registry& registry) {
 
 Status<Error> ReplicatedController::adoptDeployment(Deployment deployment) {
   deployment_ = std::move(deployment);
-  switches_ = deployment_.switches;
   return journalDeploy(leaderJournal(), deployment_, sim_->now());
 }
 
@@ -430,7 +429,7 @@ void ReplicatedController::startFailoverRecovery(int id) {
   // The completion is bound to the claiming (term, leader): onFailoverDone
   // drops it unless this exact takeover is still the live one.
   auto run = std::make_unique<RecoveryRun>(
-      *sim_, *fabric_, switches_, std::move(plan).value(), options,
+      *sim_, *fabric_, deployment_.switches, std::move(plan).value(), options,
       [this, tok = alive_, id, term = s.term](const RecoveryReport& report) {
         if (!*tok) return;
         onFailoverDone(id, term, report);
@@ -456,9 +455,6 @@ void ReplicatedController::onFailoverDone(int id, std::uint64_t term,
   out.converged = report.converged;
   if (report.converged) {
     deployment_ = run->takeDeployment();
-    // adoptDeployment pinned the switch set; recovery returns the same
-    // objects, but a caller may start HA pre-adoption in tests.
-    switches_ = deployment_.switches;
   } else {
     out.failure = report.failure;
   }

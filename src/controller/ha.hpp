@@ -330,7 +330,6 @@ class ReplicatedController {
   bool takeoverInProgress_ = false;
 
   Deployment deployment_;
-  std::vector<std::shared_ptr<openflow::Switch>> switches_;
 
   /// Completed runs are kept: late duplicate control messages may still
   /// reference them (same lifetime rule as ReconfigTransaction).

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/result.hpp"
@@ -33,15 +32,12 @@ Result<std::vector<std::vector<openflow::FlowEntry>>> compileFlowTables(
     const DeployOptions& options, std::uint32_t epoch,
     const std::vector<char>* severedMask = nullptr);
 
-/// Serialized rule identity for the incremental diffs' multiset keys.
-/// Counters are excluded (like openflow::sameRule) and so is the cookie's
-/// *epoch* half: a rule that survives a reconfiguration unchanged except for
-/// its epoch stamp is the same rule — charging a delete+add for it would
-/// make every diff as expensive as a full redeploy.
-std::string ruleKey(const openflow::FlowEntry& e);
-
 /// Per-switch multiset diff of a live entry list against the desired one:
 /// what an incremental update must strict-delete and add (reconcile's core).
+/// Rules compare like openflow::sameRule minus the cookie's epoch half. Of a
+/// rule's copies, the first min(live, desired) on each side are kept; the
+/// rest of live's are removed in live order, the rest of desired's added in
+/// desired order.
 struct TableDiff {
   std::vector<openflow::FlowEntry> toRemove;        ///< copies of live entries
   std::vector<openflow::FlowEntry> toAdd;           ///< copies of desired entries

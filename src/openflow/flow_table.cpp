@@ -37,7 +37,7 @@ std::string Match::describe() const {
 
 bool sameRule(const FlowEntry& a, const FlowEntry& b) {
   return a.priority == b.priority && a.cookie == b.cookie && a.match == b.match &&
-         a.actions == b.actions;
+         a.setVc == b.setVc && a.outPort == b.outPort;
 }
 
 Status<Error> FlowTable::add(FlowEntry entry) {

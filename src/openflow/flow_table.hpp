@@ -1,14 +1,16 @@
 // OpenFlow-style flow table: priority-ordered match/action entries.
 //
 // This models the subset of OpenFlow 1.3 that SDT relies on (paper §III-B,
-// §V, §VII-B): matching on ingress port and the IP 5-tuple, with OUTPUT /
-// SET_QUEUE / DROP actions, plus table-capacity accounting (§VII-C: flow
-// table entries are the scarce resource on commodity switches).
+// §V, §VII-B): matching on ingress port and the IP 5-tuple, and the one rule
+// shape SDT compiles — match → [set VC] output, where a rule without an
+// output drops — plus table-capacity accounting (§VII-C: flow table entries
+// are the scarce resource on commodity switches).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -95,29 +97,13 @@ struct Match {
   bool operator==(const Match&) const = default;
 };
 
-enum class ActionType {
-  kOutput,    ///< forward out of port `arg`
-  kSetQueue,  ///< enqueue on priority queue `arg` of the output port
-  kSetVc,     ///< set virtual channel `arg` (deadlock avoidance, §VI-E)
-  kDrop,
-};
-
-struct Action {
-  ActionType type = ActionType::kDrop;
-  int arg = 0;
-
-  static Action output(int port) { return {ActionType::kOutput, port}; }
-  static Action setQueue(int queue) { return {ActionType::kSetQueue, queue}; }
-  static Action setVc(int vc) { return {ActionType::kSetVc, vc}; }
-  static Action drop() { return {ActionType::kDrop, 0}; }
-
-  bool operator==(const Action&) const = default;
-};
-
+/// One rule: match → [set VC] output. A fixed-size value: copying a table,
+/// a snapshot or a diff allocates once, not once per rule.
 struct FlowEntry {
   int priority = 0;  ///< higher wins
   Match match;
-  std::vector<Action> actions;
+  int setVc = -1;    ///< rewrite the packet's VC (egress class, §VI-E) when >= 0
+  int outPort = -1;  ///< forward out of this port; < 0 drops
   std::uint64_t cookie = 0;  ///< controller-assigned id for bulk delete
 
   // Per-entry counters (OpenFlow flow stats), bumped only by the non-const
@@ -126,9 +112,11 @@ struct FlowEntry {
   std::uint64_t packetCount = 0;
   std::uint64_t byteCount = 0;
 };
+static_assert(std::is_trivially_copyable_v<FlowEntry>);
 
-/// Rule identity: same priority/match/actions/cookie, counters ignored.
-/// The controller's incremental table diff (repair) keys on this.
+/// Rule identity: same priority/match/setVc/outPort/cookie, counters ignored.
+/// Strict deletes (removeExact) match on it; the controller's incremental
+/// table diff uses it without the cookie's epoch half.
 [[nodiscard]] bool sameRule(const FlowEntry& a, const FlowEntry& b);
 
 /// Priority-ordered table with a hard capacity (mirrors TCAM limits).

@@ -5,11 +5,7 @@
 namespace sdt::openflow {
 
 ForwardDecision Switch::process(const PacketHeader& header, std::int64_t bytes) {
-  assert(header.inPort >= 0 && header.inPort < numPorts());
-  PortStats& in = portStats_[header.inPort];
-  ++in.rxPackets;
-  in.rxBytes += static_cast<std::uint64_t>(bytes);
-
+  assert(header.inPort >= 0 && header.inPort < numPorts_);
   // Ingress epoch stamping: a packet entering the network unstamped is
   // pinned to this switch's current configuration epoch; stamped packets
   // keep their stamp, so mid-path hops look up the epoch the packet
@@ -24,37 +20,13 @@ ForwardDecision Switch::process(const PacketHeader& header, std::int64_t bytes) 
 
   decision.matched = true;
   decision.ruleEpoch = cookieEpoch(entry->cookie);
-  for (const Action& a : entry->actions) {
-    switch (a.type) {
-      case ActionType::kOutput:
-        decision.drop = false;
-        decision.outPort = a.arg;
-        break;
-      case ActionType::kSetQueue:
-        decision.queue = a.arg;
-        break;
-      case ActionType::kSetVc:
-        decision.vc = a.arg;
-        break;
-      case ActionType::kDrop:
-        decision.drop = true;
-        decision.outPort = -1;
-        break;
-    }
-  }
-  if (!decision.drop) {
-    assert(decision.outPort >= 0 && decision.outPort < numPorts());
-    PortStats& out = portStats_[decision.outPort];
-    ++out.txPackets;
-    out.txBytes += static_cast<std::uint64_t>(bytes);
-  } else if (decision.matched) {
-    ++in.txDrops;
+  decision.vc = entry->setVc;
+  if (entry->outPort >= 0) {
+    assert(entry->outPort < numPorts_);
+    decision.drop = false;
+    decision.outPort = entry->outPort;
   }
   return decision;
-}
-
-void Switch::resetStats() {
-  for (PortStats& s : portStats_) s = PortStats{};
 }
 
 }  // namespace sdt::openflow

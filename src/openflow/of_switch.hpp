@@ -1,5 +1,6 @@
-// Model of a commodity OpenFlow switch: a port array, one flow table,
-// and per-port counters (the Network Monitor module polls these, §V-3).
+// Model of a commodity OpenFlow switch: a port count and one flow table
+// whose rules keep OpenFlow's per-rule counters (the Network Monitor, §V-3,
+// polls sim::Network's port counters, not this model).
 //
 // This class is pure control/data-plane logic with no notion of time; the
 // event-driven simulator (sim::) wraps it to add queues, links, and delays.
@@ -18,22 +19,12 @@
 
 namespace sdt::openflow {
 
-/// Per-port rx/tx counters (OpenFlow port stats).
-struct PortStats {
-  std::uint64_t rxPackets = 0;
-  std::uint64_t rxBytes = 0;
-  std::uint64_t txPackets = 0;
-  std::uint64_t txBytes = 0;
-  std::uint64_t txDrops = 0;
-};
-
 /// Result of running a header through the pipeline.
 struct ForwardDecision {
   bool matched = false;
   bool drop = true;
   int outPort = -1;
-  int queue = 0;  ///< priority queue on the egress port
-  int vc = -1;    ///< virtual channel override (-1 = keep packet's VC)
+  int vc = -1;  ///< virtual channel override (-1 = keep packet's VC)
   /// Epoch the lookup ran under: the header's stamp, or — for an unstamped
   /// header — this switch's ingress epoch, which the data plane writes back
   /// into the packet so the stamp persists across hops (two-phase updates).
@@ -59,18 +50,17 @@ struct TableSnapshot {
 class Switch {
  public:
   Switch(int id, int numPorts, std::size_t tableCapacity = 4096)
-      : id_(id), table_(tableCapacity),
-        portStats_(static_cast<std::size_t>(numPorts)) {}
+      : id_(id), numPorts_(numPorts), table_(tableCapacity) {}
 
   [[nodiscard]] int id() const { return id_; }
-  [[nodiscard]] int numPorts() const { return static_cast<int>(portStats_.size()); }
+  [[nodiscard]] int numPorts() const { return numPorts_; }
 
   [[nodiscard]] FlowTable& table() { return table_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
 
-  /// Run the match/action pipeline. Counts rx on the ingress port and,
-  /// when forwarding, tx on the egress port. A table miss drops (SDT
-  /// installs no table-miss flood: isolation depends on it, §VI-B).
+  /// Run the match/action pipeline; the matched rule counts the packet. A
+  /// table miss or a rule without an output drops (SDT installs no
+  /// table-miss flood: isolation depends on it, §VI-B).
   /// Unstamped headers (epoch 0) are stamped with ingressEpoch() before the
   /// lookup, pinning the packet to one configuration for its whole path.
   ForwardDecision process(const PacketHeader& header, std::int64_t bytes);
@@ -202,8 +192,8 @@ class Switch {
     return snap;
   }
 
-  /// Power-cycle: the flow table, ingress-epoch config, barrier counter,
-  /// xid cache, and port counters are all volatile on a commodity switch.
+  /// Power-cycle: the flow table and its rule counters, ingress-epoch config,
+  /// barrier counter and xid cache are all volatile on a commodity switch.
   /// Ports come back healthy — the cure is reinstalling state, which is
   /// exactly what makes an un-noticed reboot a silent black hole until the
   /// controller reads the (empty) table back.
@@ -218,17 +208,12 @@ class Switch {
     controllerTerm_ = 0;
     controllerLeaderId_ = -1;
     fencedWrites_ = 0;
-    resetStats();
   }
-
-  [[nodiscard]] const PortStats& portStats(int port) const { return portStats_[port]; }
-  [[nodiscard]] const std::vector<PortStats>& allPortStats() const { return portStats_; }
-  void resetStats();
 
  private:
   int id_;
+  int numPorts_;
   FlowTable table_;
-  std::vector<PortStats> portStats_;
   std::uint32_t ingressEpoch_ = 0;
   /// Sparse per-port overrides; ordered so snapshots list ports ascending.
   std::map<int, std::uint32_t> portEpochs_;

@@ -47,10 +47,9 @@ ShortestPathRouting::ShortestPathRouting(const topo::Topology& topo,
 
 std::vector<topo::PortId> ShortestPathRouting::candidates(topo::SwitchId sw,
                                                           topo::HostId dst) const {
-  const std::vector<int>& dist = dist_[topo_->hostSwitch(dst)];
   std::vector<topo::PortId> out;
   for (const Adjacent& adj : adjacent_[sw]) {
-    if (dist[adj.peer] >= 0 && dist[adj.peer] == dist[sw] - 1) out.push_back(adj.port);
+    if (closer(sw, dst, adj)) out.push_back(adj.port);
   }
   return out;
 }
@@ -61,8 +60,12 @@ bool ShortestPathRouting::reachable(topo::SwitchId sw, topo::HostId dst) const {
 
 Result<Hop> ShortestPathRouting::nextHop(topo::SwitchId sw, topo::HostId dst, int vc,
                                          std::uint64_t flowHash) const {
-  auto cands = candidates(sw, dst);
-  if (cands.empty()) {
+  // The flowHash % n-th of the n candidates(), found without building them.
+  const std::vector<Adjacent>& links = adjacent_[sw];
+  const auto n = static_cast<std::uint64_t>(
+      std::count_if(links.begin(), links.end(),
+                    [&](const Adjacent& adj) { return closer(sw, dst, adj); }));
+  if (n == 0) {
     if (severedCount_ > 0) {
       return makeError(strFormat(
           "shortest: no surviving route from switch %d to host %d (%d link(s) severed)", sw,
@@ -70,21 +73,11 @@ Result<Hop> ShortestPathRouting::nextHop(topo::SwitchId sw, topo::HostId dst, in
     }
     return makeError(strFormat("shortest: no route from switch %d to host %d", sw, dst));
   }
-  if (oracle_ && cands.size() > 1) {
-    // Keep only the least-loaded candidates; the flow hash still spreads
-    // ties so equal-load fabrics behave exactly like plain ECMP.
-    double minLoad = oracle_(sw, cands[0]);
-    for (std::size_t i = 1; i < cands.size(); ++i) {
-      minLoad = std::min(minLoad, oracle_(sw, cands[i]));
-    }
-    std::vector<topo::PortId> least;
-    least.reserve(cands.size());
-    for (const topo::PortId port : cands) {
-      if (oracle_(sw, port) <= minLoad) least.push_back(port);
-    }
-    cands = std::move(least);
-  }
-  return Hop{cands[flowHash % cands.size()], vc};
+  std::uint64_t skip = flowHash % n;
+  const auto pick = std::find_if(links.begin(), links.end(), [&](const Adjacent& adj) {
+    return closer(sw, dst, adj) && skip-- == 0;
+  });
+  return Hop{pick->port, vc};
 }
 
 }  // namespace sdt::routing

@@ -11,14 +11,8 @@
 // shape. Pairs the damage disconnects have no candidates (nextHop errors),
 // and repair() reports them as unreachable instead of installing black-hole
 // entries.
-//
-// Optionally congestion-aware: with a CongestionOracle installed the
-// per-flow hash picks among the *least-loaded* equal-cost candidates
-// instead of all of them, spreading elephant collisions under overload
-// (same oracle contract as AdaptiveDragonflyRouting).
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -27,12 +21,6 @@ namespace sdt::routing {
 
 class ShortestPathRouting : public RoutingAlgorithm {
  public:
-  /// Load estimate for (switch, out port) — typically queued bytes.
-  /// Shard-safety contract: the oracle runs inside a data-plane forwarding
-  /// decision on the switch's owning shard, so it must read only state owned
-  /// by that switch (its own egress queues), never another shard's.
-  using CongestionOracle = std::function<double(topo::SwitchId, topo::PortId)>;
-
   /// `severedLinks` are indices into Topology::links() to route around
   /// (duplicates collapse); `numVcs` is the VC count reported to the
   /// controller, and nextHop() passes the packet's VC through unchanged.
@@ -56,17 +44,18 @@ class ShortestPathRouting : public RoutingAlgorithm {
   /// Whether `sw` can still reach `dst`'s switch over surviving links.
   [[nodiscard]] bool reachable(topo::SwitchId sw, topo::HostId dst) const;
 
-  /// Weight ECMP choices by load: nextHop() restricts the hash pick to the
-  /// candidates whose oracle load ties for minimum (deterministic at equal
-  /// loads — the tie set is ordered by port id).
-  void setCongestionOracle(CongestionOracle oracle) { oracle_ = std::move(oracle); }
-
  private:
   /// One surviving link as seen from a switch: its local port and far end.
   struct Adjacent {
     topo::PortId port;
     topo::SwitchId peer;
   };
+
+  /// Whether `adj`, a link of `sw`, is one hop closer to `dst`'s switch.
+  [[nodiscard]] bool closer(topo::SwitchId sw, topo::HostId dst, const Adjacent& adj) const {
+    const std::vector<int>& dist = dist_[topo_->hostSwitch(dst)];
+    return dist[adj.peer] >= 0 && dist[adj.peer] == dist[sw] - 1;
+  }
 
   std::vector<char> severedMask_;  ///< [link index] -> severed?
   int severedCount_ = 0;           ///< severed indices as given (for errors)
@@ -75,7 +64,6 @@ class ShortestPathRouting : public RoutingAlgorithm {
   /// dist_[dstSwitch][sw] = hop distance over surviving links (-1 unreachable).
   std::vector<std::vector<int>> dist_;
   int vcs_;
-  CongestionOracle oracle_;
 };
 
 }  // namespace sdt::routing

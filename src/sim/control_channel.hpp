@@ -69,7 +69,6 @@ class ControlChannel {
   }
 
   [[nodiscard]] const ControlChannelConfig& config() const { return config_; }
-  void setConfig(const ControlChannelConfig& config) { config_ = config; }
 
   /// Declare the management link of `sw` dead for [from, until) sim-time.
   /// Messages *sent* inside the window (either direction) are silently

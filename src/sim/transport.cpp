@@ -128,9 +128,11 @@ std::uint64_t TransportManager::sendMessage(int src, int dst, std::int64_t bytes
       dstLane.rdmaMsgState[id] = RdmaMsgState{bytes, std::move(cb)};
     });
   }
+  // The pump reads the source NIC's queue, so it runs on the source host's
+  // shard even when the caller is elsewhere (a top-level send is shard 0).
   if (!flow.pumping) {
     flow.pumping = true;
-    sim_->schedule(0, [this, src, fid = flow.flowId]() {
+    sim_->scheduleOn(net_->hostShard(src), 0, [this, src, fid = flow.flowId]() {
       rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
     });
   }

@@ -55,7 +55,6 @@ class Topology {
       : name_(std::move(name)), portsUsed_(static_cast<std::size_t>(numSwitches), 0) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  void setName(std::string n) { name_ = std::move(n); }
 
   [[nodiscard]] int numSwitches() const { return static_cast<int>(portsUsed_.size()); }
   [[nodiscard]] int numHosts() const { return static_cast<int>(hostLinks_.size()); }

@@ -2,8 +2,15 @@
 // (flow-table compilation, capacity guard, deadlock gate), repair.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "controller/config.hpp"
 #include "controller/controller.hpp"
+#include "controller/table_diff.hpp"
 #include "routing/shortest_path.hpp"
 #include "topo/generators.hpp"
 
@@ -217,6 +224,125 @@ TEST(Controller, EntriesScaleIsSane) {
   ASSERT_TRUE(dep.ok()) << dep.error().message;
   EXPECT_GT(dep.value().maxEntriesPerSwitch, 100);
   EXPECT_LT(dep.value().maxEntriesPerSwitch, 5000);
+}
+
+// Reference for detail::diffEntries: the string-keyed multiset diff it
+// replaced. A rule's key prints its priority, cookie tag, match and actions
+// (set-VC as action type 2, output as type 0), so the cookie's epoch half and
+// the counters are not part of a rule's identity.
+std::string referenceKey(const openflow::FlowEntry& e) {
+  std::string key = strFormat("p%d c%u m", e.priority, openflow::cookieTag(e.cookie));
+  key += e.match.describe();
+  if (e.setVc >= 0) key += strFormat(" a2:%d", e.setVc);
+  if (e.outPort >= 0) key += strFormat(" a0:%d", e.outPort);
+  return key;
+}
+
+detail::TableDiff referenceDiff(const std::vector<openflow::FlowEntry>& live,
+                                const std::vector<openflow::FlowEntry>& desired) {
+  detail::TableDiff diff;
+  std::map<std::string, int> want;
+  for (const openflow::FlowEntry& e : desired) ++want[referenceKey(e)];
+  for (const openflow::FlowEntry& e : live) {
+    const auto it = want.find(referenceKey(e));
+    if (it == want.end() || it->second == 0) {
+      diff.toRemove.push_back(e);
+    } else {
+      --it->second;
+    }
+  }
+  std::map<std::string, int> have;
+  for (const openflow::FlowEntry& e : live) ++have[referenceKey(e)];
+  for (const openflow::FlowEntry& e : desired) {
+    const auto it = have.find(referenceKey(e));
+    if (it != have.end() && it->second > 0) {
+      --it->second;
+    } else {
+      diff.toAdd.push_back(e);
+    }
+  }
+  return diff;
+}
+
+void expectSameEntries(const std::vector<openflow::FlowEntry>& got,
+                       const std::vector<openflow::FlowEntry>& want, const char* what,
+                       int trial) {
+  ASSERT_EQ(got.size(), want.size()) << what << ", trial " << trial;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(openflow::sameRule(got[i], want[i])) << what << " " << i << ", trial " << trial;
+  }
+}
+
+TEST(TableDiff, MatchesStringKeyedReference) {
+  Rng rng(0xD1FFD1FFu);
+  const auto compiledShape = [&rng] {
+    openflow::FlowEntry e;
+    e.priority = 100 + static_cast<int>(rng.below(2));
+    e.match.inPort = static_cast<int>(rng.below(4));
+    e.match.dstAddr = static_cast<std::uint32_t>(rng.below(4));
+    if (rng.below(3) == 0) e.match.trafficClass = static_cast<std::uint8_t>(rng.below(2));
+    if (rng.below(3) == 0) e.setVc = static_cast<int>(rng.below(2));
+    e.outPort = static_cast<int>(rng.below(4));
+    e.cookie = openflow::makeCookie(1 + static_cast<std::uint32_t>(rng.below(2)),
+                                    1 + static_cast<std::uint32_t>(rng.below(3)));
+    return e;
+  };
+  // A copy of `e` that is a duplicate, or differs in exactly one field: the
+  // epoch (still the same rule), setVc, outPort or a wildcard match field.
+  const auto twin = [&rng](openflow::FlowEntry e) {
+    switch (rng.below(6)) {
+      case 0:
+        e.cookie = openflow::makeCookie(openflow::cookieEpoch(e.cookie) + 1,
+                                        openflow::cookieTag(e.cookie));
+        break;
+      case 1:
+        e.setVc = e.setVc >= 0 ? -1 : static_cast<int>(rng.below(2));
+        break;
+      case 2:
+        e.outPort = e.outPort >= 0 && rng.below(4) == 0 ? -1 : e.outPort + 1;
+        break;
+      case 3:
+        if (e.match.trafficClass) {
+          e.match.trafficClass.reset();
+        } else {
+          e.match.trafficClass = 0;
+        }
+        break;
+      case 4:
+        e.match.srcPort = static_cast<std::uint16_t>(rng.below(2));
+        break;
+      default:
+        break;
+    }
+    return e;
+  };
+  std::size_t removed = 0;
+  std::size_t added = 0;
+  std::size_t kept = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<openflow::FlowEntry> pool;
+    const std::size_t poolSize = 1 + rng.below(12);
+    for (std::size_t i = 0; i < poolSize; ++i) pool.push_back(compiledShape());
+    const auto table = [&] {
+      std::vector<openflow::FlowEntry> t;
+      const std::size_t n = rng.below(40);
+      for (std::size_t i = 0; i < n; ++i) t.push_back(twin(pool[rng.below(pool.size())]));
+      return t;
+    };
+    const std::vector<openflow::FlowEntry> live = table();
+    const std::vector<openflow::FlowEntry> desired = table();
+    const detail::TableDiff got = detail::diffEntries(live, desired);
+    const detail::TableDiff want = referenceDiff(live, desired);
+    expectSameEntries(got.toRemove, want.toRemove, "remove", trial);
+    expectSameEntries(got.toAdd, want.toAdd, "add", trial);
+    removed += want.toRemove.size();
+    added += want.toAdd.size();
+    kept += live.size() - want.toRemove.size();
+  }
+  // The tables overlap enough that every outcome occurs many times.
+  EXPECT_GT(removed, 1000u);
+  EXPECT_GT(added, 1000u);
+  EXPECT_GT(kept, 1000u);
 }
 
 }  // namespace

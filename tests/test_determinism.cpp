@@ -825,6 +825,14 @@ struct TenantWorld {
   tenant::TenantManager mgr{plant()};
 };
 
+/// Folds a rule's set-VC and output into `h` the way the recorded pins were
+/// taken: as the (type, arg) pairs of the old action list, set-VC = 2 first,
+/// then output = 0.
+void mixActions(hash::Fnv64& h, const openflow::FlowEntry& e) {
+  if (e.setVc >= 0) h.mix(2).mix(static_cast<std::uint64_t>(e.setVc));
+  if (e.outPort >= 0) h.mix(0).mix(static_cast<std::uint64_t>(e.outPort));
+}
+
 /// FNV-1a over one tenant's rules (every switch, table order) and the
 /// ingress stamps of its host ports.
 std::uint64_t hashTenant(const tenant::TenantManager& mgr, std::uint16_t id) {
@@ -833,9 +841,7 @@ std::uint64_t hashTenant(const tenant::TenantManager& mgr, std::uint16_t id) {
     for (const openflow::FlowEntry& e : sw->table().entries()) {
       if (openflow::cookieTenant(e.cookie) != id) continue;
       h.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(e.match.describe());
-      for (const openflow::Action& a : e.actions) {
-        h.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
-      }
+      mixActions(h, e);
     }
   }
   const tenant::TenantSlice& s = *mgr.slice(id);
@@ -1017,9 +1023,7 @@ void pinAlltoall(bool sdt, PinValues& out) {
       for (const openflow::FlowEntry& e : sw->table().entries()) {
         tables.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(
             e.match.describe());
-        for (const openflow::Action& a : e.actions) {
-          tables.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
-        }
+        mixActions(tables, e);
       }
     }
     out.emplace_back("plant.switches", static_cast<std::uint64_t>(plant->numSwitches()));
@@ -1362,9 +1366,7 @@ std::uint64_t hashTables(const std::vector<std::shared_ptr<openflow::Switch>>& s
   for (const auto& sw : switches) {
     for (const openflow::FlowEntry& e : sw->table().entries()) {
       h.mix(static_cast<std::uint64_t>(e.priority)).mix(e.cookie).bytes(e.match.describe());
-      for (const openflow::Action& a : e.actions) {
-        h.mix(static_cast<std::uint64_t>(a.type)).mix(static_cast<std::uint64_t>(a.arg));
-      }
+      mixActions(h, e);
     }
   }
   return h.value();

@@ -100,7 +100,7 @@ FlowEntry randomEntry(Rng& rng, std::uint64_t cookie) {
   if (rng.below(8) == 0) e.match.protocol = static_cast<std::uint8_t>(rng.below(4));
   if (rng.below(6) == 0)
     e.match.trafficClass = static_cast<std::uint8_t>(rng.below(8));
-  e.actions.push_back(Action::output(static_cast<int>(rng.below(16))));
+  e.outPort = static_cast<int>(rng.below(16));
   return e;
 }
 
@@ -143,7 +143,7 @@ TEST(FlowIndex, MatchesLinearScanOnRandomizedTables) {
 TEST(FlowIndex, EpochGateMatchesReferenceOnTwoEpochTables) {
   // What a ReconfigTransaction leaves on a switch between install and GC:
   // the epoch-N rules, the epoch-N+1 rules that replace them (same matches,
-  // new actions), and a few epoch-0 rules that match every stamp.
+  // new outputs), and a few epoch-0 rules that match every stamp.
   Rng rng(0xE90C4E90u);
   for (const std::uint32_t epoch : {1u, 41u, makeScopedEpoch(3, 9)}) {
     FlowTable table(4096);
@@ -159,7 +159,7 @@ TEST(FlowIndex, EpochGateMatchesReferenceOnTwoEpochTables) {
       FlowEntry e = inserted[i];
       if (cookieEpoch(e.cookie) == 0) continue;
       e.cookie = makeCookie(epoch + 1, static_cast<std::uint32_t>(i));
-      e.actions = {Action::output(static_cast<int>(rng.below(16)))};
+      e.outPort = static_cast<int>(rng.below(16));
       inserted.push_back(e);
       ASSERT_TRUE(table.add(std::move(e)).ok());
     }

@@ -59,9 +59,14 @@ std::uint64_t entryHash(const openflow::FlowEntry& e) {
   mixOpt(e.match.dstPort);
   mixOpt(e.match.protocol);
   mixOpt(e.match.trafficClass);
-  for (const openflow::Action& a : e.actions) {
-    f.mix(static_cast<std::uint64_t>(a.type));
-    f.mix(static_cast<std::uint64_t>(a.arg));
+  // The (type, arg) pairs of the old action list: set-VC = 2, output = 0.
+  if (e.setVc >= 0) {
+    f.mix(2);
+    f.mix(static_cast<std::uint64_t>(e.setVc));
+  }
+  if (e.outPort >= 0) {
+    f.mix(0);
+    f.mix(static_cast<std::uint64_t>(e.outPort));
   }
   f.mix(e.cookie);
   return f.value();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -143,7 +144,8 @@ TEST_F(Tenancy, TrafficFlowsWithinEachSliceWithoutCrosstalk) {
       seenSources[h].push_back(p.srcHost);
     });
   }
-  int delivered = 0;
+  // Completions run on the destination hosts' shards, possibly in parallel.
+  std::atomic<int> delivered = 0;
   // Alice = global hosts 0..3, Bob = 4..7; end-to-end in both at once.
   for (const auto& [src, dst] :
        {std::pair{0, 3}, std::pair{3, 0}, std::pair{4, 7}, std::pair{7, 4}}) {
@@ -151,7 +153,7 @@ TEST_F(Tenancy, TrafficFlowsWithinEachSliceWithoutCrosstalk) {
                           [&](std::uint64_t, TimeNs) { ++delivered; });
   }
   sim.run();
-  EXPECT_EQ(delivered, 4);
+  EXPECT_EQ(delivered.load(), 4);
   for (int h = 0; h < 8; ++h) {
     for (const int src : seenSources[h]) {
       EXPECT_EQ(h < 4, src < 4) << "host " << h << " sniffed tenant-foreign " << src;
