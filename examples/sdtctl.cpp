@@ -569,7 +569,7 @@ int cmdStats(const controller::ExperimentConfig& config, const CliOptions& opt,
   controller::NetworkMonitor monitor(*inst.value().sim, inst.value().net(),
                                      config.topology,
                                      inst.value().deployment->projection);
-  monitor.attachMetrics(registry, 64);
+  monitor.attachMetrics(registry);
   monitor.start();
 
   workloads::Workload w =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 
 namespace sdt::admission {
 
@@ -41,15 +40,6 @@ const char* priorityName(Priority cls) {
   return "?";
 }
 
-const char* decisionName(Decision d) {
-  switch (d) {
-    case Decision::kAdmit: return "admit";
-    case Decision::kDefer: return "defer";
-    case Decision::kShed: return "shed";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(sim::Simulator& sim, sim::Network& net,
                                          Policy policy)
     : sim_(&sim), net_(&net), enabled_(policy.enabled) {
@@ -58,33 +48,6 @@ AdmissionController::AdmissionController(sim::Simulator& sim, sim::Network& net,
   buckets_.resize(static_cast<std::size_t>(net.numHosts()));
   for (HostBucket& b : buckets_) {
     b.credits = static_cast<double>(kCreditBurstBytes);
-  }
-}
-
-void AdmissionController::attachMetrics(obs::Registry& registry) {
-  // Queue-fill buckets in fractions of the high watermark (the 4.0 bucket
-  // catches a fabric far past collapse).
-  const std::vector<double> fillBounds = {0.05, 0.1, 0.25, 0.5, 0.75,
-                                          1.0,  1.5, 2.0,  4.0};
-  for (std::size_t s = 0; s < lanes_.size(); ++s) {
-    const obs::Labels shardLabel = {{"shard", std::to_string(s)}};
-    ShardLane& lane = lanes_[s];
-    lane.pressureGauge =
-        &registry.gauge("sdt_adm_pressure", shardLabel,
-                        "global overload pressure as seen by one shard");
-    lane.fillHist = &registry.histogram(
-        "sdt_adm_queue_fill", fillBounds, shardLabel,
-        "sampled max egress occupancy / high watermark, per shard");
-    for (int c = 0; c < kNumPriorities; ++c) {
-      for (int d = 0; d < 3; ++d) {
-        obs::Labels labels = shardLabel;
-        labels.emplace_back("class", priorityName(static_cast<Priority>(c)));
-        labels.emplace_back("decision", decisionName(static_cast<Decision>(d)));
-        lane.decisionCtr[static_cast<std::size_t>(c)][static_cast<std::size_t>(d)] =
-            &registry.counter("sdt_adm_decisions_total", labels,
-                              "admission decisions by class and outcome");
-      }
-    }
   }
 }
 
@@ -162,9 +125,6 @@ Decision AdmissionController::request(int srcHost, Priority cls, std::int64_t by
       cc.shedBytes += bytes;
       break;
   }
-  if (obs::Counter* ctr = lane.decisionCtr[ci][static_cast<std::size_t>(decision)]) {
-    ctr->inc();
-  }
   return decision;
 }
 
@@ -190,7 +150,6 @@ void AdmissionController::sampleShard(int shard, TimeNs until) {
   }
   const double fill = static_cast<double>(maxBytes) /
                       static_cast<double>(kQueueHighWatermarkBytes);
-  if (lane.fillHist != nullptr) lane.fillHist->observe(fill);
   sim_->scheduleOn(0, sim_->crossDelay(0, kSignalDelay),
                    [this, shard, fill]() { brokerUpdate(shard, fill); });
   if (sim_->now() + kSampleInterval <= until) {
@@ -210,9 +169,7 @@ void AdmissionController::brokerUpdate(int shard, double fill) {
   peakPressure_ = std::max(peakPressure_, global);
   for (int d = 0; d < sim_->numShards(); ++d) {
     sim_->scheduleOn(d, sim_->crossDelay(d, kSignalDelay), [this, d, global]() {
-      ShardLane& lane = lanes_[static_cast<std::size_t>(d)];
-      lane.pressure = global;
-      if (lane.pressureGauge != nullptr) lane.pressureGauge->set(global);
+      lanes_[static_cast<std::size_t>(d)].pressure = global;
     });
   }
 }

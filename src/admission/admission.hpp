@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "obs/metrics.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -92,18 +91,10 @@ struct Policy {
 
 enum class Decision : std::uint8_t { kAdmit = 0, kDefer = 1, kShed = 2 };
 
-const char* decisionName(Decision d);
-
 class AdmissionController {
  public:
   /// The network must already be wired and partitioned (builder does both).
   AdmissionController(sim::Simulator& sim, sim::Network& net, Policy policy = {});
-
-  /// Wire decision counters, pressure gauges, and queue-fill histograms
-  /// into `registry` (per-shard labels: every cell is written by exactly
-  /// one shard, keeping parallel exports bit-identical). Call before
-  /// start().
-  void attachMetrics(obs::Registry& registry);
 
   /// Restrict the pressure samplers to these (switch, egress port) pairs
   /// (multi-tenant scoping: a per-tenant controller watches only the queues
@@ -147,10 +138,6 @@ class AdmissionController {
     double pressure = 0.0;  ///< latest broadcast global pressure
     std::array<ClassCounters, kNumPriorities> counters{};
     std::uint64_t samples = 0;
-    // Obs cells (pre-created in attachMetrics; null when not attached).
-    obs::Gauge* pressureGauge = nullptr;
-    obs::Histogram* fillHist = nullptr;
-    std::array<std::array<obs::Counter*, 3>, kNumPriorities> decisionCtr{};
   };
 
   struct HostBucket {

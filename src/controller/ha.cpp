@@ -137,54 +137,6 @@ int ReplicatedController::drainPendingFailures() {
   return static_cast<int>(parked.size());
 }
 
-void ReplicatedController::attachMetrics(obs::Registry& registry) {
-  registry.addCollector([this, tok = alive_, &registry]() {
-    if (!*tok) return;
-    registry.gauge("sdt_ha_term", {}, "Highest controller term claimed")
-        .set(static_cast<double>(term_));
-    registry.gauge("sdt_ha_leader", {}, "Current leader replica id")
-        .set(static_cast<double>(leaderId_));
-    registry
-        .counter("sdt_ha_failovers_total", {}, "Completed takeover attempts")
-        .syncTo(failovers_.size());
-    registry
-        .counter("sdt_ha_fenced_writes_total", {},
-                 "Stale-term bundles rejected by switch fences")
-        .syncTo(fencedWritesTotal());
-    registry
-        .counter("sdt_ha_journal_frames_streamed_total", {},
-                 "Journal records shipped leader -> standbys")
-        .syncTo(framesStreamed_);
-    registry
-        .counter("sdt_ha_heartbeats_total", {}, "Lease heartbeats sent")
-        .syncTo(heartbeatsSent_);
-    registry
-        .counter("sdt_ha_stale_recovery_completions_total", {},
-                 "Recovery completions dropped for a mismatched (term, leader)")
-        .syncTo(staleRecoveryCompletions_);
-    std::uint64_t catchups = 0;
-    std::uint64_t overflows = 0;
-    for (const auto& r : replicas_) {
-      catchups += r->gapCatchups;
-      overflows += r->queueOverflows;
-    }
-    registry
-        .counter("sdt_ha_gap_catchups_total", {},
-                 "Standby snapshot catch-ups after stream gaps")
-        .syncTo(catchups);
-    registry
-        .counter("sdt_ha_stream_queue_overflows_total", {},
-                 "Per-standby stream backlogs dropped at sendQueueCap")
-        .syncTo(overflows);
-    if (!failovers_.empty()) {
-      registry
-          .gauge("sdt_ha_takeover_window_ns", {},
-                 "Last failover: lease expiry -> converged fabric")
-          .set(static_cast<double>(failovers_.back().takeoverWindow()));
-    }
-  });
-}
-
 Status<Error> ReplicatedController::adoptDeployment(Deployment deployment) {
   deployment_ = std::move(deployment);
   return journalDeploy(leaderJournal(), deployment_, sim_->now());
@@ -267,7 +219,6 @@ void ReplicatedController::heartbeatTick(int id, std::uint64_t gen) {
   const std::uint64_t lastSeq = r.journal->nextSeq() - 1;
   for (const auto& target : replicas_) {
     if (target->id == id) continue;
-    ++heartbeatsSent_;
     repl_->send(target->id,
                 [this, tok = alive_, to = target->id, id, term = r.term,
                  lastSeq]() {
@@ -378,7 +329,6 @@ void ReplicatedController::claimLeadership(int id, TimeNs leaseExpiredAt) {
     superseded.failure = "superseded by term " + std::to_string(s.term);
     superseded.convergedAt = sim_->now();
     failovers_.push_back(std::move(superseded));
-    if (failoverCallback_) failoverCallback_(failovers_.back());
   }
 
   takeover_ = std::make_unique<Takeover>();
@@ -409,9 +359,7 @@ void ReplicatedController::claimLeadership(int id, TimeNs leaseExpiredAt) {
 
 void ReplicatedController::startFailoverRecovery(int id) {
   Replica& s = rep(id);
-  Result<RecoveryPlan> plan =
-      planner_ ? planner_(*s.journal)
-               : planRecovery(*ctl_, *s.journal, catalog_, config_.deploy);
+  Result<RecoveryPlan> plan = planRecovery(*ctl_, *s.journal, catalog_, config_.deploy);
   if (!plan) {
     FailoverReport report = std::move(takeover_->report);
     takeover_.reset();
@@ -468,7 +416,6 @@ void ReplicatedController::finishTakeover(FailoverReport report) {
   // exactly once, detection-time epoch intact.
   report.pendingFailuresDelivered = drainPendingFailures();
   failovers_.push_back(std::move(report));
-  if (failoverCallback_) failoverCallback_(failovers_.back());
 }
 
 // -- Journal streaming -------------------------------------------------------
@@ -502,7 +449,6 @@ void ReplicatedController::pumpStream(int from, int to) {
     JournalRecord rec = std::move(s.sendQueue.front());
     s.sendQueue.pop_front();
     s.streamedSeq = std::max(s.streamedSeq, rec.seq);
-    ++framesStreamed_;
     repl_->send(to, [this, tok = alive_, to, from, term = l.term,
                      rec = std::move(rec)]() {
       if (!*tok) return;

@@ -62,7 +62,6 @@
 #include "controller/controller.hpp"
 #include "controller/journal.hpp"
 #include "controller/recovery.hpp"
-#include "obs/metrics.hpp"
 #include "sim/control_channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -153,14 +152,6 @@ class ReplicatedController {
   /// planRecovery's catalog).
   void setCatalog(IntentCatalog catalog) { catalog_ = std::move(catalog); }
 
-  /// Override how a new leader turns its replica journal into a recovery
-  /// plan. Default: planRecovery(ctl, journal, catalog, config.deploy). A
-  /// tenant-aware caller substitutes a planner that recompiles against the
-  /// owning slice's controller; the plan scopes itself to the tenant its
-  /// journaled epoch names, so the new leader can only touch that tenant.
-  using PlanFn = std::function<Result<RecoveryPlan>(const Journal&)>;
-  void setPlanner(PlanFn planner) { planner_ = std::move(planner); }
-
   /// Attach the fabric monitor: the HA layer owns its onPortFailure slot and
   /// epoch provider from here on. Failures route to the handler below;
   /// during a takeover window they are buffered and delivered (exactly once
@@ -170,15 +161,6 @@ class ReplicatedController {
   void onPortFailure(std::function<void(const PortFailure&)> handler) {
     failureHandler_ = std::move(handler);
   }
-  /// Fired after every takeover attempt (converged or not).
-  void onFailover(std::function<void(const FailoverReport&)> callback) {
-    failoverCallback_ = std::move(callback);
-  }
-
-  /// Export sdt_ha_* gauges/counters (term, leader, takeover latency, fenced
-  /// writes, stream totals) through a pull collector on `registry`.
-  void attachMetrics(obs::Registry& registry);
-
   /// Adopt `deployment` as the leader's live state: journals the kDeploy
   /// intent on the leader journal (replicated to every standby by the
   /// stream) and pins the switch set used by failover recovery.
@@ -319,7 +301,6 @@ class ReplicatedController {
   sim::ControlChannel* repl_;
   HaConfig config_;
   IntentCatalog catalog_;
-  PlanFn planner_;
   NetworkMonitor* monitor_ = nullptr;
 
   std::vector<std::unique_ptr<Replica>> replicas_;
@@ -349,11 +330,7 @@ class ReplicatedController {
   std::uint64_t staleRecoveryCompletions_ = 0;
 
   std::function<void(const PortFailure&)> failureHandler_;
-  std::function<void(const FailoverReport&)> failoverCallback_;
   std::vector<PortFailure> pendingFailures_;
-
-  std::uint64_t framesStreamed_ = 0;
-  std::uint64_t heartbeatsSent_ = 0;
 
   /// Liveness token for callbacks scheduled on the simulator / channels:
   /// every lambda captures a copy and returns early once the destructor

@@ -11,6 +11,8 @@ namespace {
 
 /// Weight of each new queue sample in the per-port load EWMA.
 constexpr double kEwmaGain = 0.3;
+/// Samples each per-port queue-depth series keeps (newest win).
+constexpr std::size_t kSeriesCapacity = 64;
 
 }  // namespace
 
@@ -76,14 +78,13 @@ void NetworkMonitor::poll(topo::SwitchId sw, topo::PortId port) {
   }
 }
 
-void NetworkMonitor::attachMetrics(obs::Registry& registry,
-                                   std::size_t seriesCapacity) {
+void NetworkMonitor::attachMetrics(obs::Registry& registry) {
   series_.resize(ewma_.size());
   for (std::size_t sw = 0; sw < ewma_.size(); ++sw) {
     series_[sw].assign(ewma_[sw].size(), nullptr);
     for (std::size_t p = 0; p < ewma_[sw].size(); ++p) {
       series_[sw][p] = &registry.series(
-          "sdt_monitor_queue_depth_bytes", seriesCapacity,
+          "sdt_monitor_queue_depth_bytes", kSeriesCapacity,
           {{"sw", std::to_string(sw)}, {"port", std::to_string(p)}},
           "Per-port egress queue depth EWMA sampled by the Network Monitor");
     }

@@ -130,12 +130,12 @@ class NetworkMonitor {
   [[nodiscard]] std::uint64_t oobQueries() const { return oobQueries_; }
 
   /// Feed an obs registry: per-port queue-depth EWMA ring series
-  /// (sdt_monitor_queue_depth_bytes{sw,port}, one sample per poll, capacity
-  /// bounded at `seriesCapacity`), plus sdt_monitor_samples_total and
+  /// (sdt_monitor_queue_depth_bytes{sw,port}, one sample per poll, the last
+  /// 64 kept), plus sdt_monitor_samples_total and
   /// sdt_monitor_oob_queries_total synced at collect() time. The registry
   /// must outlive the monitor's sampling (both normally live in the same
   /// experiment scope).
-  void attachMetrics(obs::Registry& registry, std::size_t seriesCapacity = 256);
+  void attachMetrics(obs::Registry& registry);
 
  private:
   /// Per-watched-port failure bookkeeping (keyed by polled-plane (sw,port)).

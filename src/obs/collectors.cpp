@@ -58,29 +58,6 @@ void registerNetworkCollector(Registry& registry, const sim::Network& net) {
   });
 }
 
-void registerSimulatorCollector(Registry& registry, const sim::Simulator& sim) {
-  registry.addCollector([&registry, &sim]() {
-    for (int shard = 0; shard < sim.numShards(); ++shard) {
-      registry
-          .counter("sdt_sim_shard_events_total", {{"shard", std::to_string(shard)}},
-                   "Events executed per engine shard")
-          .syncTo(sim.shardEvents(shard));
-    }
-    registry
-        .counter("sdt_sim_cross_shard_events_total", {},
-                 "Events routed through cross-shard mailboxes")
-        .syncTo(sim.crossShardEvents());
-    registry
-        .counter("sdt_sim_barrier_windows_total", {},
-                 "Lookahead windows executed by parallel runs")
-        .syncTo(sim.barrierWindows());
-    registry
-        .gauge("sdt_sim_avg_window_ns", {},
-               "Mean lookahead-window width of parallel runs (sim ns)")
-        .set(sim.avgWindowNs());
-  });
-}
-
 void registerControlChannelCollector(Registry& registry,
                                      const sim::ControlChannel& channel) {
   registry.addCollector([&registry, &channel]() {

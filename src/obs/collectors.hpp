@@ -22,7 +22,6 @@
 #include "openflow/of_switch.hpp"
 #include "sim/control_channel.hpp"
 #include "sim/network.hpp"
-#include "sim/simulator.hpp"
 
 namespace sdt::obs {
 
@@ -31,15 +30,6 @@ namespace sdt::obs {
 /// sdt_net_ecn_marks_total, sdt_net_fault_drops_total, plus the global
 /// gauges sdt_net_peak_queue_bytes and counter sdt_net_total_drops.
 void registerNetworkCollector(Registry& registry, const sim::Network& net);
-
-/// Sharded-engine families: per-shard event counters
-/// sdt_sim_shard_events_total{shard=...} and cross-shard mailbox traffic
-/// sdt_sim_cross_shard_events_total, plus the parallel-run gauges
-/// sdt_sim_barrier_windows_total and sdt_sim_avg_window_ns. All values are
-/// deterministic at a fixed shard count (events and mail counts do not
-/// depend on worker threading), so exported snapshots stay byte-identical
-/// between serial and parallel runs of the same configuration.
-void registerSimulatorCollector(Registry& registry, const sim::Simulator& sim);
 
 /// Control-channel families: sdt_ctrl_msgs_total{result=sent|delivered|
 /// dropped|disconnected|duplicated|reordered}, sdt_ctrl_delay_ns_total,

@@ -1,9 +1,7 @@
 #include "obs/export.hpp"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 namespace sdt::obs {
 
@@ -28,19 +26,14 @@ std::string renderNumber(double v) {
   return buf;
 }
 
-std::string renderLabels(const Labels& labels, const std::string& extraKey = "",
-                         const std::string& extraValue = "") {
-  if (labels.empty() && extraKey.empty()) return "";
+std::string renderLabels(const Labels& labels) {
+  if (labels.empty()) return "";
   std::string out = "{";
   bool first = true;
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
     out += k + "=\"" + v + "\"";
-  }
-  if (!extraKey.empty()) {
-    if (!first) out += ',';
-    out += extraKey + "=\"" + extraValue + "\"";
   }
   out += '}';
   return out;
@@ -68,25 +61,6 @@ json::Value metricsToJson(const Registry& registry) {
         case InstrumentKind::kGauge:
           v["value"] = c.gauge->value();
           break;
-        case InstrumentKind::kHistogram: {
-          v["count"] = static_cast<std::int64_t>(c.histogram->count());
-          v["sum"] = c.histogram->sum();
-          json::Array buckets;
-          const auto counts = c.histogram->bucketCounts();
-          const auto& bounds = c.histogram->bounds();
-          for (std::size_t i = 0; i < counts.size(); ++i) {
-            json::Object b;
-            if (i < bounds.size()) {
-              b["le"] = bounds[i];
-            } else {
-              b["le"] = "+Inf";
-            }
-            b["count"] = static_cast<std::int64_t>(counts[i]);
-            buckets.push_back(std::move(b));
-          }
-          v["buckets"] = std::move(buckets);
-          break;
-        }
         case InstrumentKind::kSeries: {
           v["capacity"] = static_cast<std::int64_t>(c.series->capacity());
           v["recorded"] = static_cast<std::int64_t>(c.series->recorded());
@@ -112,9 +86,7 @@ std::string metricsToPrometheus(const Registry& registry) {
   std::string out;
   registry.visit([&out](const std::string& name, const Family& family) {
     if (!family.help.empty()) out += "# HELP " + name + " " + family.help + "\n";
-    const char* type = family.kind == InstrumentKind::kCounter ? "counter"
-                       : family.kind == InstrumentKind::kHistogram ? "histogram"
-                                                                   : "gauge";
+    const char* type = family.kind == InstrumentKind::kCounter ? "counter" : "gauge";
     out += "# TYPE " + name + " " + std::string(type) + "\n";
     for (const auto& [key, c] : family.cells) {
       (void)key;
@@ -127,23 +99,6 @@ std::string metricsToPrometheus(const Registry& registry) {
           out += name + renderLabels(c.labels) + " " + renderNumber(c.gauge->value()) +
                  "\n";
           break;
-        case InstrumentKind::kHistogram: {
-          const auto counts = c.histogram->bucketCounts();
-          const auto& bounds = c.histogram->bounds();
-          std::uint64_t cumulative = 0;
-          for (std::size_t i = 0; i < counts.size(); ++i) {
-            cumulative += counts[i];
-            const std::string le =
-                i < bounds.size() ? renderNumber(bounds[i]) : "+Inf";
-            out += name + "_bucket" + renderLabels(c.labels, "le", le) + " " +
-                   renderNumber(static_cast<double>(cumulative)) + "\n";
-          }
-          out += name + "_sum" + renderLabels(c.labels) + " " +
-                 renderNumber(c.histogram->sum()) + "\n";
-          out += name + "_count" + renderLabels(c.labels) + " " +
-                 renderNumber(static_cast<double>(c.histogram->count())) + "\n";
-          break;
-        }
         case InstrumentKind::kSeries: {
           const auto samples = c.series->samples();
           const double last = samples.empty() ? 0.0 : samples.back().second;

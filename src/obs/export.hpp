@@ -17,16 +17,13 @@ namespace sdt::obs {
 /// Run the registry's collectors, then render every family:
 ///   { "<family>": { "kind": ..., "help": ..., "values": [
 ///       {"labels": {...}, ...kind-specific fields...}, ... ] }, ... }
-/// Counters export "value"; gauges "value"; histograms "count"/"sum"/
-/// "buckets" (per-bucket, with upper bound; final bound is "+Inf");
-/// series "capacity"/"recorded"/"dropped"/"samples" ([t, v] pairs in
-/// simulated-time order).
+/// Counters and gauges export "value"; series "capacity"/"recorded"/
+/// "dropped"/"samples" ([t, v] pairs in simulated-time order).
 json::Value metricsToJson(const Registry& registry);
 
 /// Prometheus text exposition format (# HELP / # TYPE + sample lines).
-/// Histograms follow the cumulative-bucket convention; ring series export
-/// their latest value as a gauge (Prometheus has no native series type)
-/// plus a `_dropped_total` counter.
+/// Ring series export their latest value as a gauge (Prometheus has no
+/// native series type) plus a `_dropped_total` counter.
 std::string metricsToPrometheus(const Registry& registry);
 
 /// All spans in creation order:

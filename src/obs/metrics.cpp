@@ -5,39 +5,6 @@
 
 namespace sdt::obs {
 
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
-    throw std::logic_error("Histogram bounds must be ascending");
-  }
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(bounds_.size() + 1);
-}
-
-void Histogram::observe(double v) {
-  // First bucket whose upper bound admits v; past-the-end = +Inf bucket.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<std::uint64_t> Histogram::bucketCounts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-double Histogram::sum() const { return sum_.load(std::memory_order_relaxed); }
-
-std::vector<double> latencyBucketsNs() {
-  return {1e3,  5e3,  1e4,  5e4,  1e5,  5e5,  1e6,
-          5e6,  1e7,  5e7,  1e8};  // 1us .. 100ms
-}
-
 RingSeries::RingSeries(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
   ring_.reserve(capacity_);
 }
@@ -81,7 +48,6 @@ const char* instrumentKindName(InstrumentKind kind) {
   switch (kind) {
     case InstrumentKind::kCounter: return "counter";
     case InstrumentKind::kGauge: return "gauge";
-    case InstrumentKind::kHistogram: return "histogram";
     case InstrumentKind::kSeries: return "series";
   }
   return "?";
@@ -102,14 +68,13 @@ std::string labelKey(const Labels& labels) {
 
 Family::Cell& Registry::cell(const std::string& name, InstrumentKind kind,
                              const Labels& labels, const std::string& help,
-                             std::vector<double> bounds, std::size_t seriesCapacity) {
+                             std::size_t seriesCapacity) {
   std::lock_guard<std::mutex> lock(mu_);
   auto [fit, created] = families_.try_emplace(name);
   Family& family = fit->second;
   if (created) {
     family.kind = kind;
     family.help = help;
-    family.bounds = std::move(bounds);
     family.seriesCapacity = seriesCapacity;
   } else if (family.kind != kind) {
     throw std::logic_error("metric family '" + name + "' already registered as " +
@@ -133,9 +98,6 @@ Family::Cell& Registry::cell(const std::string& name, InstrumentKind kind,
     switch (kind) {
       case InstrumentKind::kCounter: c.counter = std::make_unique<Counter>(); break;
       case InstrumentKind::kGauge: c.gauge = std::make_unique<Gauge>(); break;
-      case InstrumentKind::kHistogram:
-        c.histogram = std::make_unique<Histogram>(family.bounds);
-        break;
       case InstrumentKind::kSeries:
         c.series = std::make_unique<RingSeries>(family.seriesCapacity);
         break;
@@ -146,23 +108,17 @@ Family::Cell& Registry::cell(const std::string& name, InstrumentKind kind,
 
 Counter& Registry::counter(const std::string& name, const Labels& labels,
                            const std::string& help) {
-  return *cell(name, InstrumentKind::kCounter, labels, help, {}, 0).counter;
+  return *cell(name, InstrumentKind::kCounter, labels, help, 0).counter;
 }
 
 Gauge& Registry::gauge(const std::string& name, const Labels& labels,
                        const std::string& help) {
-  return *cell(name, InstrumentKind::kGauge, labels, help, {}, 0).gauge;
-}
-
-Histogram& Registry::histogram(const std::string& name, std::vector<double> bounds,
-                               const Labels& labels, const std::string& help) {
-  return *cell(name, InstrumentKind::kHistogram, labels, help, std::move(bounds), 0)
-              .histogram;
+  return *cell(name, InstrumentKind::kGauge, labels, help, 0).gauge;
 }
 
 RingSeries& Registry::series(const std::string& name, std::size_t capacity,
                              const Labels& labels, const std::string& help) {
-  return *cell(name, InstrumentKind::kSeries, labels, help, {}, capacity).series;
+  return *cell(name, InstrumentKind::kSeries, labels, help, capacity).series;
 }
 
 void Registry::addCollector(std::function<void()> collector) {
@@ -185,11 +141,6 @@ void Registry::visit(
     const std::function<void(const std::string& name, const Family&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, family] : families_) fn(name, family);
-}
-
-std::size_t Registry::familyCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return families_.size();
 }
 
 void Registry::setCellLimitPerFamily(std::size_t limit) {
@@ -218,18 +169,12 @@ std::size_t Registry::approxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t bytes = 0;
   for (const auto& [name, family] : families_) {
-    bytes += sizeof(Family) + name.capacity() + family.help.capacity() +
-             family.bounds.capacity() * sizeof(double);
+    bytes += sizeof(Family) + name.capacity() + family.help.capacity();
     for (const auto& [key, c] : family.cells) {
       bytes += sizeof(Family::Cell) + key.capacity();
       for (const auto& [k, v] : c.labels) bytes += k.capacity() + v.capacity();
       if (c.counter) bytes += sizeof(Counter);
       if (c.gauge) bytes += sizeof(Gauge);
-      if (c.histogram) {
-        bytes += sizeof(Histogram) +
-                 (c.histogram->bounds().size() + 1) *
-                     (sizeof(double) + sizeof(std::atomic<std::uint64_t>));
-      }
       if (c.series) {
         bytes += sizeof(RingSeries) +
                  c.series->capacity() * sizeof(std::pair<TimeNs, double>);

@@ -2,9 +2,8 @@
 //
 // The paper's Network Monitor (§V-3) is the controller's management-plane
 // module; this registry is where everything it (and every other subsystem)
-// observes lands: monotonic counters, gauges, fixed-bucket histograms, and
-// bounded time series, grouped into labeled families. Design constraints,
-// in order:
+// observes lands: monotonic counters, gauges and bounded time series,
+// grouped into labeled families. Design constraints, in order:
 //
 //   1. Deterministic export. A metrics dump is part of the experiment
 //      record (BENCH_*.json), so two runs of the same seed — serial or
@@ -26,8 +25,8 @@
 // Hot paths stay hot: the intended pattern for per-packet quantities is a
 // *collector* — a pull hook registered once that copies existing cheap
 // counters (sim::PortCounters, ControlChannelStats, FlowTable totals) into
-// the registry only when a snapshot is exported. Push-style inc()/observe()
-// is for control-plane-rate events (flow-mods, retries, samples).
+// the registry only when a snapshot is exported. Push-style inc()/record()
+// is for control-plane-rate events (retries, queue-depth samples).
 #pragma once
 
 #include <atomic>
@@ -73,44 +72,11 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
   [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
 };
-
-/// Fixed-bucket histogram: bucket upper bounds are set at creation (the
-/// +Inf bucket is implicit) and never change, so two runs that observe the
-/// same values export the same counts. Observations are `double`; latency
-/// observations are simulated nanoseconds by convention.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-  [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
-  /// Per-bucket counts (size = bounds+1; last = +Inf overflow), non-cumulative.
-  [[nodiscard]] std::vector<std::uint64_t> bucketCounts() const;
-  [[nodiscard]] std::uint64_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] double sum() const;
-
- private:
-  std::vector<double> bounds_;  ///< ascending upper bounds
-  std::vector<std::atomic<std::uint64_t>> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-};
-
-/// Default latency buckets: 1us .. 100ms in decade/half-decade steps, in
-/// nanoseconds — covers everything from a flow-mod to a full recovery.
-std::vector<double> latencyBucketsNs();
 
 /// Bounded time series: a ring buffer of (simulated time, value) samples.
 /// The NetworkMonitor feeds one per watched port with queue-depth samples;
@@ -134,7 +100,7 @@ class RingSeries {
   std::uint64_t recorded_ = 0;
 };
 
-enum class InstrumentKind : std::uint8_t { kCounter, kGauge, kHistogram, kSeries };
+enum class InstrumentKind : std::uint8_t { kCounter, kGauge, kSeries };
 
 const char* instrumentKindName(InstrumentKind kind);
 
@@ -143,14 +109,12 @@ const char* instrumentKindName(InstrumentKind kind);
 struct Family {
   InstrumentKind kind = InstrumentKind::kCounter;
   std::string help;
-  std::vector<double> bounds;      ///< histogram families only
   std::size_t seriesCapacity = 0;  ///< series families only
 
   struct Cell {
     Labels labels;  ///< canonical (key-sorted)
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<RingSeries> series;
   };
   /// Keyed by the canonical label string ("k1=v1,k2=v2"), so iteration
@@ -180,8 +144,6 @@ class Registry {
                    const std::string& help = "");
   Gauge& gauge(const std::string& name, const Labels& labels = {},
                const std::string& help = "");
-  Histogram& histogram(const std::string& name, std::vector<double> bounds,
-                       const Labels& labels = {}, const std::string& help = "");
   RingSeries& series(const std::string& name, std::size_t capacity,
                      const Labels& labels = {}, const std::string& help = "");
 
@@ -196,8 +158,6 @@ class Registry {
   /// Visit every family in name order (cells inside are label-key ordered).
   /// Runs under the registry mutex: do not create instruments from `fn`.
   void visit(const std::function<void(const std::string& name, const Family&)>& fn) const;
-
-  [[nodiscard]] std::size_t familyCount() const;
 
   // -- Memory bounding (long-soak safety) -----------------------------------
   /// Cap the number of label cells one family may hold. Once a family is
@@ -214,7 +174,7 @@ class Registry {
   /// Total label cells across all families.
   [[nodiscard]] std::size_t cellCount() const;
   /// Rough resident footprint of the registry's metric storage (names,
-  /// labels, buckets, ring capacity) — the quantity the soak footprint test
+  /// labels, ring capacity) — the quantity the soak footprint test
   /// asserts stays bounded. Estimation, not accounting: containers' exact
   /// overheads are implementation-defined.
   [[nodiscard]] std::size_t approxBytes() const;
@@ -222,7 +182,7 @@ class Registry {
  private:
   Family::Cell& cell(const std::string& name, InstrumentKind kind,
                      const Labels& labels, const std::string& help,
-                     std::vector<double> bounds, std::size_t seriesCapacity);
+                     std::size_t seriesCapacity);
 
   mutable std::mutex mu_;
   std::map<std::string, Family> families_;

@@ -21,11 +21,8 @@ ForwardDecision Switch::process(const PacketHeader& header, std::int64_t bytes) 
   decision.matched = true;
   decision.ruleEpoch = cookieEpoch(entry->cookie);
   decision.vc = entry->setVc;
-  if (entry->outPort >= 0) {
-    assert(entry->outPort < numPorts_);
-    decision.drop = false;
-    decision.outPort = entry->outPort;
-  }
+  assert(entry->outPort < numPorts_);
+  decision.outPort = entry->outPort;
   return decision;
 }
 

@@ -22,8 +22,7 @@ namespace sdt::openflow {
 /// Result of running a header through the pipeline.
 struct ForwardDecision {
   bool matched = false;
-  bool drop = true;
-  int outPort = -1;
+  int outPort = -1;  ///< < 0 drops (table miss or a rule without output)
   int vc = -1;  ///< virtual channel override (-1 = keep packet's VC)
   /// Epoch the lookup ran under: the header's stamp, or — for an unstamped
   /// header — this switch's ingress epoch, which the data plane writes back

@@ -29,7 +29,6 @@ BuiltNetwork buildLogicalNetwork(Simulator& sim, const topo::Topology& topo,
       if (topo.hostSwitch(pkt.dstHost) == sw) {
         for (const auto& [host, port] : delivery) {
           if (host == pkt.dstHost) {
-            result.drop = false;
             result.outPort = port;
             result.vc = pkt.vc;
             return result;
@@ -42,7 +41,6 @@ BuiltNetwork buildLogicalNetwork(Simulator& sim, const topo::Topology& topo,
       auto hop = routing.nextHop(sw, pkt.dstHost, pkt.vc,
                                  static_cast<std::uint64_t>(pkt.dstHost));
       if (!hop) return result;
-      result.drop = false;
       result.outPort = hop.value().outPort;
       result.vc = hop.value().vc;
       return result;
@@ -91,7 +89,6 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const projection::Plant& plan
         checker->onLookup(pkt.id, psw, decision.matched, decision.ruleEpoch);
       }
       ForwardResult result;
-      result.drop = decision.drop;
       result.outPort = decision.outPort;
       result.vc = decision.vc >= 0 ? decision.vc : pkt.vc;
       result.epoch = decision.stampEpoch;

@@ -95,9 +95,6 @@ class FaultInjector {
   void downPort(TimeNs at, int sw, int port) {
     schedule({at, FaultKind::kPortDown, sw, port});
   }
-  void upPort(TimeNs at, int sw, int port) {
-    schedule({at, FaultKind::kPortUp, sw, port});
-  }
   /// A reboot wipes the flow table and also clears the ingress-epoch config
   /// and xid cache — the state crash recovery must read back and repopulate.
   void rebootSwitch(TimeNs at, int sw) {

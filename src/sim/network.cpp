@@ -383,7 +383,7 @@ void Network::arriveAtSwitch(int sw, int inPort, Packet packet) {
   }
 
   const ForwardResult decision = dev.forwarder(packet, inPort);
-  if (decision.drop || decision.outPort < 0) {
+  if (decision.outPort < 0) {
     ++st.totalDrops;
     ++p.counters.drops;
     return;

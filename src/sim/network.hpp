@@ -69,8 +69,7 @@ struct CrossbarModel {
 };
 
 struct ForwardResult {
-  bool drop = true;
-  int outPort = -1;
+  int outPort = -1;  ///< < 0 drops
   int vc = 0;
   /// Epoch the forwarding decision ran under (0 = switch does not stamp).
   /// The network writes it back into the packet so the stamp made at the

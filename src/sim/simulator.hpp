@@ -110,7 +110,6 @@ class Simulator {
     return ctx.sim == this ? shards_[ctx.shard].now : globalNow_;
   }
   [[nodiscard]] int numShards() const { return static_cast<int>(shards_.size()); }
-  [[nodiscard]] int numWorkers() const { return workers_; }
   /// Shard of the currently executing event (0 outside any event — the
   /// pre-run/top-level context is treated as shard 0).
   [[nodiscard]] int currentShard() const {
@@ -143,11 +142,6 @@ class Simulator {
   void schedule(Time delay, F&& fn) {
     const int shard = currentShard();
     scheduleAtOn(shard, now() + delay, std::forward<F>(fn));
-  }
-
-  template <typename F>
-  void scheduleAt(Time when, F&& fn) {
-    scheduleAtOn(currentShard(), when, std::forward<F>(fn));
   }
 
   /// Schedule onto a specific shard. Cross-shard calls during a parallel

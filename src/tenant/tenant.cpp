@@ -285,13 +285,6 @@ TenantSlice* TenantManager::mutableSlice(std::uint16_t id) {
   return it == slices_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::uint16_t> TenantManager::tenantIds() const {
-  std::vector<std::uint16_t> ids;
-  ids.reserve(slices_.size());
-  for (const auto& [id, slice] : slices_) ids.push_back(id);
-  return ids;
-}
-
 std::size_t TenantManager::reservedEntries(int sw) const {
   return reserved_[static_cast<std::size_t>(sw)];
 }

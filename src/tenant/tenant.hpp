@@ -125,7 +125,6 @@ class TenantManager {
   /// Mutable access for driving a ReconfigTransaction / RecoveryRun over the
   /// slice's deployment; call noteReconfigured() after it settles.
   [[nodiscard]] TenantSlice* mutableSlice(std::uint16_t id);
-  [[nodiscard]] std::vector<std::uint16_t> tenantIds() const;
   [[nodiscard]] int numTenants() const { return static_cast<int>(slices_.size()); }
 
   /// Two-version entry reservation currently held against switch `sw`.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <memory>
-#include <string>
 #include <utility>
 
 #include "common/hash.hpp"
@@ -86,28 +85,6 @@ void ServingRuntime::attachOverload(sim::FaultInjector& injector) {
 void ServingRuntime::setHostRateScale(int host, double scale) {
   assert(host >= 0 && host < static_cast<int>(hostScale_.size()));
   hostScale_[static_cast<std::size_t>(host)] = scale;
-}
-
-void ServingRuntime::attachMetrics(obs::Registry& registry) {
-  for (std::size_t s = 0; s < shardStats_.size(); ++s) {
-    ShardStats& stats = shardStats_[s];
-    for (int c = 0; c < admission::kNumPriorities; ++c) {
-      const char* cls = admission::priorityName(static_cast<Priority>(c));
-      const obs::Labels base = {{"shard", std::to_string(s)}, {"class", cls}};
-      obs::Labels hit = base;
-      hit.emplace_back("result", "hit");
-      obs::Labels miss = base;
-      miss.emplace_back("result", "miss");
-      const auto ci = static_cast<std::size_t>(c);
-      stats.sloHitCtr[ci] = &registry.counter(
-          "sdt_dc_slo_total", hit, "serving completions scored against the class SLO");
-      stats.sloMissCtr[ci] = &registry.counter("sdt_dc_slo_total", miss,
-                                               "serving completions scored against the class SLO");
-      stats.latencyHist[ci] =
-          &registry.histogram("sdt_dc_flow_latency_ns", obs::latencyBucketsNs(), base,
-                              "serving unit completion latency (ns)");
-    }
-  }
 }
 
 double ServingRuntime::scaleFor(const Source& src) const {
@@ -340,18 +317,11 @@ void ServingRuntime::recordCompletion(Priority cls, TimeNs bornAt, TimeNs comple
   stats.completedBytes += bytes;
   stats.latencySumNs += static_cast<std::uint64_t>(latency);
   stats.maxLatencyNs = std::max(stats.maxLatencyNs, latency);
-  const bool hit = latency <= sloFor(cls);
-  if (hit) {
+  if (latency <= sloFor(cls)) {
     ++stats.sloHit;
     stats.sloGoodBytes += bytes;
   } else {
     ++stats.sloMiss;
-  }
-  ShardStats& shard = shardStats_[static_cast<std::size_t>(sim_->currentShard())];
-  const auto ci = static_cast<std::size_t>(priorityIndex(cls));
-  if (shard.latencyHist[ci] != nullptr) {
-    shard.latencyHist[ci]->observe(static_cast<double>(latency));
-    (hit ? shard.sloHitCtr[ci] : shard.sloMissCtr[ci])->inc();
   }
 }
 

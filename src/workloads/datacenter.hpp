@@ -34,7 +34,6 @@
 
 #include "admission/admission.hpp"
 #include "common/rng.hpp"
-#include "obs/metrics.hpp"
 #include "sim/faults.hpp"
 #include "sim/transport.hpp"
 #include "workloads/mpi.hpp"
@@ -107,9 +106,6 @@ class ServingRuntime {
   /// where the generators live).
   void attachOverload(sim::FaultInjector& injector);
 
-  /// Per-shard SLO counters and latency histograms. Call before start().
-  void attachMetrics(obs::Registry& registry);
-
   /// Global offered-load multiplier (call pre-run or from shard 0).
   void setRateScale(double scale) { globalScale_ = scale; }
   /// Multiplier for sources owned by `host` (rogue tenant).
@@ -155,10 +151,6 @@ class ServingRuntime {
 
   struct alignas(64) ShardStats {
     std::array<ClassStats, admission::kNumPriorities> perClass{};
-    // Obs cells (null when metrics not attached).
-    std::array<obs::Counter*, admission::kNumPriorities> sloHitCtr{};
-    std::array<obs::Counter*, admission::kNumPriorities> sloMissCtr{};
-    std::array<obs::Histogram*, admission::kNumPriorities> latencyHist{};
   };
 
   [[nodiscard]] double scaleFor(const Source& src) const;  ///< shard 0 only

@@ -129,7 +129,7 @@ TEST(Controller, FlowTablesForwardEveryPair) {
         h.dstAddr = static_cast<std::uint32_t>(dst);
         const auto decision = deployment.switches[at.sw]->process(h, 100);
         ASSERT_TRUE(decision.matched) << src << "->" << dst << " at port " << at.port;
-        ASSERT_FALSE(decision.drop);
+        ASSERT_GE(decision.outPort, 0);
         const projection::PhysPort out{at.sw, decision.outPort};
         if (out == deployment.projection.hostPortOf(dst)) break;  // delivered
         // Otherwise we must be on a fabric link: hop across it.

@@ -58,7 +58,7 @@ Result<std::vector<topo::SwitchId>> tableWalk(const topo::Topology& topo,
     h.dstAddr = static_cast<std::uint32_t>(dst);
     h.trafficClass = static_cast<std::uint8_t>(vc);
     const auto decision = dep.switches[at.sw]->process(h, 100);
-    if (!decision.matched || decision.drop) return makeError("table miss");
+    if (!decision.matched || decision.outPort < 0) return makeError("table miss");
     if (decision.vc >= 0) vc = decision.vc;
     const projection::PhysPort out{at.sw, decision.outPort};
     if (out == dep.projection.hostPortOf(dst)) return path;  // delivered

@@ -832,9 +832,9 @@ TEST(HaMonitor, PortFailureDuringTakeoverDeliveredExactlyOnceWithEpoch) {
 
 // ---------------------------------------------------------------------------
 // Tenant mid-slice-update failover (satellite): the leader dies past the
-// commit point of one tenant's slice update; the tenant-aware planner rolls
-// the slice forward under the new term without disturbing the co-tenant, and
-// admission state survives.
+// commit point of one tenant's slice update; the takeover, planned against
+// the tenant's slice controller, rolls the slice forward under the new term
+// without disturbing the co-tenant, and admission state survives.
 // ---------------------------------------------------------------------------
 
 projection::Plant twoTenantPlant() {
@@ -891,18 +891,17 @@ TEST(HaTenant, MidSliceUpdateFailoverRollsForwardWithoutTouchingCoTenant) {
   rcfg.jitter = 500;
   sim::ControlChannel repl(sim, faultSeed() + 101, rcfg);
 
+  // Tenant-aware takeover: recompile against bob's slice controller with his
+  // deploy options; the plan scopes itself to the tenant its journaled epoch
+  // names, so the new leader can only ever touch bob's namespace.
+  controller::HaConfig hcfg;
+  hcfg.deploy = mgr.slice(2)->deployOptions;
   controller::ReplicatedController ha(sim, *mgr.slice(2)->controller, fabric,
-                                      repl, 3, {});
+                                      repl, 3, hcfg);
   controller::IntentCatalog catalog;
   catalog[lineB.name()] = {&lineB, &rB};
   catalog[ringB.name()] = {&ringB, &rRingB};
-  // Tenant-aware takeover: recompile against bob's slice controller; the
-  // plan scopes itself so the new leader can only ever touch bob's namespace.
-  ha.setPlanner([&mgr, catalog](const controller::Journal& journal)
-                    -> Result<controller::RecoveryPlan> {
-    return controller::planRecovery(*mgr.slice(2)->controller, journal,
-                                    catalog, mgr.slice(2)->deployOptions);
-  });
+  ha.setCatalog(catalog);
   ASSERT_TRUE(ha.adoptDeployment(mgr.slice(2)->deployment).ok());
   ha.start();
 

@@ -33,40 +33,12 @@ TEST(Counter, IncAndSyncToAreMonotonic) {
 TEST(Gauge, SetAndAdd) {
   Registry reg;
   Gauge& g = reg.gauge("sdt_test_gauge");
+  EXPECT_DOUBLE_EQ(g.value(), 0.0);
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.add(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-  g.add(-5.0);
+  // A gauge moves both ways: each set overwrites the last reading.
+  g.set(-1.0);
   EXPECT_DOUBLE_EQ(g.value(), -1.0);
-}
-
-TEST(Histogram, BucketsAreNonCumulativeWithOverflow) {
-  Registry reg;
-  Histogram& h = reg.histogram("sdt_test_hist", {10.0, 100.0, 1000.0});
-  // One per bucket, plus one past the last bound.
-  h.observe(5.0);     // <= 10
-  h.observe(10.0);    // <= 10 (boundary lands in its bucket)
-  h.observe(50.0);    // <= 100
-  h.observe(999.0);   // <= 1000
-  h.observe(5000.0);  // +Inf overflow
-  const std::vector<std::uint64_t> counts = h.bucketCounts();
-  ASSERT_EQ(counts.size(), 4u);  // bounds + 1 overflow
-  EXPECT_EQ(counts[0], 2u);
-  EXPECT_EQ(counts[1], 1u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 + 10.0 + 50.0 + 999.0 + 5000.0);
-}
-
-TEST(Histogram, LatencyBucketsCoverMicrosecondsToMilliseconds) {
-  const std::vector<double> b = latencyBucketsNs();
-  ASSERT_FALSE(b.empty());
-  // Strictly increasing, spanning at least 1us .. 100ms.
-  for (std::size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
-  EXPECT_LE(b.front(), 1e3);
-  EXPECT_GE(b.back(), 1e8);
 }
 
 TEST(RingSeries, WrapsKeepingNewestSamples) {
@@ -101,7 +73,6 @@ TEST(Registry, KindMismatchThrows) {
   Registry reg;
   reg.counter("sdt_shape_total");
   EXPECT_THROW(reg.gauge("sdt_shape_total"), std::logic_error);
-  EXPECT_THROW(reg.histogram("sdt_shape_total", {1.0}), std::logic_error);
   EXPECT_THROW(reg.series("sdt_shape_total", 8), std::logic_error);
 }
 
@@ -227,10 +198,6 @@ void populate(Registry& reg, bool reversed) {
   };
   const auto rest = [&reg]() {
     reg.gauge("sdt_a_gauge").set(1.5);
-    Histogram& h = reg.histogram("sdt_m_hist", {10.0, 100.0});
-    h.observe(7.0);
-    h.observe(70.0);
-    h.observe(700.0);
     RingSeries& s = reg.series("sdt_q_series", 4, {{"port", "2"}});
     s.record(1000, 0.5);
     s.record(2000, 1.5);
@@ -263,23 +230,92 @@ TEST(Export, JsonShapeCarriesKindAndValues) {
   EXPECT_NE(text.find("\"sdt_z_total\""), std::string::npos);
   EXPECT_NE(text.find("\"counter\""), std::string::npos);
   EXPECT_NE(text.find("\"gauge\""), std::string::npos);
-  EXPECT_NE(text.find("\"histogram\""), std::string::npos);
   EXPECT_NE(text.find("\"series\""), std::string::npos);
-  EXPECT_NE(text.find("+Inf"), std::string::npos);
 }
 
-TEST(Export, PrometheusHistogramIsCumulative) {
+TEST(Export, TextMatchesRecordedValues) {
+  // Both exporters' exact bytes: help lines, label sets passed in
+  // non-canonical key order, an unlabelled gauge, and a wrapped ring series
+  // (capacity 2, three records) whose Prometheus form adds _dropped_total.
   Registry reg;
-  Histogram& h = reg.histogram("sdt_cum_hist", {10.0, 100.0});
-  h.observe(5.0);
-  h.observe(50.0);
-  h.observe(500.0);
-  const std::string text = metricsToPrometheus(reg);
-  // Cumulative convention: le="10" sees 1, le="100" sees 2, le="+Inf" 3.
-  EXPECT_NE(text.find("sdt_cum_hist_bucket{le=\"10\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("sdt_cum_hist_bucket{le=\"100\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("sdt_cum_hist_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("sdt_cum_hist_count 3"), std::string::npos);
+  reg.counter("sdt_mods_total", {{"sw", "1"}, {"op", "add"}}, "Flow-table mutations")
+      .inc(5);
+  reg.counter("sdt_mods_total", {{"sw", "0"}, {"op", "remove"}}).inc(3);
+  reg.gauge("sdt_load", {}, "Offered load").set(1.5);
+  RingSeries& s =
+      reg.series("sdt_queue_bytes", 2, {{"sw", "0"}, {"port", "3"}}, "Queue depth");
+  s.record(1000, 0.5);
+  s.record(2000, 1.5);
+  s.record(3000, 2.5);
+  EXPECT_EQ(metricsToPrometheus(reg),
+            "# HELP sdt_load Offered load\n"
+            "# TYPE sdt_load gauge\n"
+            "sdt_load 1.5\n"
+            "# HELP sdt_mods_total Flow-table mutations\n"
+            "# TYPE sdt_mods_total counter\n"
+            "sdt_mods_total{op=\"add\",sw=\"1\"} 5\n"
+            "sdt_mods_total{op=\"remove\",sw=\"0\"} 3\n"
+            "# HELP sdt_queue_bytes Queue depth\n"
+            "# TYPE sdt_queue_bytes gauge\n"
+            "sdt_queue_bytes{port=\"3\",sw=\"0\"} 2.5\n"
+            "sdt_queue_bytes_dropped_total{port=\"3\",sw=\"0\"} 1\n");
+  EXPECT_EQ(metricsToJson(reg).dump(2), R"({
+  "sdt_load": {
+    "help": "Offered load",
+    "kind": "gauge",
+    "values": [
+      {
+        "labels": {},
+        "value": 1.5
+      }
+    ]
+  },
+  "sdt_mods_total": {
+    "help": "Flow-table mutations",
+    "kind": "counter",
+    "values": [
+      {
+        "labels": {
+          "op": "add",
+          "sw": "1"
+        },
+        "value": 5
+      },
+      {
+        "labels": {
+          "op": "remove",
+          "sw": "0"
+        },
+        "value": 3
+      }
+    ]
+  },
+  "sdt_queue_bytes": {
+    "help": "Queue depth",
+    "kind": "series",
+    "values": [
+      {
+        "capacity": 2,
+        "dropped": 1,
+        "labels": {
+          "port": "3",
+          "sw": "0"
+        },
+        "recorded": 3,
+        "samples": [
+          [
+            2000,
+            1.5
+          ],
+          [
+            3000,
+            2.5
+          ]
+        ]
+      }
+    ]
+  }
+})");
 }
 
 TEST(Export, TracerJsonPreservesOrderAndAttrs) {

@@ -44,7 +44,7 @@ bool walkDelivers(const controller::Deployment& dep, const topo::Topology& topo,
     h.srcAddr = static_cast<std::uint32_t>(src);
     h.dstAddr = static_cast<std::uint32_t>(dst);
     const openflow::ForwardDecision decision = dep.switches[at.sw]->process(h, 100);
-    if (!decision.matched || decision.drop) return false;
+    if (!decision.matched || decision.outPort < 0) return false;
     const projection::PhysPort out{at.sw, decision.outPort};
     if (out == dep.projection.hostPortOf(dst)) return true;
     const auto logical = dep.projection.logicalAt(out);
