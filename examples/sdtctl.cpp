@@ -618,7 +618,6 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
     return 1;
   }
 
-  obs::Registry registry;
   obs::Tracer tracer;
   sim::Simulator sim;
   controller::SdtController ctl(plant.value());
@@ -682,7 +681,6 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
     }
     controller::ReconfigOptions topt;
     topt.tracer = &tracer;
-    topt.metrics = &registry;
     topt.journal = &journal;
     controller::ReconfigTransaction tx(sim, channel, deployment,
                                        std::move(plan).value(), topt);
@@ -711,7 +709,6 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
     controller::RecoveryOptions ropt;
     ropt.journal = &journal;
     ropt.tracer = &tracer;
-    ropt.metrics = &registry;
     controller::RecoveryRun recovery(sim, channel, deployment.switches,
                                      std::move(rplan).value(), ropt);
     recovery.start();

@@ -59,9 +59,6 @@ class Value {
 
   /// Object member access; returns null value when missing or not an object.
   [[nodiscard]] const Value& at(const std::string& key) const;
-  [[nodiscard]] bool contains(const std::string& key) const {
-    return isObject() && obj_.count(key) > 0;
-  }
 
   /// Typed getters with defaults, for ergonomic config reading.
   [[nodiscard]] std::int64_t getInt(const std::string& key, std::int64_t fallback) const;

@@ -69,13 +69,9 @@ class Status {
     return error_;
   }
 
-  static Status okStatus() { return Status{}; }
-
  private:
   E error_{};
   bool failed_ = false;
 };
-
-using StatusOr = Status<Error>;
 
 }  // namespace sdt

@@ -167,7 +167,6 @@ RecoveryRun::RecoveryRun(sim::Simulator& sim, sim::ControlChannel& channel,
                 .seed = options_.retrySeed,
                 .salt = 0x4EC0BEA7ULL,
                 .tracer = options_.tracer,
-                .metrics = options_.metrics,
                 .request = [this](int sw) { return request(sw); },
                 .exhausted = [this](int sw, int n) {
                   const bool readback = currentRound_ == Round::kReadback;

@@ -49,7 +49,6 @@
 #include "controller/journal.hpp"
 #include "controller/session.hpp"
 #include "controller/table_diff.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/control_channel.hpp"
 #include "sim/simulator.hpp"
@@ -133,12 +132,11 @@ struct RecoveryOptions {
   /// When set, a kRecovery record is appended after convergence so the next
   /// cold start sees the converged intent as live and no open transaction.
   Journal* journal = nullptr;
-  /// Observability (both optional, both must outlive the run): the tracer
-  /// gets a "recover" root span with one child per anti-entropy phase
+  /// Observability (optional, must outlive the run): the tracer gets a
+  /// "recover" root span with one child per anti-entropy phase
   /// (readback/converge/verify, repeating as rounds iterate), in simulated
-  /// time; the registry gets per-phase sdt_controller_retry_attempts_total.
+  /// time.
   obs::Tracer* tracer = nullptr;
-  obs::Registry* metrics = nullptr;
 };
 
 /// Per-switch recovery outcome (index == physical switch id).

@@ -6,29 +6,13 @@
 
 namespace sdt::openflow {
 
-int Match::specificity() const {
-  int n = 0;
-  n += inPort.has_value();
-  n += srcAddr.has_value();
-  n += dstAddr.has_value();
-  n += srcPort.has_value();
-  n += dstPort.has_value();
-  n += protocol.has_value();
-  n += trafficClass.has_value();
-  return n;
-}
-
 std::string Match::describe() const {
   std::string out = "{";
   const auto field = [&](const char* name, auto opt) {
     if (opt) out += strFormat("%s=%lld ", name, static_cast<long long>(*opt));
   };
   field("in", inPort);
-  field("src", srcAddr);
   field("dst", dstAddr);
-  field("sport", srcPort);
-  field("dport", dstPort);
-  field("proto", protocol);
   field("tc", trafficClass);
   if (out.back() == ' ') out.pop_back();
   out += "}";
@@ -44,6 +28,10 @@ Status<Error> FlowTable::add(FlowEntry entry) {
   if (full()) {
     return makeError(strFormat("flow table full (%zu entries)", capacity_));
   }
+  if (!entry.match.inPort || !entry.match.dstAddr) {
+    return makeError("flow rule " + entry.match.describe() +
+                     " does not name an exact in_port and destination");
+  }
   // Insert after all entries of >= priority, preserving stable order. The
   // vector is sorted by descending priority, so that slot is a partition
   // point and a binary search finds it.
@@ -55,17 +43,6 @@ Status<Error> FlowTable::add(FlowEntry entry) {
   indexDirty_ = true;
   ++addsTotal_;
   return {};
-}
-
-std::size_t FlowTable::removeByCookie(std::uint64_t cookie) {
-  const auto it = std::remove_if(entries_.begin(), entries_.end(), [&](const FlowEntry& e) {
-    return e.cookie == cookie;
-  });
-  const auto removed = static_cast<std::size_t>(entries_.end() - it);
-  entries_.erase(it, entries_.end());
-  indexDirty_ = indexDirty_ || removed > 0;
-  removesTotal_ += removed;
-  return removed;
 }
 
 std::size_t FlowTable::removeByEpoch(std::uint32_t epoch) {
@@ -135,14 +112,9 @@ void FlowTable::clear() {
 
 void FlowTable::buildIndex() const {
   index_.clear();
-  residual_.clear();
   for (std::uint32_t pos = 0; pos < entries_.size(); ++pos) {
     const Match& m = entries_[pos].match;
-    if (m.inPort && m.dstAddr) {
-      index_[indexKey(*m.inPort, *m.dstAddr)].push_back(pos);
-    } else {
-      residual_.push_back(pos);
-    }
+    index_[indexKey(*m.inPort, *m.dstAddr)].push_back(pos);
   }
   indexDirty_ = false;
 }
@@ -156,26 +128,14 @@ std::uint32_t FlowTable::findPos(const PacketHeader& header) const {
     const std::uint32_t re = cookieEpoch(e.cookie);
     return header.epoch == 0 || re == 0 || re == header.epoch;
   };
-  std::uint32_t best = kNoPos;
   const auto bucket = index_.find(indexKey(header.inPort, header.dstAddr));
-  if (bucket != index_.end()) {
-    // Positions are ascending, i.e. in match-preference order: the first
-    // full match in the bucket is the best indexed candidate.
-    for (const std::uint32_t pos : bucket->second) {
-      if (epochOk(entries_[pos]) && entries_[pos].match.matches(header)) {
-        best = pos;
-        break;
-      }
-    }
+  if (bucket == index_.end()) return kNoPos;
+  // Positions are ascending, i.e. in match-preference order: the first
+  // full match in the bucket wins.
+  for (const std::uint32_t pos : bucket->second) {
+    if (epochOk(entries_[pos]) && entries_[pos].match.matches(header)) return pos;
   }
-  for (const std::uint32_t pos : residual_) {
-    if (pos >= best) break;  // ascending: cannot beat the indexed winner
-    if (epochOk(entries_[pos]) && entries_[pos].match.matches(header)) {
-      best = pos;
-      break;
-    }
-  }
-  return best;
+  return kNoPos;
 }
 
 const FlowEntry* FlowTable::lookup(const PacketHeader& header) const {
@@ -183,12 +143,11 @@ const FlowEntry* FlowTable::lookup(const PacketHeader& header) const {
   return pos == kNoPos ? nullptr : &entries_[pos];
 }
 
-const FlowEntry* FlowTable::lookupAndCount(const PacketHeader& header, std::int64_t bytes) {
+const FlowEntry* FlowTable::lookupAndCount(const PacketHeader& header) {
   const std::uint32_t pos = findPos(header);
   if (pos == kNoPos) return nullptr;
   FlowEntry& e = entries_[pos];
   ++e.packetCount;
-  e.byteCount += static_cast<std::uint64_t>(bytes);
   return &e;
 }
 

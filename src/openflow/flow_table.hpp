@@ -1,10 +1,12 @@
 // OpenFlow-style flow table: priority-ordered match/action entries.
 //
 // This models the subset of OpenFlow 1.3 that SDT relies on (paper §III-B,
-// §V, §VII-B): matching on ingress port and the IP 5-tuple, and the one rule
-// shape SDT compiles — match → [set VC] output, where a rule without an
-// output drops — plus table-capacity accounting (§VII-C: flow table entries
-// are the scarce resource on commodity switches).
+// §V, §VII-B): the one rule shape SDT compiles — match an exact ingress port
+// and destination (plus the traffic class on multi-VC fabric ingress) →
+// [set VC] output, where a rule without an output drops — plus
+// table-capacity accounting (§VII-C: flow table entries are the scarce
+// resource on commodity switches). Every rule names its ingress port, which
+// is what keeps co-resident sub-switches apart (§VI-B).
 #pragma once
 
 #include <cstdint>
@@ -61,36 +63,25 @@ inline constexpr std::uint16_t cookieTenant(std::uint64_t cookie) {
 /// ingress port on the switch doing the lookup.
 struct PacketHeader {
   int inPort = -1;
-  std::uint32_t srcAddr = 0;
   std::uint32_t dstAddr = 0;
-  std::uint16_t srcPort = 0;
-  std::uint16_t dstPort = 0;
-  std::uint8_t protocol = 0;
   std::uint8_t trafficClass = 0;  ///< DSCP-like priority class (0-7)
   /// Configuration epoch the packet was stamped with at ingress (0 =
   /// unstamped: matches rules of any epoch, the pre-epoch behaviour).
   std::uint32_t epoch = 0;
 };
 
-/// Exact-or-wildcard match on each field (nullopt = wildcard).
+/// Exact-or-wildcard match on each field (nullopt = wildcard). A rule in a
+/// FlowTable always names `inPort` and `dstAddr`; only `trafficClass` may be
+/// a wildcard.
 struct Match {
   std::optional<int> inPort;
-  std::optional<std::uint32_t> srcAddr;
   std::optional<std::uint32_t> dstAddr;
-  std::optional<std::uint16_t> srcPort;
-  std::optional<std::uint16_t> dstPort;
-  std::optional<std::uint8_t> protocol;
   std::optional<std::uint8_t> trafficClass;
 
   [[nodiscard]] bool matches(const PacketHeader& h) const {
-    return (!inPort || *inPort == h.inPort) && (!srcAddr || *srcAddr == h.srcAddr) &&
-           (!dstAddr || *dstAddr == h.dstAddr) && (!srcPort || *srcPort == h.srcPort) &&
-           (!dstPort || *dstPort == h.dstPort) && (!protocol || *protocol == h.protocol) &&
+    return (!inPort || *inPort == h.inPort) && (!dstAddr || *dstAddr == h.dstAddr) &&
            (!trafficClass || *trafficClass == h.trafficClass);
   }
-
-  /// Number of concrete fields (diagnostics; more-specific-first audits).
-  [[nodiscard]] int specificity() const;
 
   [[nodiscard]] std::string describe() const;
 
@@ -106,27 +97,26 @@ struct FlowEntry {
   int outPort = -1;  ///< forward out of this port; < 0 drops
   std::uint64_t cookie = 0;  ///< controller-assigned id for bulk delete
 
-  // Per-entry counters (OpenFlow flow stats), bumped only by the non-const
-  // lookupAndCount() path so const lookups stay pure (and therefore safe
-  // for concurrent readers).
+  /// Per-entry packet counter (OpenFlow flow stats), bumped only by the
+  /// non-const lookupAndCount() path so const lookups stay pure (and
+  /// therefore safe for concurrent readers).
   std::uint64_t packetCount = 0;
-  std::uint64_t byteCount = 0;
 };
 static_assert(std::is_trivially_copyable_v<FlowEntry>);
 
-/// Rule identity: same priority/match/setVc/outPort/cookie, counters ignored.
+/// Rule identity: same priority/match/setVc/outPort/cookie, counter ignored.
 /// Strict deletes (removeExact) match on it; the controller's incremental
 /// table diff uses it without the cookie's epoch half.
 [[nodiscard]] bool sameRule(const FlowEntry& a, const FlowEntry& b);
 
 /// Priority-ordered table with a hard capacity (mirrors TCAM limits).
 ///
-/// Lookup is accelerated by an exact-match hash index keyed on
-/// (inPort, dstAddr) — the shape of every LinkProjector-generated entry — so
-/// SDT-mode forwarding is O(1) in the table size. Entries that wildcard
-/// either keyed field fall back to the priority-ordered linear scan; the two
-/// paths are merged by table position so results are identical to a pure
-/// scan (test_flow_table runs a randomized differential check).
+/// Every rule matches an exact (inPort, dstAddr) — add() refuses any other —
+/// so lookup is one walk of that key's bucket in a hash index: O(1) in the
+/// table size. The bucket lists its rules in table order, so the first one
+/// that passes the traffic-class and epoch checks is the rule a
+/// priority-ordered linear scan would find (test_flow_index runs a
+/// randomized differential check).
 ///
 /// The index is rebuilt lazily after mutations. Mutations and lookups must
 /// not race; call buildIndex() after the last mutation before sharing the
@@ -141,13 +131,11 @@ class FlowTable {
 
   /// Insert after every entry of equal or higher priority; fails when the
   /// table is full (the controller's capacity checker must prevent this,
-  /// §VII-C). Finding the slot is a binary search, O(log n). An insert at
-  /// the lowest priority present (or below it) is an amortized O(1) append;
-  /// a higher-priority insert still shifts every entry behind its slot.
+  /// §VII-C) or when the rule does not name an exact inPort and dstAddr.
+  /// Finding the slot is a binary search, O(log n). An insert at the lowest
+  /// priority present (or below it) is an amortized O(1) append; a
+  /// higher-priority insert still shifts every entry behind its slot.
   Status<Error> add(FlowEntry entry);
-
-  /// Remove all entries with the given cookie; returns how many.
-  std::size_t removeByCookie(std::uint64_t cookie);
 
   /// Bulk delete by configuration epoch (an OpenFlow delete with
   /// cookie/cookie-mask selecting the epoch bits); returns how many.
@@ -188,7 +176,7 @@ class FlowTable {
   [[nodiscard]] const FlowEntry* lookup(const PacketHeader& header) const;
 
   /// lookup() plus OpenFlow flow-stats accounting on the matched entry.
-  const FlowEntry* lookupAndCount(const PacketHeader& header, std::int64_t bytes);
+  const FlowEntry* lookupAndCount(const PacketHeader& header);
 
   /// Force an eager index rebuild (otherwise done lazily on next lookup).
   void buildIndex() const;
@@ -217,11 +205,9 @@ class FlowTable {
   std::uint64_t removesTotal_ = 0;
   std::uint64_t restampsTotal_ = 0;
 
-  // Lazily maintained lookup index: positions (ascending == match-preference
-  // order) of entries with concrete (inPort, dstAddr), bucketed by that key;
-  // everything else lands in residual_ and is scanned.
+  // Lazily maintained lookup index: every entry's position (ascending ==
+  // match-preference order), bucketed by its (inPort, dstAddr) key.
   mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index_;
-  mutable std::vector<std::uint32_t> residual_;
   mutable bool indexDirty_ = true;
 };
 

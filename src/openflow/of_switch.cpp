@@ -4,7 +4,7 @@
 
 namespace sdt::openflow {
 
-ForwardDecision Switch::process(const PacketHeader& header, std::int64_t bytes) {
+ForwardDecision Switch::process(const PacketHeader& header) {
   assert(header.inPort >= 0 && header.inPort < numPorts_);
   // Ingress epoch stamping: a packet entering the network unstamped is
   // pinned to this switch's current configuration epoch; stamped packets
@@ -15,7 +15,7 @@ ForwardDecision Switch::process(const PacketHeader& header, std::int64_t bytes) 
 
   ForwardDecision decision;
   decision.stampEpoch = stamped.epoch;
-  const FlowEntry* entry = table_.lookupAndCount(stamped, bytes);
+  const FlowEntry* entry = table_.lookupAndCount(stamped);
   if (entry == nullptr) return decision;  // table miss -> drop
 
   decision.matched = true;

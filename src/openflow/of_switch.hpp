@@ -1,6 +1,6 @@
 // Model of a commodity OpenFlow switch: a port count and one flow table
-// whose rules keep OpenFlow's per-rule counters (the Network Monitor, §V-3,
-// polls sim::Network's port counters, not this model).
+// whose rules keep OpenFlow's per-rule packet counters (the Network Monitor,
+// §V-3, polls sim::Network's port counters, not this model).
 //
 // This class is pure control/data-plane logic with no notion of time; the
 // event-driven simulator (sim::) wraps it to add queues, links, and delays.
@@ -40,7 +40,6 @@ struct ForwardDecision {
 struct TableSnapshot {
   std::vector<FlowEntry> entries;
   std::uint32_t ingressEpoch = 0;
-  std::uint64_t barriersSeen = 0;
   /// Sparse per-port ingress-epoch overrides (multi-tenant slicing):
   /// (port, epoch) pairs, ascending by port.
   std::vector<std::pair<int, std::uint32_t>> portEpochs;
@@ -62,7 +61,7 @@ class Switch {
   /// table-miss flood: isolation depends on it, §VI-B).
   /// Unstamped headers (epoch 0) are stamped with ingressEpoch() before the
   /// lookup, pinning the packet to one configuration for its whole path.
-  ForwardDecision process(const PacketHeader& header, std::int64_t bytes);
+  ForwardDecision process(const PacketHeader& header);
 
   /// Configuration epoch stamped onto packets entering the network here
   /// (0 = no stamping, the pre-epoch behaviour). Flipping this is the
@@ -186,7 +185,7 @@ class Switch {
   /// Flow-stats readback over the control channel (crash recovery):
   /// snapshot the table and ingress configuration as of now.
   [[nodiscard]] TableSnapshot snapshot() const {
-    TableSnapshot snap{table_.entries(), ingressEpoch_, barriersSeen_, {}};
+    TableSnapshot snap{table_.entries(), ingressEpoch_, {}};
     snap.portEpochs.assign(portEpochs_.begin(), portEpochs_.end());
     return snap;
   }

@@ -35,21 +35,6 @@ std::optional<topo::SwitchPort> Projection::logicalAt(PhysPort phys) const {
   return it->second;
 }
 
-std::vector<SubSwitch> Projection::subSwitches() const {
-  std::vector<SubSwitch> out;
-  out.reserve(portMap_.size());
-  for (int sw = 0; sw < numLogicalSwitches(); ++sw) {
-    SubSwitch sub;
-    sub.logicalSwitch = sw;
-    sub.physSwitch = physSwitchOf_[sw];
-    for (const PhysPort& p : portMap_[sw]) {
-      if (p.valid()) sub.physPorts.push_back(p.port);
-    }
-    out.push_back(std::move(sub));
-  }
-  return out;
-}
-
 int Projection::subSwitchCountOn(int physSw) const {
   return static_cast<int>(
       std::count(physSwitchOf_.begin(), physSwitchOf_.end(), physSw));

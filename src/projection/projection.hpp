@@ -5,11 +5,13 @@
 //
 // A Projection answers three questions:
 //   1. which physical port realizes each logical (switch, port)?      (map)
-//   2. which physical ports form each logical switch's sub-switch?    (groups)
+//   2. which physical switch hosts each logical switch's sub-switch?  (placement)
 //   3. which physical port does each logical host plug into?          (hosts)
 // plus bookkeeping for how each logical link was realized (self-link vs
 // inter-switch link), which the flow-table generator and the evaluation
-// harness (crossbar-load model) consume.
+// harness (crossbar-load model) consume. A sub-switch's ports are the
+// physical ports its logical ports map to; the flow tables confine it to
+// them by matching every rule on its ingress port (§VI-B).
 #pragma once
 
 #include <map>
@@ -30,14 +32,6 @@ struct RealizedLink {
   /// cabling; `physLink` then indexes Projection::opticalCircuits().
   bool optical = false;
   int physLink = -1;  ///< index into Plant::selfLinks / interLinks / circuits
-};
-
-/// The sub-switch for one logical switch: a set of ports on one physical
-/// switch whose forwarding domain the flow tables will restrict (§IV-A).
-struct SubSwitch {
-  topo::SwitchId logicalSwitch = -1;
-  int physSwitch = -1;
-  std::vector<int> physPorts;  ///< fabric ports; parallel to logical port ids
 };
 
 class Projection {
@@ -79,9 +73,6 @@ class Projection {
   [[nodiscard]] const std::vector<RealizedLink>& realizedLinks() const { return realized_; }
   /// On-demand optical circuits this projection established (§VII-A).
   [[nodiscard]] const std::vector<PhysLink>& opticalCircuits() const { return circuits_; }
-
-  /// Sub-switch groups, derived from the port map.
-  [[nodiscard]] std::vector<SubSwitch> subSwitches() const;
 
   /// Number of logical switches mapped onto physical switch `physSw`
   /// (the crossbar-sharing degree; drives the sim's overhead model).

@@ -83,8 +83,7 @@ BuiltNetwork buildProjectedNetwork(Simulator& sim, const projection::Plant& plan
     std::shared_ptr<openflow::Switch> ofs = built.ofSwitches[psw];
     assert(ofs != nullptr && ofs->numPorts() >= plant.switches[psw].numPorts);
     Forwarder forwarder = [ofs, checker, psw](const Packet& pkt, int inPort) {
-      const openflow::ForwardDecision decision =
-          ofs->process(pkt.header(inPort), pkt.wireBytes());
+      const openflow::ForwardDecision decision = ofs->process(pkt.header(inPort));
       if (checker != nullptr) {
         checker->onLookup(pkt.id, psw, decision.matched, decision.ruleEpoch);
       }

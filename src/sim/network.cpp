@@ -148,7 +148,6 @@ Network::Port& Network::portOf(NodeRef node, int port) {
 
 void Network::injectFromHost(int host, Packet packet) {
   packet.simIngressPort = -1;
-  packet.injectedAt = sim_->now();
   // NIC processing happens before the wire. Transports inject from the
   // host's own shard so this is shard-local; top-level injections (tests)
   // are routed to the owner with the lookahead pad.

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/units.hpp"
 #include "openflow/flow_table.hpp"
 
 namespace sdt::sim {
@@ -32,7 +31,6 @@ struct Packet {
   std::uint64_t seq = 0;       ///< transport byte offset (TCP) / packet index (RoCE)
   std::uint64_t ackSeq = 0;    ///< cumulative ack (TCP)
   std::uint64_t messageId = 0; ///< RoCE message this segment belongs to
-  TimeNs injectedAt = 0;
   /// Configuration epoch stamped at the first switch (0 = not yet stamped).
   /// Persists across hops so every lookup on the path runs under the same
   /// epoch during a two-phase reconfiguration (per-packet consistency).
@@ -43,17 +41,12 @@ struct Packet {
 
   [[nodiscard]] std::int64_t wireBytes() const { return payloadBytes + kWireHeaderBytes; }
 
-  /// Header view for OpenFlow flow-table matching (SDT data plane). Host
-  /// addresses double as IPs; the flow id doubles as the L4 port pair so
-  /// 5-tuple ECMP-style matching has something to chew on.
+  /// Header view for OpenFlow flow-table matching (SDT data plane): the
+  /// destination host id doubles as its IP.
   [[nodiscard]] openflow::PacketHeader header(int inPort) const {
     openflow::PacketHeader h;
     h.inPort = inPort;
-    h.srcAddr = static_cast<std::uint32_t>(srcHost);
     h.dstAddr = static_cast<std::uint32_t>(dstHost);
-    h.srcPort = static_cast<std::uint16_t>(flowId & 0xFFFF);
-    h.dstPort = static_cast<std::uint16_t>((flowId >> 16) & 0xFFFF);
-    h.protocol = static_cast<std::uint8_t>(kind);
     h.trafficClass = vc;
     h.epoch = epoch;
     return h;

@@ -217,18 +217,6 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   for (const int i : ownSelf) selfOwner_[static_cast<std::size_t>(i)] = id;
   for (const int i : ownInter) interOwner_[static_cast<std::size_t>(i)] = id;
   for (const int i : ownHostPorts) hostPortOwner_[static_cast<std::size_t>(i)] = id;
-  report.usedSelfLinks = static_cast<int>(ownSelf.size());
-  report.usedInterLinks = static_cast<int>(ownInter.size());
-  report.spareSelfLinks =
-      static_cast<int>(ownSelf.size()) -
-      static_cast<int>(std::count_if(
-          slice.deployment.projection.realizedLinks().begin(),
-          slice.deployment.projection.realizedLinks().end(),
-          [](const projection::RealizedLink& rl) { return !rl.interSwitch; }));
-  report.spareInterLinks =
-      static_cast<int>(ownInter.size()) -
-      slice.deployment.projection.interSwitchLinkCount();
-  report.hostPorts = static_cast<int>(ownHostPorts.size());
   report.flowEntries = slice.deployment.totalFlowEntries;
 
   const auto [it, inserted] = slices_.emplace(id, std::move(slice));
@@ -248,7 +236,7 @@ Result<AdmissionReport> TenantManager::admit(const TenantSpec& spec) {
   return report;
 }
 
-StatusOr TenantManager::evict(std::uint16_t id) {
+Status<Error> TenantManager::evict(std::uint16_t id) {
   const auto it = slices_.find(id);
   if (it == slices_.end()) {
     return makeError(strFormat("tenant evict: no tenant %u", id));
@@ -272,7 +260,7 @@ StatusOr TenantManager::evict(std::uint16_t id) {
   sliceEntries_.erase(id);
   slices_.erase(it);
   recomputeReservations();
-  return StatusOr::okStatus();
+  return {};
 }
 
 const TenantSlice* TenantManager::slice(std::uint16_t id) const {

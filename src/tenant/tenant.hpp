@@ -88,11 +88,6 @@ struct TenantSlice {
 /// text).
 struct AdmissionReport {
   std::uint16_t id = 0;
-  int usedSelfLinks = 0;
-  int usedInterLinks = 0;
-  int spareSelfLinks = 0;
-  int spareInterLinks = 0;
-  int hostPorts = 0;
   int flowEntries = 0;
   /// Worst-case two-version occupancy fraction across switches after this
   /// admission (1.0 = a switch is fully reserved).
@@ -119,7 +114,7 @@ class TenantManager {
 
   /// Tear a slice down: GC its entries by cookie namespace, clear its
   /// host-port epoch stamps, return its cables to the free pool.
-  StatusOr evict(std::uint16_t id);
+  Status<Error> evict(std::uint16_t id);
 
   [[nodiscard]] const TenantSlice* slice(std::uint16_t id) const;
   /// Mutable access for driving a ReconfigTransaction / RecoveryRun over the

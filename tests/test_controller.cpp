@@ -125,9 +125,8 @@ TEST(Controller, FlowTablesForwardEveryPair) {
         ASSERT_LT(++hops, 16) << "loop " << src << "->" << dst;
         openflow::PacketHeader h;
         h.inPort = at.port;
-        h.srcAddr = static_cast<std::uint32_t>(src);
         h.dstAddr = static_cast<std::uint32_t>(dst);
-        const auto decision = deployment.switches[at.sw]->process(h, 100);
+        const auto decision = deployment.switches[at.sw]->process(h);
         ASSERT_TRUE(decision.matched) << src << "->" << dst << " at port " << at.port;
         ASSERT_GE(decision.outPort, 0);
         const projection::PhysPort out{at.sw, decision.outPort};
@@ -288,7 +287,8 @@ TEST(TableDiff, MatchesStringKeyedReference) {
     return e;
   };
   // A copy of `e` that is a duplicate, or differs in exactly one field: the
-  // epoch (still the same rule), setVc, outPort or a wildcard match field.
+  // epoch (still the same rule), setVc, outPort, the VC match or the
+  // destination.
   const auto twin = [&rng](openflow::FlowEntry e) {
     switch (rng.below(6)) {
       case 0:
@@ -309,7 +309,7 @@ TEST(TableDiff, MatchesStringKeyedReference) {
         }
         break;
       case 4:
-        e.match.srcPort = static_cast<std::uint16_t>(rng.below(2));
+        e.match.dstAddr = *e.match.dstAddr + 1 + static_cast<std::uint32_t>(rng.below(2));
         break;
       default:
         break;

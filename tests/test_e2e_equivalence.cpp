@@ -54,10 +54,9 @@ Result<std::vector<topo::SwitchId>> tableWalk(const topo::Topology& topo,
   for (int hop = 0; hop < 4 * topo.numSwitches() + 8; ++hop) {
     openflow::PacketHeader h;
     h.inPort = at.port;
-    h.srcAddr = static_cast<std::uint32_t>(src);
     h.dstAddr = static_cast<std::uint32_t>(dst);
     h.trafficClass = static_cast<std::uint8_t>(vc);
-    const auto decision = dep.switches[at.sw]->process(h, 100);
+    const auto decision = dep.switches[at.sw]->process(h);
     if (!decision.matched || decision.outPort < 0) return makeError("table miss");
     if (decision.vc >= 0) vc = decision.vc;
     const projection::PhysPort out{at.sw, decision.outPort};

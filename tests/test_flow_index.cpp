@@ -1,9 +1,9 @@
 // Differential tests for the FlowTable exact-match index: the indexed
 // lookup path must return exactly the entry a pure priority-ordered linear
-// scan would, on both controller-compiled tables (the (inPort, dstAddr)
-// shape the index is built for) and adversarial synthetic tables full of
-// wildcards, priority ties, epoch-stamped rules, and mid-stream mutations.
-// They also pin the table order add() produces.
+// scan would, on controller-compiled tables and on synthetic exact-key
+// tables whose keys collide (4 in-ports x 8 destinations), half of whose
+// rules match a VC, with priority ties, epoch-stamped rules and mid-stream
+// strict deletes. They also pin the table order add() produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,25 +43,21 @@ void expectInsertionOrder(const FlowTable& table, std::vector<FlowEntry> inserte
   }
 }
 
-/// Build a header that matches `e` on every concrete field, with random
-/// values elsewhere; optionally perturb one field afterwards so roughly half
-/// the probes hit a different (or no) entry.
+/// Build a header that matches `e`'s key, and its VC when it names one (a
+/// random VC otherwise); optionally perturb one field afterwards so roughly
+/// half the probes hit a different (or no) entry.
 PacketHeader headerNear(const FlowEntry& e, Rng& rng, bool perturb) {
   PacketHeader h;
-  h.inPort = e.match.inPort.value_or(static_cast<int>(rng.below(16)));
-  h.srcAddr = e.match.srcAddr.value_or(static_cast<std::uint32_t>(rng.below(32)));
-  h.dstAddr = e.match.dstAddr.value_or(static_cast<std::uint32_t>(rng.below(32)));
-  h.srcPort = e.match.srcPort.value_or(static_cast<std::uint16_t>(rng.below(8)));
-  h.dstPort = e.match.dstPort.value_or(static_cast<std::uint16_t>(rng.below(8)));
-  h.protocol = e.match.protocol.value_or(static_cast<std::uint8_t>(rng.below(4)));
+  h.inPort = *e.match.inPort;
+  h.dstAddr = *e.match.dstAddr;
   h.trafficClass =
-      e.match.trafficClass.value_or(static_cast<std::uint8_t>(rng.below(8)));
+      e.match.trafficClass.value_or(static_cast<std::uint8_t>(rng.below(4)));
   if (perturb) {
     switch (rng.below(4)) {
-      case 0: h.inPort = static_cast<int>(rng.below(16)); break;
-      case 1: h.dstAddr = static_cast<std::uint32_t>(rng.below(32)); break;
-      case 2: h.srcAddr = static_cast<std::uint32_t>(rng.below(32)); break;
-      default: h.trafficClass = static_cast<std::uint8_t>(rng.below(8)); break;
+      case 0: h.inPort ^= 1; break;   // a neighbouring key
+      case 1: h.dstAddr ^= 1; break;  // ditto
+      case 2: h.dstAddr += 8; break;  // a key the synthetic tables lack
+      default: h.trafficClass = static_cast<std::uint8_t>(rng.below(4)); break;
     }
   }
   return h;
@@ -90,16 +86,10 @@ FlowEntry randomEntry(Rng& rng, std::uint64_t cookie) {
   FlowEntry e;
   e.priority = static_cast<int>(rng.below(8));  // force plenty of ties
   e.cookie = cookie;
-  // Each field independently wildcarded; small value domains so entries
-  // overlap and shadow each other.
-  if (rng.below(4) != 0) e.match.inPort = static_cast<int>(rng.below(16));
-  if (rng.below(4) != 0) e.match.dstAddr = static_cast<std::uint32_t>(rng.below(32));
-  if (rng.below(8) == 0) e.match.srcAddr = static_cast<std::uint32_t>(rng.below(32));
-  if (rng.below(8) == 0) e.match.srcPort = static_cast<std::uint16_t>(rng.below(8));
-  if (rng.below(8) == 0) e.match.dstPort = static_cast<std::uint16_t>(rng.below(8));
-  if (rng.below(8) == 0) e.match.protocol = static_cast<std::uint8_t>(rng.below(4));
-  if (rng.below(6) == 0)
-    e.match.trafficClass = static_cast<std::uint8_t>(rng.below(8));
+  // Small key and VC domains so entries share buckets and shadow each other.
+  e.match.inPort = static_cast<int>(rng.below(4));
+  e.match.dstAddr = static_cast<std::uint32_t>(rng.below(8));
+  if (rng.below(2) == 0) e.match.trafficClass = static_cast<std::uint8_t>(rng.below(4));
   e.outPort = static_cast<int>(rng.below(16));
   return e;
 }
@@ -171,8 +161,7 @@ TEST(FlowIndex, EpochGateMatchesReferenceOnTwoEpochTables) {
 }
 
 TEST(FlowIndex, MatchesLinearScanOnControllerCompiledTables) {
-  // The real deal: tables produced by LinkProjector + routing compilation,
-  // where every entry matches (inPort, dstAddr) — the indexed fast path.
+  // The real deal: tables produced by LinkProjector + routing compilation.
   const topo::Topology topo = topo::makeFatTree(4);
   const routing::ShortestPathRouting routing(topo);
   auto plant = projection::planPlant({&topo}, {.numSwitches = 3});
@@ -198,16 +187,20 @@ TEST(FlowIndex, SurvivesMutationBetweenLookups) {
     ASSERT_TRUE(table.add(randomEntry(rng, i % 16)).ok());
   }
   checkDifferential(table, rng, 500);
-  // Interleave removals / inserts with differential probes: every mutation
-  // must invalidate the index.
-  for (int round = 0; round < 12; ++round) {
+  // Interleave strict deletes / inserts with differential probes: every
+  // mutation must invalidate the index.
+  for (int round = 0; round < 24; ++round) {
     if (rng.below(2) == 0) {
-      table.removeByCookie(rng.below(16));
+      const FlowEntry victim = table.entries()[rng.below(table.size())];
+      ASSERT_TRUE(table.removeExact(victim));
     } else {
       ASSERT_TRUE(table.add(randomEntry(rng, rng.below(16))).ok());
     }
-    if (table.size() > 0) checkDifferential(table, rng, 500);
+    checkDifferential(table, rng, 500);
   }
+  FlowEntry absent = table.entries().front();
+  absent.outPort = 99;  // no rule forwards to port 99
+  EXPECT_FALSE(table.removeExact(absent));
   table.clear();
   PacketHeader any;
   EXPECT_EQ(table.lookup(any), nullptr);

@@ -53,11 +53,7 @@ std::uint64_t entryHash(const openflow::FlowEntry& e) {
     f.mix(opt.has_value() ? static_cast<std::uint64_t>(*opt) : 0u);
   };
   mixOpt(e.match.inPort);
-  mixOpt(e.match.srcAddr);
   mixOpt(e.match.dstAddr);
-  mixOpt(e.match.srcPort);
-  mixOpt(e.match.dstPort);
-  mixOpt(e.match.protocol);
   mixOpt(e.match.trafficClass);
   // The (type, arg) pairs of the old action list: set-VC = 2, output = 0.
   if (e.setVc >= 0) {

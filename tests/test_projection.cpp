@@ -36,7 +36,6 @@ TEST(LinkProjection, SingleSwitchLine) {
   EXPECT_EQ(p.interSwitchLinkCount(), 0);
   // All 8 sub-switches share crossbar 0.
   EXPECT_EQ(p.subSwitchCountOn(0), 8);
-  EXPECT_EQ(p.subSwitches().size(), 8u);
 }
 
 TEST(LinkProjection, PortMapIsBijective) {

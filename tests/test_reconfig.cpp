@@ -41,9 +41,8 @@ bool walkDelivers(const controller::Deployment& dep, const topo::Topology& topo,
   for (int hops = 0; hops < 32; ++hops) {
     openflow::PacketHeader h;
     h.inPort = at.port;
-    h.srcAddr = static_cast<std::uint32_t>(src);
     h.dstAddr = static_cast<std::uint32_t>(dst);
-    const openflow::ForwardDecision decision = dep.switches[at.sw]->process(h, 100);
+    const openflow::ForwardDecision decision = dep.switches[at.sw]->process(h);
     if (!decision.matched || decision.outPort < 0) return false;
     const projection::PhysPort out{at.sw, decision.outPort};
     if (out == dep.projection.hostPortOf(dst)) return true;
