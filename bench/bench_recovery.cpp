@@ -163,9 +163,7 @@ int main() {
     if (!depR) return 1;
     controller::Deployment dep = std::move(depR).value();
     dep.switches[1]->table().clear();
-    controller::FailureSet failures;
-    failures.crashedSwitches = {1};
-    auto repR = ctl.repair(dep, topo, routing, failures);
+    auto repR = ctl.repair(dep, topo, routing, controller::FailureSet{});
     if (!repR) return 1;
     const double repairMs = static_cast<double>(repR.value().repairTime) / 1e6;
     const TimeNs fullRedeploy = projection::reconfigTime(

@@ -3,8 +3,8 @@
 //
 // Two tenants share one 2-switch SDT plant. The victim runs a modest serving
 // mix (gold partition-aggregate, silver incast, bronze background); the
-// rogue runs incast groups that a kOverloadStorm fault multiplies by 48x
-// mid-run. Two arms:
+// rogue runs incast groups whose arrival rate ServingRuntime::scaleRates
+// multiplies by 48x mid-run. Two arms:
 //   - scoped: TenantManager carves disjoint cable slices and each tenant's
 //     AdmissionController watches only its own slice's queues
 //     (restrictToPorts) — the storm can only fill cables and credits the
@@ -25,7 +25,6 @@
 #include "bench_util.hpp"
 #include "projection/plant.hpp"
 #include "routing/shortest_path.hpp"
-#include "sim/faults.hpp"
 #include "sim/transport.hpp"
 #include "tenant/tenant.hpp"
 #include "topo/generators.hpp"
@@ -97,7 +96,7 @@ void addVictimMix(workloads::ServingRuntime& rt, const std::array<int, 4>& v) {
 void addRogueMix(workloads::ServingRuntime& rt, const std::array<int, 4>& r) {
   // Two 3-to-1 incast groups pulling in opposite directions along the line;
   // generator ownership sits at the aggregators, which is where the
-  // kOverloadStorm rogue-tenant multiplier attaches.
+  // rogue-tenant rate multiplier attaches.
   for (const auto& [agg, s0, s1, s2] :
        {std::array{r[0], r[1], r[2], r[3]}, std::array{r[3], r[0], r[1], r[2]}}) {
     workloads::IncastSpec incast;
@@ -110,8 +109,8 @@ void addRogueMix(workloads::ServingRuntime& rt, const std::array<int, 4>& r) {
 }
 
 /// One simulated run. `scoped` selects slice carving + per-tenant admission
-/// vs one flat deployment + one shared controller; `storm` arms the rogue
-/// overload faults. Returns the VICTIM's scores only.
+/// vs one flat deployment + one shared controller; `storm` scales the
+/// rogue's arrival rates. Returns the VICTIM's scores only.
 Score runArm(bool scoped, bool storm) {
   sim::Simulator sim;
   tenant::TenantManager mgr(makePlant());
@@ -183,13 +182,10 @@ Score runArm(bool scoped, bool storm) {
   rogueRt.setAdmission(scoped ? &rogueAdm : &sharedAdm);
   addRogueMix(rogueRt, r);
 
-  sim::FaultInjector injector(sim, *built.net, 42);
-  rogueRt.attachOverload(injector);
   if (storm) {
-    injector.rogueTenant(kStormStart, kStormLen, r[0], kStormIntensity);
-    injector.rogueTenant(kStormStart, kStormLen, r[3], kStormIntensity);
+    rogueRt.scaleRates(kStormStart, kStormStart + kStormLen, r[0], kStormIntensity);
+    rogueRt.scaleRates(kStormStart, kStormStart + kStormLen, r[3], kStormIntensity);
   }
-  injector.arm();
 
   victimAdm.start(kDuration);
   if (scoped) rogueAdm.start(kDuration);

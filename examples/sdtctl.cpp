@@ -636,9 +636,8 @@ int cmdTrace(const std::vector<controller::ExperimentConfig>& configs,
   // reinstall it.
   {
     deployment.switches[0]->table().clear();
-    controller::FailureSet failures;
-    failures.crashedSwitches = {0};
-    auto rep = ctl.repair(deployment, from.topology, *routingA.value(), failures);
+    auto rep = ctl.repair(deployment, from.topology, *routingA.value(),
+                          controller::FailureSet{});
     if (!rep) {
       std::fprintf(stderr, "repair: %s\n", rep.error().message.c_str());
       return 1;

@@ -18,6 +18,14 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+/// The seed of stream `index` under base seed `base`: splitmix64 of
+/// base ^ ((index + 1) * golden ratio). Stateless; neighbouring indices
+/// decorrelate even for base seeds 0 and 1.
+constexpr std::uint64_t mixSeed(std::uint64_t base, std::uint64_t index) {
+  std::uint64_t state = base ^ ((index + 1) * 0x9E3779B97F4A7C15ULL);
+  return splitmix64(state);
+}
 }  // namespace detail
 
 /// xoshiro256** — fast, high-quality, 2^256-1 period. Satisfies

@@ -28,10 +28,6 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-bool startsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string strFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

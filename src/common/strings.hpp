@@ -13,8 +13,6 @@ std::vector<std::string> split(std::string_view s, char delim);
 /// Strip ASCII whitespace from both ends.
 std::string_view trim(std::string_view s);
 
-bool startsWith(std::string_view s, std::string_view prefix);
-
 /// printf-style formatting into a std::string.
 std::string strFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -21,7 +21,6 @@ constexpr TimeNs msToNs(double ms) { return static_cast<TimeNs>(ms * kNsPerMs); 
 constexpr TimeNs secToNs(double s) { return static_cast<TimeNs>(s * kNsPerSec); }
 
 constexpr double nsToUs(TimeNs t) { return static_cast<double>(t) / kNsPerUs; }
-constexpr double nsToMs(TimeNs t) { return static_cast<double>(t) / kNsPerMs; }
 constexpr double nsToSec(TimeNs t) { return static_cast<double>(t) / kNsPerSec; }
 
 /// Link/NIC rate in gigabits per second. 1 Gbps == 1 bit per nanosecond,

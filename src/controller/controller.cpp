@@ -563,7 +563,6 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
                                            const DeployOptions& options) const {
   ScopedOpSpan span(obs_, "repair");
   span.annotate("failed_ports", std::to_string(failures.ports.size()));
-  span.annotate("crashed_switches", std::to_string(failures.crashedSwitches.size()));
   span.phase("repair.reproject");
   RepairReport report;
   projection::Projection& proj = deployment.projection;
@@ -668,16 +667,13 @@ Result<RepairReport> SdtController::repair(Deployment& deployment,
 
   // Phase 3 — incremental install: per switch, the scoped reconcile of the
   // live table against the recompiled one, applied as strict-delete + add
-  // flow-mods. A crashed switch's owned rules are wiped first, so the
-  // reconcile reinstalls its exact fresh set and restores its ingress stamps.
-  // A tenant deployment's scope confines the wipe, the diff, and the stamps
-  // to its own cookie namespace and host ports on the shared switches.
+  // flow-mods. A power-cycled switch reads back empty, so the reconcile
+  // reinstalls its exact fresh set and restores its ingress stamps. A tenant
+  // deployment's scope confines the diff and the stamps to its own cookie
+  // namespace and host ports on the shared switches.
   span.phase("repair.install");
   const Scope scope =
       Scope::of(deployment.epoch, proj, plant_.numSwitches(), &tables.value());
-  for (const int psw : failures.crashedSwitches) {
-    scope.removeOwned(deployment.switches[static_cast<std::size_t>(psw)]->table());
-  }
   for (int psw = 0; psw < plant_.numSwitches(); ++psw) {
     openflow::Switch& ofs = *deployment.switches[static_cast<std::size_t>(psw)];
     const detail::ConvergeOps ops =

@@ -92,11 +92,6 @@ struct FailureSet {
   /// Failed physical fabric ports (from NetworkMonitor::failedPorts()).
   /// A cut cable contributes both of its ends.
   std::vector<projection::PhysPort> ports;
-  /// Physical switches whose flow tables were wiped (power cycle); their
-  /// ports are assumed healthy — the cure is reinstalling entries.
-  std::vector<int> crashedSwitches;
-
-  [[nodiscard]] bool empty() const { return ports.empty() && crashedSwitches.empty(); }
 };
 
 /// The part of the shared plant one operation owns (DESIGN.md §13): a
@@ -138,8 +133,6 @@ class Scope {
   const std::vector<openflow::FlowEntry>& owned(
       const std::vector<openflow::FlowEntry>& all,
       std::vector<openflow::FlowEntry>& buffer) const;
-  /// Delete every owned rule (the cleanup of a wiped switch).
-  void removeOwned(openflow::FlowTable& table) const;
   /// Rewrite the epoch half of every owned rule's cookie to `epoch`.
   void restamp(openflow::FlowTable& table, std::uint32_t epoch) const {
     table.restampEpoch(epoch, tenant_ != 0);

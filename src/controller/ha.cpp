@@ -242,8 +242,8 @@ void ReplicatedController::onHeartbeat(int to, int from, std::uint64_t term,
     ++s.electionGen;  // cancel the staggered claim
   }
   // Stream-stall detection: the leader is ahead of us and no frame has
-  // landed since the previous heartbeat — dropped frames (or a compaction
-  // seq jump with no follow-up append) leave exactly this signature.
+  // landed since the previous heartbeat — dropped frames with no follow-up
+  // append leave exactly this signature.
   const std::uint64_t expected = s.journal->nextSeq();
   if (lastSeq >= expected && expected == s.prevHbExpected &&
       !s.catchupInFlight) {
@@ -472,10 +472,8 @@ void ReplicatedController::onFrame(int to, int from, std::uint64_t term,
     return;
   }
   if (record.seq > expected) {
-    // Gap: a dropped frame, the seq jump Journal::compact() leaves when its
-    // checkpoint records take fresh numbers, or a torn tail this replica
-    // dropped on rescan. Either way the suffix alone is not a journal —
-    // fetch the full image.
+    // Gap: a dropped frame, or a torn tail this replica dropped on rescan.
+    // Either way the suffix alone is not a journal — fetch the full image.
     ++s.framesOutOfOrder;
     requestCatchup(to, from);
     return;
@@ -531,7 +529,7 @@ void ReplicatedController::onSnapshotInstall(int to, int from,
   if (stopped_ || !s.alive) return;
   // Snapshot from a deposed or tie-losing leader: refuse the image.
   if (!acceptLeader(to, from, term)) return;
-  if (auto st = s.storage.replaceAll(bytes); !st) return;
+  s.storage.replaceAll(bytes);
   s.journal->rescan();
   s.prevHbExpected = 0;  // fresh image: restart the stall detector
   s.catchupInFlight = false;

@@ -35,11 +35,11 @@
 //                  every durably-written record to each standby over the
 //                  replication channel (ack-window flow control, cumulative
 //                  acks piggy-backed on heartbeat replies). A standby that
-//                  detects a sequence gap — a dropped frame, or the seq jump
-//                  a leader-side Journal::compact() leaves behind — requests
-//                  snapshot catch-up: the leader ships its whole storage
-//                  image (checkpoint + suffix), the standby swaps it in via
-//                  JournalStorage::replaceAll and resumes the stream.
+//                  detects a sequence gap — a dropped frame, or a torn tail
+//                  it dropped on rescan — requests snapshot catch-up: the
+//                  leader ships its whole storage image, the standby swaps
+//                  it in via MemoryJournalStorage::replaceAll and resumes
+//                  the stream.
 //
 // Failover is crash recovery with a bigger term: the new leader folds its
 // *replica* journal with planRecovery (roll an in-flight transaction forward

@@ -65,7 +65,7 @@ Result<JournalRecordKind> kindFromName(const std::string& name) {
        {JournalRecordKind::kDeploy, JournalRecordKind::kTxPrepare,
         JournalRecordKind::kTxFlip, JournalRecordKind::kTxGc,
         JournalRecordKind::kTxCommit, JournalRecordKind::kTxAbort,
-        JournalRecordKind::kRecovery, JournalRecordKind::kCheckpoint}) {
+        JournalRecordKind::kRecovery}) {
     if (name == journalRecordKindName(k)) return k;
   }
   return makeError(strFormat("unknown journal record kind '%s'", name.c_str()));
@@ -82,7 +82,6 @@ const char* journalRecordKindName(JournalRecordKind kind) {
     case JournalRecordKind::kTxCommit: return "tx-commit";
     case JournalRecordKind::kTxAbort: return "tx-abort";
     case JournalRecordKind::kRecovery: return "recovery";
-    case JournalRecordKind::kCheckpoint: return "checkpoint";
   }
   return "?";
 }
@@ -163,7 +162,6 @@ JournalState foldJournal(const std::vector<JournalRecord>& records) {
     switch (rec.kind) {
       case JournalRecordKind::kDeploy:
       case JournalRecordKind::kRecovery:
-      case JournalRecordKind::kCheckpoint:
         // A fresh deploy supersedes everything, including a transaction the
         // old controller never resolved; a recovery record is the resolution.
         st.valid = true;
@@ -224,32 +222,6 @@ Status<Error> FileJournalStorage::append(std::string_view bytes) {
   return {};
 }
 
-Status<Error> FileJournalStorage::replaceAll(std::string_view bytes) {
-  // Close the lazy append handle: after the rename it would point at the
-  // replaced (unlinked) inode, and every "durable" append would vanish.
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  const std::string tmp = path_ + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return makeError(strFormat("cannot open '%s' for compaction", tmp.c_str()));
-  }
-  const std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  const bool closed = std::fclose(f) == 0;
-  if (wrote != bytes.size() || !flushed || !closed) {
-    std::remove(tmp.c_str());
-    return makeError(strFormat("short write compacting journal '%s'", path_.c_str()));
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return makeError(strFormat("cannot swap compacted journal into '%s'", path_.c_str()));
-  }
-  return {};
-}
-
 Result<std::string> FileJournalStorage::read() const {
   std::FILE* f = std::fopen(path_.c_str(), "rb");
   if (f == nullptr) return std::string{};  // no file yet == empty journal
@@ -289,64 +261,6 @@ Status<Error> Journal::appendReplica(const JournalRecord& record) {
   if (auto st = storage_->append(frameRecord(record)); !st) return st;
   if (record.seq >= nextSeq_) nextSeq_ = record.seq + 1;
   return {};
-}
-
-Result<std::size_t> Journal::compact() {
-  auto replayed = replay();
-  if (!replayed) return replayed.error();
-  const std::vector<JournalRecord>& records = replayed.value().records;
-  const JournalState& st = replayed.value().state;
-
-  // The checkpoint records carry the last folded record's simulated time:
-  // compaction invents no history, it only summarizes, so it must not
-  // invent timestamps either.
-  const TimeNs at = records.empty() ? 0 : records.back().at;
-
-  std::vector<JournalRecord> checkpoint;
-  if (st.valid) {
-    JournalRecord live;
-    live.kind = JournalRecordKind::kCheckpoint;
-    live.at = at;
-    live.epoch = st.epoch;
-    live.topology = st.topology;
-    live.routing = st.routing;
-    live.ecmpSalt = st.ecmpSalt;
-    checkpoint.push_back(std::move(live));
-  }
-  if (st.txOpen) {
-    // An open transaction survives compaction verbatim as its marker
-    // sequence — recovery's roll-forward/roll-back decision depends on
-    // exactly which markers made it to disk.
-    JournalRecord prep;
-    prep.kind = JournalRecordKind::kTxPrepare;
-    prep.at = at;
-    prep.epoch = st.txFromEpoch;
-    prep.fromEpoch = st.txFromEpoch;
-    prep.toEpoch = st.txToEpoch;
-    prep.topology = st.txTopology;
-    prep.routing = st.txRouting;
-    prep.ecmpSalt = st.txEcmpSalt;
-    checkpoint.push_back(prep);
-    for (const JournalRecordKind kind :
-         {JournalRecordKind::kTxFlip, JournalRecordKind::kTxGc}) {
-      if (kind == JournalRecordKind::kTxFlip && !st.txFlipped) continue;
-      if (kind == JournalRecordKind::kTxGc && !st.txGcStarted) continue;
-      JournalRecord marker = prep;
-      marker.kind = kind;
-      checkpoint.push_back(std::move(marker));
-    }
-  }
-
-  std::string blob;
-  std::uint64_t seq = nextSeq_;
-  for (JournalRecord& rec : checkpoint) {
-    rec.seq = seq++;
-    blob += frameRecord(rec);
-  }
-  if (auto swapped = storage_->replaceAll(blob); !swapped) return swapped.error();
-  nextSeq_ = seq;  // only after the swap: a failed compaction changes nothing
-  return records.size() > checkpoint.size() ? records.size() - checkpoint.size()
-                                            : std::size_t{0};
 }
 
 Result<JournalReplay> Journal::replay() const {

@@ -46,7 +46,6 @@ enum class JournalRecordKind : std::uint8_t {
   kTxCommit,   ///< transaction finished committed (GC done or backstopped)
   kTxAbort,    ///< transaction aborted and rolled back to `fromEpoch`
   kRecovery,   ///< crash recovery converged the fabric onto `topology`@`epoch`
-  kCheckpoint, ///< compaction: folds every earlier record (same fold as deploy)
 };
 
 const char* journalRecordKindName(JournalRecordKind kind);
@@ -98,11 +97,6 @@ class JournalStorage {
   virtual ~JournalStorage() = default;
   virtual Status<Error> append(std::string_view bytes) = 0;
   [[nodiscard]] virtual Result<std::string> read() const = 0;
-  /// Atomically swap the whole journal for `bytes` (compaction). "Atomic"
-  /// means a crash leaves either the old content or the new — never a mix —
-  /// though a torn *prefix* of the new content must still replay safely
-  /// (the framing guarantees that).
-  virtual Status<Error> replaceAll(std::string_view bytes) = 0;
 };
 
 class MemoryJournalStorage final : public JournalStorage {
@@ -112,10 +106,8 @@ class MemoryJournalStorage final : public JournalStorage {
     return {};
   }
   [[nodiscard]] Result<std::string> read() const override { return bytes_; }
-  Status<Error> replaceAll(std::string_view bytes) override {
-    bytes_.assign(bytes);
-    return {};
-  }
+  /// Swap the whole journal for `bytes` (HA snapshot catch-up).
+  void replaceAll(std::string_view bytes) { bytes_.assign(bytes); }
 
   /// Test access: fault injection truncates or flips bytes here to model
   /// torn writes and media corruption.
@@ -133,9 +125,6 @@ class FileJournalStorage final : public JournalStorage {
   ~FileJournalStorage() override;
   Status<Error> append(std::string_view bytes) override;
   [[nodiscard]] Result<std::string> read() const override;
-  /// Write-to-temp + rename, closing the lazy append handle first so the
-  /// next append reopens the compacted file, not the replaced inode.
-  Status<Error> replaceAll(std::string_view bytes) override;
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
@@ -162,7 +151,7 @@ class Journal {
   /// Replication tap (controller/ha.hpp): called after every successful
   /// append() with the record as durably written (seq assigned) — the
   /// leader's streamer ships exactly what hit storage, never a reordering
-  /// of it. Not invoked for appendReplica() or compact() rewrites.
+  /// of it. Not invoked for appendReplica().
   using AppendObserver = std::function<void(const JournalRecord&)>;
   void setAppendObserver(AppendObserver observer) {
     observer_ = std::move(observer);
@@ -175,25 +164,14 @@ class Journal {
   Status<Error> appendReplica(const JournalRecord& record);
 
   /// Re-scan storage after an out-of-band rewrite (snapshot catch-up swaps
-  /// the whole backing store via JournalStorage::replaceAll): picks up the
-  /// new sequence horizon without constructing a fresh Journal.
+  /// the whole backing store via MemoryJournalStorage::replaceAll): picks up
+  /// the new sequence horizon without constructing a fresh Journal.
   void rescan();
 
   /// Decode every intact record; a truncated or checksum-failing record
   /// ends the replay (the stream has no resync point past corruption —
   /// everything after the first bad frame is reported in droppedBytes).
   [[nodiscard]] Result<JournalReplay> replay() const;
-
-  /// Checkpoint-and-truncate compaction: fold the whole journal into its
-  /// derived state and rewrite storage as the minimal record sequence that
-  /// folds back to exactly that state — one checkpoint record for the live
-  /// intent, plus the open transaction's prepare/flip/gc markers when one is
-  /// mid-flight. Sequence numbering continues across the compaction (the
-  /// checkpoint records take fresh seqs), so recovery code can still order
-  /// records written before and after. A torn tail in the pre-compaction
-  /// journal is dropped, same as replay. Returns the number of records
-  /// folded away.
-  Result<std::size_t> compact();
 
   [[nodiscard]] std::uint64_t nextSeq() const { return nextSeq_; }
 

@@ -169,16 +169,6 @@ std::vector<projection::PhysPort> NetworkMonitor::failedPorts() const {
   return ports;
 }
 
-void NetworkMonitor::clearFailures() {
-  failures_.clear();
-  for (auto& [key, w] : watches_) {
-    w.suspectedAt = -1;
-    w.suspectedDown = false;
-    w.reported = false;
-    w.lastTxPackets = net_->switchPortCounters(key.first, key.second).txPackets;
-  }
-}
-
 void NetworkMonitor::guardSwitch(int sw) { ++guards_[sw]; }
 
 void NetworkMonitor::unguardSwitch(int sw) {

@@ -94,9 +94,6 @@ class NetworkMonitor {
   void setEpochProvider(std::function<std::uint32_t()> provider) {
     epochProvider_ = std::move(provider);
   }
-  /// Forget detected/suspect state (after repair) so ports are watched anew.
-  void clearFailures();
-
   /// Suppress failure detection for every watched port of polled-plane
   /// switch `sw` while a reconfiguration transaction is open on it: bulk
   /// flow-mods and ingress-epoch flips make tx counters stall over backlog

@@ -42,11 +42,6 @@ const std::vector<openflow::FlowEntry>& Scope::owned(
   return buffer;
 }
 
-void Scope::removeOwned(openflow::FlowTable& table) const {
-  if (tenant_ == 0) return table.clear();
-  table.removeByTenant(tenant_);
-}
-
 void Scope::stamp(openflow::Switch& ofs, int sw, std::uint32_t epoch) const {
   if (tenant_ == 0) return ofs.setIngressEpoch(epoch);
   for (const int p : ports(sw)) ofs.setPortIngressEpoch(p, epoch);

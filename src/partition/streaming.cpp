@@ -21,12 +21,6 @@ constexpr double kFennelGamma = 1.5;
 /// HDRF's balance weight lambda (>= 0); 1.0 is the paper's default.
 constexpr double kHdrfLambda = 1.0;
 
-/// Deterministic per-vertex hash (DBH's placement function).
-std::uint64_t hashVertex(int v, std::uint64_t seed) {
-  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(v) + 1));
-  return detail::splitmix64(s);
-}
-
 PartitionOptions scoringOptions(const StreamingOptions& options) {
   PartitionOptions po;
   po.parts = options.parts;
@@ -364,7 +358,7 @@ class EdgeStreamer {
   int placeDbh(int u, int v) const {
     const int pick =
         degree_[u] < degree_[v] ? u : (degree_[v] < degree_[u] ? v : std::min(u, v));
-    return static_cast<int>(hashVertex(pick, options_.seed) %
+    return static_cast<int>(detail::mixSeed(options_.seed, static_cast<std::uint64_t>(pick)) %
                             static_cast<std::uint64_t>(parts_));
   }
 

@@ -99,7 +99,7 @@ Result<Projection> LinkProjector::projectWithAssignment(const topo::Topology& to
   }
 
   ResourcePools pools(plant);
-  Projection proj(topo.name(), topo.numSwitches(), topo.numHosts());
+  Projection proj(topo.numSwitches(), topo.numHosts());
   for (topo::SwitchId sw = 0; sw < topo.numSwitches(); ++sw) {
     proj.setPhysSwitchOf(sw, assignment[sw]);
   }

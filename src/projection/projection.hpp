@@ -15,7 +15,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/result.hpp"
@@ -37,13 +36,10 @@ struct RealizedLink {
 class Projection {
  public:
   Projection() = default;
-  Projection(std::string topologyName, int numLogicalSwitches, int numHosts)
-      : topologyName_(std::move(topologyName)),
-        portMap_(static_cast<std::size_t>(numLogicalSwitches)),
+  Projection(int numLogicalSwitches, int numHosts)
+      : portMap_(static_cast<std::size_t>(numLogicalSwitches)),
         physSwitchOf_(static_cast<std::size_t>(numLogicalSwitches), -1),
         hostPort_(static_cast<std::size_t>(numHosts)) {}
-
-  [[nodiscard]] const std::string& topologyName() const { return topologyName_; }
 
   /// Record that logical (sw, port) lives on physical `phys`.
   void mapPort(topo::SwitchPort logical, PhysPort phys);
@@ -87,7 +83,6 @@ class Projection {
   [[nodiscard]] Status<Error> validate(const topo::Topology& topo, const Plant& plant) const;
 
  private:
-  std::string topologyName_;
   /// portMap_[sw][port] -> PhysPort (resized on demand).
   std::vector<std::vector<PhysPort>> portMap_;
   std::vector<int> physSwitchOf_;

@@ -13,15 +13,12 @@ void FaultInjector::arm() {
   for (; armed_ < schedule_.size(); ++armed_) {
     const FaultSpec spec = schedule_[armed_];
     // Cable cuts flip both ends of a link, which may live on different
-    // shards; arming any physical fault pins the engine to the serial merge
-    // loop so no worker thread races the mutation. Overload faults only
-    // poke shard-0 workload generators and keep parallel runs parallel.
-    if (faultKindNeedsSerial(spec.kind)) sim_->requireSerial();
+    // shards; arming any fault pins the engine to the serial merge loop so
+    // no worker thread races the mutation.
+    sim_->requireSerial();
     // Fire on the shard that owns the faulted switch so the port mutation is
-    // shard-local; overload (and other switch-less) events fire on shard 0,
-    // where the serving-workload generators live.
-    const int shard = spec.sw >= 0 ? net_->switchShard(spec.sw) : 0;
-    sim_->scheduleAtOn(shard, spec.at, [this, spec]() { apply(spec); });
+    // shard-local.
+    sim_->scheduleAtOn(net_->switchShard(spec.sw), spec.at, [this, spec]() { apply(spec); });
   }
 }
 
@@ -63,12 +60,6 @@ void FaultInjector::apply(const FaultSpec& spec) {
       break;
     case FaultKind::kImpair:
       net_->setPortImpairment(spec.sw, spec.port, spec.dropProb, spec.corruptProb);
-      break;
-    case FaultKind::kOverloadStorm:
-    case FaultKind::kOverloadEnd:
-      record.intensity = spec.intensity;
-      record.srcHost = spec.srcHost;
-      if (overloadSink_) overloadSink_(spec);
       break;
   }
   trace_.push_back(record);

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,13 +36,6 @@ enum class FaultKind : std::uint8_t {
   kPortStall,    ///< transceiver wedges: tx freezes, backlog builds
   kPortUnstall,  ///< the wedge clears
   kImpair,       ///< probabilistic frame drop/corruption at the port
-  // kOverload family: traffic-side chaos. These faults do not touch the
-  // plant; they drive the workload layer through the overload sink (see
-  // setOverloadSink), multiplying flow arrival rates so the fault-soak
-  // machinery can storm the fabric the same way it cuts its cables.
-  kOverloadStorm,  ///< offered load multiplies by `intensity` (fabric-wide
-                   ///< when srcHost < 0, rogue-tenant when srcHost >= 0)
-  kOverloadEnd,    ///< the storm ends: rates return to nominal
 };
 
 /// One scheduled fault. `sw`/`port` address the *physical* (sim) switch.
@@ -54,8 +46,6 @@ struct FaultSpec {
   int port = -1;           ///< unused for kSwitchReboot
   double dropProb = 0.0;   ///< kImpair only
   double corruptProb = 0.0;///< kImpair only
-  double intensity = 1.0;  ///< kOverloadStorm: offered-load multiplier
-  int srcHost = -1;        ///< kOverload*: rogue tenant host (-1 = everyone)
 };
 
 /// Trace record of one fault as it was applied (peer resolved, time stamped).
@@ -66,8 +56,6 @@ struct AppliedFault {
   int port = -1;
   int peerSw = -1;    ///< cable faults: the far end that was also taken down
   int peerPort = -1;
-  double intensity = 1.0;  ///< kOverloadStorm: applied load multiplier
-  int srcHost = -1;        ///< kOverload*: rogue tenant (-1 = fabric-wide)
 
   bool operator==(const AppliedFault&) const = default;
 };
@@ -109,37 +97,6 @@ class FaultInjector {
   void impairPort(TimeNs at, int sw, int port, double dropProb, double corruptProb = 0.0) {
     schedule({at, FaultKind::kImpair, sw, port, dropProb, corruptProb});
   }
-  // -- Overload chaos (workload-side; delivered through the overload sink) --
-  /// Fabric-wide traffic storm: every source multiplies its arrival rate by
-  /// `intensity` until a matching kOverloadEnd fires.
-  void trafficStorm(TimeNs at, double intensity) {
-    FaultSpec spec{at, FaultKind::kOverloadStorm};
-    spec.intensity = intensity;
-    schedule(spec);
-  }
-  /// Flash crowd: a storm that ends by itself after `duration`.
-  void flashCrowd(TimeNs at, TimeNs duration, double intensity) {
-    trafficStorm(at, intensity);
-    schedule({at + duration, FaultKind::kOverloadEnd});
-  }
-  /// One tenant (host) goes rogue for `duration`, multiplying only its own
-  /// injection rate.
-  void rogueTenant(TimeNs at, TimeNs duration, int srcHost, double intensity) {
-    FaultSpec storm{at, FaultKind::kOverloadStorm};
-    storm.intensity = intensity;
-    storm.srcHost = srcHost;
-    schedule(storm);
-    FaultSpec end{at + duration, FaultKind::kOverloadEnd};
-    end.srcHost = srcHost;
-    schedule(end);
-  }
-
-  /// Receiver for kOverload* faults (typically a workload driver's rate
-  /// scaler). Overload events fire on shard 0, where the serving-workload
-  /// generators live; sinks must only touch shard-0-owned state.
-  void setOverloadSink(std::function<void(const FaultSpec&)> sink) {
-    overloadSink_ = std::move(sink);
-  }
 
   /// Install the schedule into the simulator (call before Simulator::run();
   /// faults scheduled in the past of sim.now() are rejected by the engine).
@@ -160,15 +117,6 @@ class FaultInjector {
   std::vector<FaultSpec> schedule_;
   std::size_t armed_ = 0;  ///< schedule_ prefix already handed to the engine
   std::vector<AppliedFault> trace_;
-  std::function<void(const FaultSpec&)> overloadSink_;
 };
-
-/// True for fault kinds that mutate plant state possibly owned by another
-/// shard (cable peers, crash tables): arming any of these pins the engine
-/// serial. kOverload* events only drive shard-0 workload generators, so an
-/// overload-only schedule keeps worker threads alive.
-[[nodiscard]] constexpr bool faultKindNeedsSerial(FaultKind kind) {
-  return kind != FaultKind::kOverloadStorm && kind != FaultKind::kOverloadEnd;
-}
 
 }  // namespace sdt::sim

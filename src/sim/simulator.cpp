@@ -36,7 +36,7 @@ Simulator::Simulator(int shards, int workers) {
 
 Simulator::~Simulator() {
   // Destroy pending closures without running them — heap entries and any
-  // mail stranded by a stopped parallel run alike.
+  // mail still in an outbox alike.
   for (Shard& shard : shards_) {
     for (const HeapItem& item : shard.heap) {
       Slot& s = shard.slotAt(item.slot());
@@ -165,15 +165,14 @@ Time Simulator::runSerial(Time deadline) {
   if (k == 1) {
     // Legacy fast path: one shard, no merge scan.
     Shard& sh = shards_[0];
-    while (!sh.heap.empty() && !stopped_.load(std::memory_order_relaxed) &&
-           sh.heap.front().when <= deadline) {
+    while (!sh.heap.empty() && sh.heap.front().when <= deadline) {
       const HeapItem top = popTop(sh);
       dispatchItem(sh, 0, top);
     }
   } else {
     // K-way merge in global (when, shard, seq) order — the canonical
     // serial-K ordering the parallel windows must reproduce.
-    while (!stopped_.load(std::memory_order_relaxed)) {
+    for (;;) {
       int best = -1;
       for (int s = 0; s < k; ++s) {
         if (shards_[s].heap.empty()) continue;
@@ -208,13 +207,8 @@ void Simulator::workerLoop(int shard, Time deadline, std::barrier<>& barrier) {
     Time gmin = kInfTime;
     for (int s = 0; s < k; ++s) gmin = std::min(gmin, shardMin_[s]);
     // Every worker evaluates the same exit condition from the same data, so
-    // they all leave on the same iteration. stop() is window-granular by
-    // design: checking it mid-window would make results depend on thread
-    // interleaving.
-    if (gmin == kInfTime || gmin > deadline ||
-        stopped_.load(std::memory_order_relaxed)) {
-      break;
-    }
+    // they all leave on the same iteration.
+    if (gmin == kInfTime || gmin > deadline) break;
     Time horizon = gmin + lookahead_;
     if (deadline != kInfTime) horizon = std::min(horizon, deadline + 1);
     windowEnd_.store(horizon, std::memory_order_relaxed);
@@ -253,7 +247,6 @@ Time Simulator::runParallel(Time deadline) {
 }
 
 Time Simulator::run() {
-  stopped_.store(false, std::memory_order_relaxed);
   if (workers_ > 1 && numShards() > 1 && lookahead_ > 0 && !serialOnly_) {
     return runParallel(kInfTime);
   }
@@ -261,7 +254,6 @@ Time Simulator::run() {
 }
 
 Time Simulator::runUntil(Time deadline) {
-  stopped_.store(false, std::memory_order_relaxed);
   if (workers_ > 1 && numShards() > 1 && lookahead_ > 0 && !serialOnly_) {
     runParallel(deadline);
   } else {

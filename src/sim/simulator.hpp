@@ -185,13 +185,11 @@ class Simulator {
   void requireSerial() { serialOnly_ = true; }
   [[nodiscard]] bool serialRequired() const { return serialOnly_; }
 
-  /// Run until the queue drains or stop() is called. Returns final time.
+  /// Run until the queue drains. Returns final time.
   Time run();
 
   /// Run until simulated time `deadline` (events at exactly `deadline` run).
   Time runUntil(Time deadline);
-
-  void stop() { stopped_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] std::uint64_t eventsProcessed() const;
   /// Events executed by one shard (perf introspection / obs collector).
@@ -357,7 +355,6 @@ class Simulator {
   int workers_ = 1;
   Time lookahead_ = kDefaultLookahead;
   Time globalNow_ = 0;  ///< committed time outside any event context
-  std::atomic<bool> stopped_{false};
 
   // Parallel-run coordination (valid only inside runParallel). windowEnd_
   // is atomic because every worker stores the (identical) horizon before

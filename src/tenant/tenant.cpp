@@ -378,15 +378,13 @@ Result<controller::RepairReport> TenantManager::repairSlice(
   }
   TenantSlice& slice = it->second;
   // Fault containment: only failures on this slice's own cables and host
-  // ports reach its repair path. A crashed switch is shared hardware —
-  // every tenant re-installs its own namespace's entries there, so those
-  // pass through (the diff on a switch the slice never touched is empty).
+  // ports reach its repair path. The repair still reconciles every switch,
+  // so a wiped (power-cycled) shared switch gets this tenant's namespace
+  // back even when no port of the slice failed.
   controller::FailureSet scoped;
-  scoped.crashedSwitches = failures.crashedSwitches;
   for (const projection::PhysPort& p : failures.ports) {
     if (tenantOwningPort(p) == id) scoped.ports.push_back(p);
   }
-  if (scoped.empty()) return controller::RepairReport{};
   auto repaired = slice.controller->repair(slice.deployment, *slice.topology,
                                            *slice.routing, scoped, slice.deployOptions);
   if (repaired) refreshSlice(slice);

@@ -1,15 +1,11 @@
 #include "testbed/sweep.hpp"
 
+#include "common/rng.hpp"
+
 namespace sdt::testbed {
 
 std::uint64_t SweepRunner::pointSeed(std::uint64_t base, std::size_t index) {
-  // splitmix64 over (base ^ golden-ratio-spread index): cheap, stateless,
-  // and decorrelates neighboring points even for base seeds 0 and 1.
-  std::uint64_t z = base ^ (static_cast<std::uint64_t>(index) + 1) * 0x9E3779B97F4A7C15ULL;
-  z += 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return detail::mixSeed(base, index);
 }
 
 }  // namespace sdt::testbed

@@ -52,13 +52,6 @@ std::optional<int> Topology::linkAt(SwitchPort sp) const {
   return std::nullopt;
 }
 
-std::optional<HostId> Topology::hostAt(SwitchPort sp) const {
-  for (const HostLink& hl : hostLinks_) {
-    if (hl.attach == sp) return hl.host;
-  }
-  return std::nullopt;
-}
-
 Graph Topology::switchGraph() const {
   Graph g(numSwitches());
   for (const Link& l : links_) g.addEdge(l.a.sw, l.b.sw);

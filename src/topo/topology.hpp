@@ -87,8 +87,6 @@ class Topology {
 
   /// Fabric link incident to (sw, port), if any.
   [[nodiscard]] std::optional<int> linkAt(SwitchPort sp) const;
-  /// Host attached at (sw, port), if any.
-  [[nodiscard]] std::optional<HostId> hostAt(SwitchPort sp) const;
 
   /// Switch-level graph (one vertex per switch, one edge per fabric link),
   /// e.g. for partitioning or diameter computations.

@@ -9,16 +9,6 @@
 
 namespace sdt::workloads {
 
-namespace {
-
-/// Decorrelate source RNG streams from one config seed.
-std::uint64_t sourceSeed(std::uint64_t base, std::size_t idx) {
-  std::uint64_t mix = base ^ ((idx + 1) * 0x9E3779B97F4A7C15ULL);
-  return detail::splitmix64(mix);
-}
-
-}  // namespace
-
 ServingRuntime::ServingRuntime(sim::Simulator& sim, sim::Network& net,
                                sim::TransportManager& transport,
                                ServingConfig config)
@@ -34,7 +24,7 @@ void ServingRuntime::addIncast(IncastSpec spec) {
   src.kind = SourceKind::kIncast;
   src.owner = spec.aggregator;
   src.incast = std::move(spec);
-  src.rng = Rng(sourceSeed(config_.seed, sources_.size()));
+  src.rng = Rng(detail::mixSeed(config_.seed, sources_.size()));
   sources_.push_back(std::move(src));
 }
 
@@ -44,7 +34,7 @@ void ServingRuntime::addPartitionAggregate(PartitionAggregateSpec spec) {
   src.kind = SourceKind::kPartAgg;
   src.owner = spec.root;
   src.partAgg = std::move(spec);
-  src.rng = Rng(sourceSeed(config_.seed, sources_.size()));
+  src.rng = Rng(detail::mixSeed(config_.seed, sources_.size()));
   sources_.push_back(std::move(src));
 }
 
@@ -54,7 +44,7 @@ void ServingRuntime::addReplication(ReplicationSpec spec) {
   src.kind = SourceKind::kReplication;
   src.owner = spec.client;
   src.repl = std::move(spec);
-  src.rng = Rng(sourceSeed(config_.seed, sources_.size()));
+  src.rng = Rng(detail::mixSeed(config_.seed, sources_.size()));
   sources_.push_back(std::move(src));
 }
 
@@ -64,27 +54,17 @@ void ServingRuntime::addBurstyMix(BurstyMixSpec spec) {
   src.kind = SourceKind::kBursty;
   src.owner = -1;
   src.bursty = std::move(spec);
-  src.rng = Rng(sourceSeed(config_.seed, sources_.size()));
+  src.rng = Rng(detail::mixSeed(config_.seed, sources_.size()));
   sources_.push_back(std::move(src));
 }
 
-void ServingRuntime::attachOverload(sim::FaultInjector& injector) {
-  injector.setOverloadSink([this](const sim::FaultSpec& spec) {
-    // Runs on shard 0 (switch-less faults fire there), same as the
-    // generators that read these scales.
-    const bool storm = spec.kind == sim::FaultKind::kOverloadStorm;
-    const double scale = storm ? spec.intensity : 1.0;
-    if (spec.srcHost < 0) {
-      globalScale_ = scale;
-    } else {
-      setHostRateScale(spec.srcHost, scale);
-    }
-  });
-}
-
-void ServingRuntime::setHostRateScale(int host, double scale) {
-  assert(host >= 0 && host < static_cast<int>(hostScale_.size()));
-  hostScale_[static_cast<std::size_t>(host)] = scale;
+void ServingRuntime::scaleRates(TimeNs from, TimeNs until, int host, double scale) {
+  assert(host < static_cast<int>(hostScale_.size()));
+  const auto set = [this, host](double value) {
+    (host < 0 ? globalScale_ : hostScale_[static_cast<std::size_t>(host)]) = value;
+  };
+  sim_->scheduleAtOn(0, from, [set, scale]() { set(scale); });
+  sim_->scheduleAtOn(0, until, [set]() { set(1.0); });
 }
 
 double ServingRuntime::scaleFor(const Source& src) const {
@@ -325,41 +305,32 @@ void ServingRuntime::recordCompletion(Priority cls, TimeNs bornAt, TimeNs comple
   }
 }
 
+ServingRuntime::ClassStats& ServingRuntime::ClassStats::operator+=(const ClassStats& o) {
+  offered += o.offered;
+  admitted += o.admitted;
+  deferRetries += o.deferRetries;
+  shed += o.shed;
+  completed += o.completed;
+  sloHit += o.sloHit;
+  sloMiss += o.sloMiss;
+  completedBytes += o.completedBytes;
+  sloGoodBytes += o.sloGoodBytes;
+  latencySumNs += o.latencySumNs;
+  maxLatencyNs = std::max(maxLatencyNs, o.maxLatencyNs);
+  return *this;
+}
+
 ServingRuntime::ClassStats ServingRuntime::classStats(Priority cls) const {
   const auto ci = static_cast<std::size_t>(priorityIndex(cls));
   ClassStats out;
-  for (const ShardStats& shard : shardStats_) {
-    const ClassStats& s = shard.perClass[ci];
-    out.offered += s.offered;
-    out.admitted += s.admitted;
-    out.deferRetries += s.deferRetries;
-    out.shed += s.shed;
-    out.completed += s.completed;
-    out.sloHit += s.sloHit;
-    out.sloMiss += s.sloMiss;
-    out.completedBytes += s.completedBytes;
-    out.sloGoodBytes += s.sloGoodBytes;
-    out.latencySumNs += s.latencySumNs;
-    out.maxLatencyNs = std::max(out.maxLatencyNs, s.maxLatencyNs);
-  }
+  for (const ShardStats& shard : shardStats_) out += shard.perClass[ci];
   return out;
 }
 
 ServingRuntime::ClassStats ServingRuntime::totalStats() const {
   ClassStats out;
   for (int c = 0; c < admission::kNumPriorities; ++c) {
-    const ClassStats s = classStats(static_cast<Priority>(c));
-    out.offered += s.offered;
-    out.admitted += s.admitted;
-    out.deferRetries += s.deferRetries;
-    out.shed += s.shed;
-    out.completed += s.completed;
-    out.sloHit += s.sloHit;
-    out.sloMiss += s.sloMiss;
-    out.completedBytes += s.completedBytes;
-    out.sloGoodBytes += s.sloGoodBytes;
-    out.latencySumNs += s.latencySumNs;
-    out.maxLatencyNs = std::max(out.maxLatencyNs, s.maxLatencyNs);
+    out += classStats(static_cast<Priority>(c));
   }
   return out;
 }

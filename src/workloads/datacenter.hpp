@@ -23,8 +23,8 @@
 // per-shard stats merged at read time — the whole pipeline stays
 // bit-identical serial vs K-shard parallel at fixed K.
 //
-// The kOverload fault family drives rate scaling through attachOverload():
-// storms multiply arrival rates fabric-wide or for one rogue source owner.
+// scaleRates() storms the fabric: it multiplies arrival rates fabric-wide
+// (a flash crowd) or for one rogue source owner over a window.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +34,6 @@
 
 #include "admission/admission.hpp"
 #include "common/rng.hpp"
-#include "sim/faults.hpp"
 #include "sim/transport.hpp"
 #include "workloads/mpi.hpp"
 
@@ -102,14 +101,14 @@ class ServingRuntime {
   void addReplication(ReplicationSpec spec);
   void addBurstyMix(BurstyMixSpec spec);
 
-  /// Route kOverload* faults into the rate scaler (sink runs on shard 0,
-  /// where the generators live).
-  void attachOverload(sim::FaultInjector& injector);
-
   /// Global offered-load multiplier (call pre-run or from shard 0).
   void setRateScale(double scale) { globalScale_ = scale; }
-  /// Multiplier for sources owned by `host` (rogue tenant).
-  void setHostRateScale(int host, double scale);
+  /// Multiply the arrival rate of the sources `host` owns (every source
+  /// when host < 0) by `scale` from `from` until `until`, then return it to
+  /// 1: a rogue tenant, or fabric-wide a flash crowd. Schedules two events
+  /// on shard 0, where the generators read the scales (call pre-run or from
+  /// shard 0).
+  void scaleRates(TimeNs from, TimeNs until, int host, double scale);
 
   /// Arm the generators (call once, before Simulator::run()).
   void start();
@@ -127,6 +126,8 @@ class ServingRuntime {
     std::int64_t sloGoodBytes = 0;    ///< completed bytes that met the class SLO
     std::uint64_t latencySumNs = 0;
     TimeNs maxLatencyNs = 0;
+
+    ClassStats& operator+=(const ClassStats& o);
   };
   [[nodiscard]] ClassStats classStats(Priority cls) const;
   [[nodiscard]] ClassStats totalStats() const;
@@ -186,7 +187,8 @@ class ServingRuntime {
   admission::AdmissionController* admission_ = nullptr;
   std::vector<Source> sources_;
   std::vector<ShardStats> shardStats_;  ///< one per shard
-  // Rate scaling; shard-0-owned (generators and overload sink live there).
+  // Rate scaling; shard-0-owned (the generators and scaleRates' events run
+  // there).
   double globalScale_ = 1.0;
   std::vector<double> hostScale_;
   /// Small control payload for replication acks/commits.

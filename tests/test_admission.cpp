@@ -1,6 +1,6 @@
 // Tests: the overload-robustness tier — admission::AdmissionController
 // (credit buckets, priority classes, SLO-aware shedding), the datacenter
-// serving workloads that drive it, the kOverload fault family, and the
+// serving workloads that drive it, their rate storms (scaleRates), and the
 // acceptance gate for this subsystem: an incast overload run must stay
 // bit-identical between a serial and a K-worker parallel engine at fixed K.
 #include <gtest/gtest.h>
@@ -227,7 +227,7 @@ TEST(Overload, AdmissionProtectsTheFabric) {
   EXPECT_GT(onRate, offRate);
 }
 
-// ---- kOverload faults ------------------------------------------------------
+// ---- Rate storms (ServingRuntime::scaleRates) ------------------------------
 
 TEST(OverloadFaults, StormScalesRatesThroughSink) {
   const topo::Topology topo = topo::makeFatTree(4);
@@ -244,22 +244,12 @@ TEST(OverloadFaults, StormScalesRatesThroughSink) {
     incast.aggregator = 0;
     for (int h = 1; h < topo.numHosts(); ++h) incast.senders.push_back(h);
     rt.addIncast(incast);
-    sim::FaultInjector inj(*inst.sim, inst.net());
-    rt.attachOverload(inj);
-    if (storm) inj.flashCrowd(msToNs(1.0), msToNs(2.0), 8.0);
-    inj.arm();
-    // Overload faults are workload-side: they must NOT pin the engine serial.
+    // A fabric-wide flash crowd: every source at 8x from 1 ms to 3 ms.
+    if (storm) rt.scaleRates(msToNs(1.0), msToNs(3.0), -1, 8.0);
+    // A storm is workload-side: it must NOT pin the engine serial.
     EXPECT_FALSE(inst.sim->serialRequired());
     rt.start();
     inst.sim->run();
-    if (storm) {
-      EXPECT_EQ(inj.trace().size(), 2u);
-      if (inj.trace().size() == 2u) {
-        EXPECT_EQ(inj.trace()[0].kind, sim::FaultKind::kOverloadStorm);
-        EXPECT_DOUBLE_EQ(inj.trace()[0].intensity, 8.0);
-        EXPECT_EQ(inj.trace()[1].kind, sim::FaultKind::kOverloadEnd);
-      }
-    }
     return rt.totalStats().offered;
   };
 
@@ -271,46 +261,48 @@ TEST(OverloadFaults, StormScalesRatesThroughSink) {
 TEST(OverloadFaults, RogueTenantScalesOnlyItsOwner) {
   const topo::Topology topo = topo::makeFatTree(4);
   const routing::ShortestPathRouting routing(topo);
-  auto inst = testbed::makeFullTestbed(topo, routing);
-  workloads::ServingConfig cfg;
-  cfg.duration = msToNs(3.0);
-  ServingRuntime rt(*inst.sim, inst.net(), *inst.transport, cfg);
-  // Two replication chains with different clients; host 2 goes rogue.
-  workloads::ReplicationSpec a;
-  a.client = 2;
-  a.primary = 5;
-  a.replicas = {9, 13};
-  rt.addReplication(a);
-  workloads::ReplicationSpec b = a;
-  b.client = 3;
-  b.primary = 6;
-  rt.addReplication(b);
-  sim::FaultInjector inj(*inst.sim, inst.net());
-  rt.attachOverload(inj);
-  inj.rogueTenant(0, msToNs(3.0), /*srcHost=*/2, /*intensity=*/6.0);
-  inj.arm();
-  rt.start();
-  inst.sim->run();
-  const auto total = rt.totalStats();
-  EXPECT_GT(total.offered, 0u);
-  ASSERT_EQ(inj.trace().size(), 2u);
-  EXPECT_EQ(inj.trace()[0].srcHost, 2);
+
+  const auto offeredWith = [&](bool rogue) {
+    auto inst = testbed::makeFullTestbed(topo, routing);
+    workloads::ServingConfig cfg;
+    cfg.duration = msToNs(3.0);
+    ServingRuntime rt(*inst.sim, inst.net(), *inst.transport, cfg);
+    // Two replication chains with different clients; host 2 goes rogue.
+    workloads::ReplicationSpec a;
+    a.client = 2;
+    a.primary = 5;
+    a.replicas = {9, 13};
+    rt.addReplication(a);
+    workloads::ReplicationSpec b = a;
+    b.client = 3;
+    b.primary = 6;
+    rt.addReplication(b);
+    if (rogue) rt.scaleRates(0, msToNs(3.0), /*host=*/2, /*scale=*/6.0);
+    rt.start();
+    inst.sim->run();
+    return rt.totalStats().offered;
+  };
+
+  const std::uint64_t calm = offeredWith(false);
+  const std::uint64_t stormy = offeredWith(true);
+  EXPECT_GT(calm, 0u);
+  EXPECT_GT(stormy, calm) << "the rogue host's 6x never fired";
+  // Scaling every source by 6x would raise the total 6x; the co-tenant's
+  // chain stays at its nominal rate.
+  EXPECT_LT(stormy, 5 * calm) << "the rate scale leaked past its owner";
 }
 
 TEST(OverloadFaults, PhysicalFaultsStillPinSerial) {
   const topo::Topology topo = topo::makeLine(3);
   const routing::ShortestPathRouting routing(topo);
   auto inst = testbed::makeFullTestbed(topo, routing);
-  sim::FaultInjector inj(*inst.sim, inst.net());
-  inj.trafficStorm(usToNs(1.0), 2.0);
-  inj.arm();
+  ServingRuntime rt(*inst.sim, inst.net(), *inst.transport, {});
+  rt.scaleRates(usToNs(1.0), usToNs(2.0), -1, 2.0);
   EXPECT_FALSE(inst.sim->serialRequired());
+  sim::FaultInjector inj(*inst.sim, inst.net());
   inj.downPort(usToNs(2.0), 0, 0);
   inj.arm();
   EXPECT_TRUE(inst.sim->serialRequired());
-  EXPECT_TRUE(sim::faultKindNeedsSerial(sim::FaultKind::kPortDown));
-  EXPECT_FALSE(sim::faultKindNeedsSerial(sim::FaultKind::kOverloadStorm));
-  EXPECT_FALSE(sim::faultKindNeedsSerial(sim::FaultKind::kOverloadEnd));
 }
 
 // ---- The acceptance gate: serial == parallel on the overload path ---------

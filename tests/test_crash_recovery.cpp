@@ -497,9 +497,7 @@ TEST(CrashRecovery, RepairRestampsARebootedSwitch) {
   controller::Deployment dep = std::move(depR).value();
 
   dep.switches[1]->reboot();
-  controller::FailureSet failures;
-  failures.crashedSwitches = {1};
-  auto rep = ctl.repair(dep, topo, routing, failures);
+  auto rep = ctl.repair(dep, topo, routing, controller::FailureSet{});
   ASSERT_TRUE(rep.ok()) << rep.error().message;
   EXPECT_EQ(rep.value().flowModsAdded, 288);
   EXPECT_EQ(rep.value().flowModsRemoved, 0);

@@ -212,9 +212,7 @@ TEST(Faults, SwitchCrashRepairReinstallsExactTable) {
   ASSERT_FALSE(fresh.empty());
   dep.switches[crashed]->table().clear();  // power cycle: table gone
 
-  controller::FailureSet failures;
-  failures.crashedSwitches = {crashed};
-  auto repR = ctl.repair(dep, topo, routing, failures);
+  auto repR = ctl.repair(dep, topo, routing, controller::FailureSet{});
   ASSERT_TRUE(repR.ok()) << repR.error().message;
   const controller::RepairReport& report = repR.value();
 

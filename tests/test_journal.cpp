@@ -201,105 +201,6 @@ TEST(Journal, SequenceNumberingContinuesAcrossRebind) {
   EXPECT_EQ(replayed.value().records[2].seq, 3u);
 }
 
-TEST(Journal, CompactFoldsQuiescentHistoryToOneCheckpoint) {
-  MemoryJournalStorage storage;
-  Journal journal(storage);
-  ASSERT_TRUE(journal.append(deployRecord(1, "line6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxPrepare, 1, 2, "ring6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxFlip, 1, 2, "ring6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxCommit, 1, 2, "ring6")).ok());
-  const JournalState before = journal.replay().value().state;
-  const std::size_t fatBytes = storage.bytes().size();
-
-  auto compacted = journal.compact();
-  ASSERT_TRUE(compacted.ok()) << compacted.error().message;
-  EXPECT_EQ(compacted.value(), 3u);  // four records folded into one checkpoint
-  EXPECT_LT(storage.bytes().size(), fatBytes);
-
-  auto replayed = journal.replay();
-  ASSERT_TRUE(replayed.ok());
-  ASSERT_EQ(replayed.value().records.size(), 1u);
-  EXPECT_EQ(replayed.value().records[0].kind, JournalRecordKind::kCheckpoint);
-  // The checkpoint folds back to exactly the pre-compaction derived state.
-  const JournalState after = replayed.value().state;
-  EXPECT_TRUE(after.valid);
-  EXPECT_EQ(after.topology, before.topology);
-  EXPECT_EQ(after.routing, before.routing);
-  EXPECT_EQ(after.epoch, before.epoch);
-  EXPECT_EQ(after.ecmpSalt, before.ecmpSalt);
-  EXPECT_FALSE(after.txOpen);
-
-  // Sequence numbering continues across the truncation: a record appended
-  // after compaction orders after everything ever written, and a rebound
-  // journal agrees.
-  const std::uint64_t seqAfterCompact = journal.nextSeq();
-  EXPECT_GT(seqAfterCompact, 4u);
-  ASSERT_TRUE(journal.append(deployRecord(3, "mesh6")).ok());
-  Journal reborn(storage);
-  EXPECT_EQ(reborn.nextSeq(), seqAfterCompact + 1);
-  EXPECT_EQ(reborn.replay().value().state.topology, "mesh6");
-}
-
-TEST(Journal, CompactKeepsOpenTransactionMarkers) {
-  MemoryJournalStorage storage;
-  Journal journal(storage);
-  ASSERT_TRUE(journal.append(deployRecord(1, "line6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxPrepare, 1, 2, "ring6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxFlip, 1, 2, "ring6")).ok());
-
-  ASSERT_TRUE(journal.compact().ok());
-  auto replayed = journal.replay();
-  ASSERT_TRUE(replayed.ok());
-  // A crash right after compaction must still roll FORWARD: the open
-  // transaction's prepare and flip markers survive verbatim.
-  const JournalState state = replayed.value().state;
-  EXPECT_TRUE(state.valid);
-  EXPECT_EQ(state.topology, "line6");
-  EXPECT_TRUE(state.txOpen);
-  EXPECT_TRUE(state.txFlipped);
-  EXPECT_EQ(state.txTopology, "ring6");
-  EXPECT_EQ(state.txFromEpoch, 1u);
-  EXPECT_EQ(state.txToEpoch, 2u);
-}
-
-TEST(Journal, TornTruncateAfterCompactionReplaysToTheIntactPrefix) {
-  MemoryJournalStorage storage;
-  Journal journal(storage);
-  ASSERT_TRUE(journal.append(deployRecord(1, "line6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxPrepare, 1, 2, "ring6")).ok());
-  ASSERT_TRUE(
-      journal.append(txRecord(JournalRecordKind::kTxFlip, 1, 2, "ring6")).ok());
-  ASSERT_TRUE(journal.compact().ok());
-
-  // replaceAll is atomic old-or-new, but the NEW content itself may land
-  // torn (a crash during the rewrite). Every cut of the compacted bytes
-  // must replay to a clean record prefix — never an error, never garbage.
-  const std::string full = storage.bytes();
-  const std::size_t records = journal.replay().value().records.size();
-  ASSERT_GE(records, 2u);  // checkpoint + open-tx markers
-  for (std::size_t cut = 0; cut < full.size(); ++cut) {
-    storage.bytes() = full.substr(0, cut);
-    Journal reopened(storage);
-    auto replayed = reopened.replay();
-    ASSERT_TRUE(replayed.ok()) << "cut at " << cut;
-    EXPECT_LT(replayed.value().records.size(), records) << "cut at " << cut;
-    // Whatever prefix survived folds without crashing; with the checkpoint
-    // intact the live intent is already correct.
-    if (!replayed.value().records.empty()) {
-      EXPECT_TRUE(replayed.value().state.valid) << "cut at " << cut;
-      EXPECT_EQ(replayed.value().state.topology, "line6") << "cut at " << cut;
-    }
-  }
-  storage.bytes() = full;
-  EXPECT_EQ(Journal(storage).replay().value().records.size(), records);
-}
-
 TEST(Journal, FileBackendRoundTripsAndToleratesMissingFile) {
   const std::string path = ::testing::TempDir() + "sdt_journal_test.wal";
   std::remove(path.c_str());

@@ -86,9 +86,9 @@ TEST(Recovery, EndToEndCutDetectRepairKeepsTrafficFlowing) {
   inj.cutCable(cutAt, cut.a.sw, cut.a.port);
   inj.arm();
 
-  // Self-healing hook: first detection of the cut schedules one repair. No
-  // clearFailures() afterwards — the cut ports stay down, and forgetting
-  // them would re-detect and re-repair forever.
+  // Self-healing hook: first detection of the cut schedules one repair. The
+  // cut ports stay down and the monitor reports each end once; the flag
+  // keeps the second end's report from repairing again.
   bool repairScheduled = false;
   bool repaired = false;
   controller::RepairReport report;

@@ -55,20 +55,6 @@ TEST(Simulator, RunUntilStopsAtDeadline) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Simulator, StopHaltsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1, [&]() {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule(2, [&]() { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  sim.run();  // resumes
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, ZeroDelayRunsNow) {
   Simulator sim;
   bool ran = false;

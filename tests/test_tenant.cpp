@@ -399,5 +399,46 @@ TEST_F(Tenancy, FaultContainmentRoutesFailuresToOwningSliceOnly) {
   }
 }
 
+TEST_F(Tenancy, RepairSliceReinstallsItsNamespaceOnARebootedSharedSwitch) {
+  tenant::TenantManager mgr(twoTenantPlant());
+  ASSERT_TRUE(mgr.admit(specFor("alice", lineA_, *routingA_)).ok());
+  ASSERT_TRUE(mgr.admit(specFor("bob", lineB_, *routingB_)).ok());
+  int shared = -1;
+  for (int sw = 0; sw < mgr.plant().numSwitches() && shared < 0; ++sw) {
+    if (!tenantEntries(*mgr.switches()[sw], 1).empty() &&
+        !tenantEntries(*mgr.switches()[sw], 2).empty()) {
+      shared = sw;
+    }
+  }
+  ASSERT_GE(shared, 0);
+  const std::vector<openflow::FlowEntry> aliceBefore =
+      tenantEntries(*mgr.switches()[shared], 1);
+  const std::vector<openflow::FlowEntry> bobBefore =
+      tenantEntries(*mgr.switches()[shared], 2);
+  mgr.switches()[shared]->reboot();  // power cycle: both namespaces gone
+
+  // No port failed, so the failure set is empty; alice's repair still
+  // reconciles the wiped switch and reinstalls exactly her namespace and
+  // her host-port stamps, and nothing of bob's.
+  auto aliceRepair = mgr.repairSlice(1, controller::FailureSet{});
+  ASSERT_TRUE(aliceRepair.ok()) << aliceRepair.error().message;
+  EXPECT_EQ(aliceRepair.value().flowModsAdded, static_cast<int>(aliceBefore.size()));
+  EXPECT_EQ(aliceRepair.value().flowModsRemoved, 0);
+  EXPECT_TRUE(sameEntries(tenantEntries(*mgr.switches()[shared], 1), aliceBefore));
+  EXPECT_TRUE(tenantEntries(*mgr.switches()[shared], 2).empty());
+  const tenant::TenantSlice* alice = mgr.slice(1);
+  for (topo::HostId h = 0; h < alice->topology->numHosts(); ++h) {
+    const projection::PhysPort pp = alice->deployment.projection.hostPortOf(h);
+    if (pp.sw != shared) continue;
+    EXPECT_EQ(mgr.switches()[pp.sw]->portIngressEpoch(pp.port), alice->deployment.epoch);
+  }
+
+  auto bobRepair = mgr.repairSlice(2, controller::FailureSet{});
+  ASSERT_TRUE(bobRepair.ok()) << bobRepair.error().message;
+  EXPECT_EQ(bobRepair.value().flowModsAdded, static_cast<int>(bobBefore.size()));
+  EXPECT_TRUE(sameEntries(tenantEntries(*mgr.switches()[shared], 2), bobBefore));
+  EXPECT_TRUE(sameEntries(tenantEntries(*mgr.switches()[shared], 1), aliceBefore));
+}
+
 }  // namespace
 }  // namespace sdt
