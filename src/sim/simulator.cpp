@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -19,6 +20,12 @@ int envInt(const char* name, int fallback, int lo, int hi) {
   if (v > hi) return hi;
   return static_cast<int>(v);
 }
+
+/// The radix bucket of a pending event at `when` > `base` >= 0: the highest
+/// bit in which the two times differ.
+int bucketOf(Time when, Time base) {
+  return std::bit_width(static_cast<std::uint64_t>(when ^ base)) - 1;
+}
 }  // namespace
 
 int Simulator::envShards() { return envInt("SDT_SHARDS", 1, 1, kMaxShards); }
@@ -35,12 +42,18 @@ Simulator::Simulator(int shards, int workers) {
 }
 
 Simulator::~Simulator() {
-  // Destroy pending closures without running them — heap entries and any
+  // Destroy pending closures without running them — queued events and any
   // mail still in an outbox alike.
   for (Shard& shard : shards_) {
-    for (const HeapItem& item : shard.heap) {
-      Slot& s = shard.slotAt(item.slot());
-      s.dispatch(s, SlotOp::kDestroyOnly, nullptr);
+    const auto destroyList = [&shard](std::uint32_t idx) {
+      for (; idx != kNoSlot; idx = shard.nodes[idx].next) {
+        Slot& s = shard.slotAt(idx);
+        s.dispatch(s, SlotOp::kDestroyOnly, nullptr);
+      }
+    };
+    destroyList(shard.ready.head);
+    for (std::uint64_t m = shard.occupied; m != 0; m &= m - 1) {
+      destroyList(shard.buckets[std::countr_zero(m)].list.head);
     }
     for (std::deque<Mail>& box : shard.outbox) {
       for (Mail& mail : box) mail.slot.dispatch(mail.slot, SlotOp::kDestroyOnly, nullptr);
@@ -62,11 +75,20 @@ void Simulator::seqOverflow(int shard) {
   std::abort();
 }
 
+void Simulator::pastEvent(int shard, Time when, Time last) {
+  std::fprintf(stderr,
+               "FATAL: sim shard %d: event scheduled at %lld ns, before the "
+               "shard's last event at %lld ns.\n",
+               shard, static_cast<long long>(when), static_cast<long long>(last));
+  std::abort();
+}
+
 std::uint32_t Simulator::acquireSlot(Shard& shard) {
   if (shard.freeHead == kNoSlot) {
     const auto base = static_cast<std::uint32_t>(shard.chunks.size() * kChunkSlots);
     assert(base + kChunkSlots <= kSlotMask + 1 && "event arena exhausted");
     shard.chunks.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    shard.nodes.resize(shard.chunks.size() * kChunkSlots);
     Slot* chunk = shard.chunks.back().get();
     for (std::uint32_t i = 0; i < kChunkSlots; ++i) {
       chunk[i].nextFree = i + 1 < kChunkSlots ? base + i + 1 : kNoSlot;
@@ -84,65 +106,111 @@ void Simulator::releaseSlot(Shard& shard, std::uint32_t idx) {
   shard.freeHead = idx;
 }
 
-void Simulator::push(Shard& shard, Time when, std::uint64_t seqSlot) {
-  const HeapItem item{when, seqSlot};
-  std::vector<HeapItem>& heap = shard.heap;
-  heap.push_back(item);
-  // Sift up, moving holes instead of swapping (one store per level).
-  std::size_t i = heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!later(heap[parent], item)) break;
-    heap[i] = heap[parent];
-    i = parent;
+void Simulator::push(Shard& shard, Time when, std::uint64_t key) {
+  if (when < shard.now) [[unlikely]] {
+    pastEvent(static_cast<int>(&shard - shards_.data()), when, shard.now);
   }
-  heap[i] = item;
+  const Event ev{when, key};
+  const std::uint32_t idx = keySlot(key);
+  Node& node = shard.nodes[idx];
+  node.ev = ev;
+  List& ready = shard.ready;
+  if (when != shard.now) {
+    append(shard, bucketOf(when, shard.now), idx, ev);
+  } else if (ready.head == kNoSlot || shard.nodes[ready.tail].ev.key < key) {
+    pushBack(shard, ready, idx);
+  } else {
+    // A lower key than the run's last can only come from another sender;
+    // it goes to its place in key order.
+    std::uint32_t* link = &ready.head;
+    while (shard.nodes[*link].ev.key < key) link = &shard.nodes[*link].next;
+    node.next = *link;
+    *link = idx;
+  }
 }
 
-Simulator::HeapItem Simulator::popTop(Shard& shard) {
-  std::vector<HeapItem>& heap = shard.heap;
-  const HeapItem top = heap.front();
-  const HeapItem last = heap.back();
-  heap.pop_back();
-  const std::size_t n = heap.size();
-  if (n == 0) return top;
-  // Bottom-up deletion: walk the hole down the min-child path all the way to
-  // a leaf (one comparison per level), then bubble the displaced last
-  // element back up (O(1) expected, since it usually belongs near a leaf).
-  // Roughly halves the comparisons of a textbook sift-down.
-  std::size_t hole = 0;
-  std::size_t child = 1;
-  while (child < n) {
-    // Min-child select as arithmetic, not a branch: which child wins is a
-    // coin flip the predictor can't learn.
-    if (child + 1 < n) {
-      child += static_cast<std::size_t>(later(heap[child], heap[child + 1]));
+void Simulator::pushBack(Shard& shard, List& list, std::uint32_t idx) {
+  shard.nodes[idx].next = kNoSlot;
+  if (list.head == kNoSlot) {
+    list.head = idx;
+  } else {
+    shard.nodes[list.tail].next = idx;
+  }
+  list.tail = idx;
+}
+
+void Simulator::append(Shard& shard, int b, std::uint32_t idx, const Event& ev) {
+  Bucket& bucket = shard.buckets[b];
+  if (bucket.list.head == kNoSlot) {
+    shard.occupied |= 1ULL << b;
+    bucket.min = ev;
+  } else if (later(bucket.min, ev)) {
+    bucket.min = ev;
+  }
+  pushBack(shard, bucket.list, idx);
+}
+
+void Simulator::refill(Shard& shard) {
+  const int b = std::countr_zero(shard.occupied);
+  Bucket& bucket = shard.buckets[b];
+  const Time base = bucket.min.when;
+  std::uint32_t idx = bucket.list.head;
+  bucket.list = List{};
+  shard.occupied &= shard.occupied - 1;
+  shard.now = base;
+  // Every other event in the bucket shares its bits above b with `base`, so
+  // it lands in a strictly lower bucket. The ones at `base` arrive in push
+  // order, which is key order whenever one sender shard pushed them all.
+  List& ready = shard.ready;
+  bool sorted = true;
+  std::uint64_t lastKey = 0;
+  while (idx != kNoSlot) {
+    const Node node = shard.nodes[idx];
+    if (node.ev.when != base) {
+      append(shard, bucketOf(node.ev.when, base), idx, node.ev);
+    } else {
+      sorted = sorted && lastKey <= node.ev.key;
+      lastKey = node.ev.key;
+      pushBack(shard, ready, idx);
     }
-    heap[hole] = heap[child];
-    hole = child;
-    child = 2 * hole + 1;
+    idx = node.next;
   }
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) / 2;
-    if (!later(heap[parent], last)) break;
-    heap[hole] = heap[parent];
-    hole = parent;
+  if (sorted) return;
+  std::vector<std::uint64_t>& keys = shard.sortKeys;
+  keys.clear();
+  for (idx = ready.head; idx != kNoSlot; idx = shard.nodes[idx].next) {
+    keys.push_back(shard.nodes[idx].ev.key);
   }
-  heap[hole] = last;
-  return top;
+  std::sort(keys.begin(), keys.end());
+  ready = List{};
+  for (const std::uint64_t key : keys) pushBack(shard, ready, keySlot(key));
 }
 
-void Simulator::dispatchItem(Shard& shard, int shardIdx, const HeapItem& top) {
-  shard.now = top.when;
+const Simulator::Event* Simulator::peek(const Shard& shard) {
+  if (shard.ready.head != kNoSlot) return &shard.nodes[shard.ready.head].ev;
+  if (shard.occupied == 0) return nullptr;
+  return &shard.buckets[std::countr_zero(shard.occupied)].min;
+}
+
+Simulator::Event Simulator::pop(Shard& shard) {
+  if (shard.ready.head == kNoSlot) refill(shard);
+  const Node& node = shard.nodes[shard.ready.head];
+  shard.ready.head = node.next;
+  return node.ev;
+}
+
+void Simulator::dispatchItem(Shard& shard, int shardIdx, const Event& top) {
+  // pop() already advanced shard.now to top.when.
   ++shard.processed;
   ExecCtx& ctx = tlsCtx();
   ctx.sim = this;
   ctx.shard = shardIdx;
   // The slot stays acquired while the closure executes, so nested schedule()
   // calls can never recycle the buffer under the running closure.
-  Slot& s = shard.slotAt(top.slot());
+  const std::uint32_t idx = keySlot(top.key);
+  Slot& s = shard.slotAt(idx);
   s.dispatch(s, SlotOp::kRunAndDestroy, nullptr);
-  releaseSlot(shard, top.slot());
+  releaseSlot(shard, idx);
 }
 
 void Simulator::drainInbox(int shard) {
@@ -165,25 +233,25 @@ Time Simulator::runSerial(Time deadline) {
   if (k == 1) {
     // Legacy fast path: one shard, no merge scan.
     Shard& sh = shards_[0];
-    while (!sh.heap.empty() && sh.heap.front().when <= deadline) {
-      const HeapItem top = popTop(sh);
-      dispatchItem(sh, 0, top);
+    for (const Event* top; (top = peek(sh)) != nullptr && top->when <= deadline;) {
+      dispatchItem(sh, 0, pop(sh));
     }
   } else {
     // K-way merge in global (when, shard, seq) order — the canonical
     // serial-K ordering the parallel windows must reproduce.
     for (;;) {
       int best = -1;
+      const Event* bestTop = nullptr;
       for (int s = 0; s < k; ++s) {
-        if (shards_[s].heap.empty()) continue;
-        if (best < 0 || later(shards_[best].heap.front(), shards_[s].heap.front())) {
+        const Event* top = peek(shards_[s]);
+        if (top != nullptr && (bestTop == nullptr || later(*bestTop, *top))) {
           best = s;
+          bestTop = top;
         }
       }
-      if (best < 0 || shards_[best].heap.front().when > deadline) break;
+      if (bestTop == nullptr || bestTop->when > deadline) break;
       Shard& sh = shards_[best];
-      const HeapItem top = popTop(sh);
-      dispatchItem(sh, best, top);
+      dispatchItem(sh, best, pop(sh));
     }
   }
   ctx = saved;
@@ -202,7 +270,8 @@ void Simulator::workerLoop(int shard, Time deadline, std::barrier<>& barrier) {
   const int k = numShards();
   for (;;) {
     drainInbox(shard);
-    shardMin_[shard] = sh.heap.empty() ? kInfTime : sh.heap.front().when;
+    const Event* next = peek(sh);
+    shardMin_[shard] = next == nullptr ? kInfTime : next->when;
     barrier.arrive_and_wait();  // publish barrier: all mins visible
     Time gmin = kInfTime;
     for (int s = 0; s < k; ++s) gmin = std::min(gmin, shardMin_[s]);
@@ -216,9 +285,8 @@ void Simulator::workerLoop(int shard, Time deadline, std::barrier<>& barrier) {
       ++windows_;
       windowWidthTotal_ += static_cast<std::uint64_t>(horizon - gmin);
     }
-    while (!sh.heap.empty() && sh.heap.front().when < horizon) {
-      const HeapItem top = popTop(sh);
-      dispatchItem(sh, shard, top);
+    for (const Event* top; (top = peek(sh)) != nullptr && top->when < horizon;) {
+      dispatchItem(sh, shard, pop(sh));
       // dispatchItem rewrites the tls ctx; within a worker it is already
       // ours, so this is a cheap idempotent store.
     }
@@ -277,7 +345,7 @@ std::uint64_t Simulator::crossShardEvents() const {
 
 bool Simulator::empty() const {
   for (const Shard& s : shards_) {
-    if (!s.heap.empty()) return false;
+    if (s.ready.head != kNoSlot || s.occupied != 0) return false;
     for (const std::deque<Mail>& box : s.outbox) {
       if (!box.empty()) return false;
     }

@@ -4,11 +4,11 @@
 // combining BookSim and SST/Macro features (§VI-A2); this is our equivalent.
 // Historically single-threaded; it now supports conservative (YAWNS-style)
 // parallelism *inside* one run: model objects are partitioned into shards,
-// each shard owns a private slot arena + binary min-heap + FIFO sequence
-// space, and shards execute concurrently in barrier-synchronized windows
-// whose width is the engine lookahead (the minimum cross-shard latency the
-// model guarantees — see crossDelay()). Cross-shard events travel through
-// per-shard-pair mailboxes drained at window boundaries.
+// each shard owns a private slot arena + monotone radix queue + FIFO
+// sequence space, and shards execute concurrently in barrier-synchronized
+// windows whose width is the engine lookahead (the minimum cross-shard
+// latency the model guarantees — see crossDelay()). Cross-shard events
+// travel through per-shard-pair mailboxes drained at window boundaries.
 //
 // Determinism contract (the whole point of the design):
 //   - Every event carries the key (when, senderShard, senderSeq), where the
@@ -18,7 +18,7 @@
 //     totally ordered and assigned identically no matter how many worker
 //     threads run, because each shard replays its own events in key order.
 //   - Serial mode (workers == 1) executes the global key order via a K-way
-//     merge over the shard heaps. Parallel mode (workers > 1) executes each
+//     merge over the shard queues. Parallel mode (workers > 1) executes each
 //     shard's local key order inside lookahead windows; with model state
 //     disjoint per shard and cross-shard delays >= lookahead, the two modes
 //     are bit-identical at fixed K. With K == 1 the key layout collapses to
@@ -27,16 +27,22 @@
 //     links) disables windows: the run falls back to the serial merge loop
 //     (lockstep), never deadlocks.
 //
-// Hot-path layout per shard is the proven serial design: a hand-rolled
-// binary min-heap of 16-byte {when, key|slot} records over an index-stable
-// chunked slot arena with free-list reuse and small-buffer-optimized inline
-// closures; pop uses bottom-up hole deletion. Steady-state scheduling does
-// zero heap allocations. The default-constructed engine reads SDT_SHARDS /
-// SDT_SIM_WORKERS so existing call sites (testbed, tests, benches) opt into
-// sharding without code changes; testbed::SweepRunner still parallelizes
-// across engines as before — the two compose.
+// Hot-path layout per shard: an index-stable chunked slot arena with
+// free-list reuse and small-buffer-optimized inline closures, and a monotone
+// radix queue (Ahuja, Mehlhorn, Orlin and Tarjan's radix heap) over it. The
+// queue's base is the shard's `now`; a pending event sits in bucket b when
+// bit b is the highest bit in which its time differs from `now`, and the
+// events at exactly `now` wait in a key-ordered FIFO run that pops in O(1).
+// Its lists are threaded through one record per arena slot, so its storage
+// grows with the arena and never with the spread of pending times.
+// Steady-state scheduling does zero heap allocations. The default-constructed
+// engine reads SDT_SHARDS / SDT_SIM_WORKERS so existing call sites (testbed,
+// tests, benches) opt into sharding without code changes;
+// testbed::SweepRunner still parallelizes across engines as before — the two
+// compose.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <barrier>
 #include <cassert>
@@ -152,10 +158,12 @@ class Simulator {
     scheduleAtOn(shard, now() + delay, std::forward<F>(fn));
   }
 
+  /// Schedule onto `shard` at absolute time `when`. A time before that
+  /// shard's last event aborts the run, in every build: the queue's buckets
+  /// are relative to it.
   template <typename F>
   void scheduleAtOn(int shard, Time when, F&& fn) {
     assert(shard >= 0 && shard < numShards());
-    assert(when >= now() && "cannot schedule into the past");
     const ExecCtx& ctx = tlsCtx();
     const int sender = ctx.sim == this ? ctx.shard : shard;
     Shard& src = shards_[sender];
@@ -251,24 +259,46 @@ class Simulator {
     Slot slot;
   };
 
-  struct HeapItem {
-    Time when;
-    std::uint64_t seqSlot;  ///< packKey(shard, seq, slot); breaks when-ties
-
-    [[nodiscard]] std::uint32_t slot() const {
-      return static_cast<std::uint32_t>(seqSlot & kSlotMask);
-    }
+  /// What a pending event is ordered by.
+  struct Event {
+    Time when = 0;
+    std::uint64_t key = 0;  ///< packKey(shard, seq, slot); breaks when-ties
   };
-  static_assert(sizeof(HeapItem) == 16);
+
+  /// A pending event's queue record, at its arena slot's index.
+  struct Node {
+    Event ev;
+    std::uint32_t next = kNoSlot;  ///< next slot in the same bucket or run
+  };
+
+  /// A FIFO list of slots threaded through Shard::nodes.
+  struct List {
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
+  };
+
+  /// One radix bucket. `min` is kept on every append, so a peek never walks.
+  struct Bucket {
+    List list;
+    Event min;
+  };
+  /// Times are non-negative, so `when ^ now` has at most 63 significant bits.
+  static constexpr int kBuckets = 63;
 
   /// Everything one shard owns. Only its worker thread touches any of it
   /// during a parallel window (outboxes are drained by the *destination*
   /// across a barrier, which orders the accesses).
   struct Shard {
     std::vector<std::unique_ptr<Slot[]>> chunks;  ///< index-stable arena
+    std::vector<Node> nodes;                      ///< one per arena slot
     std::uint32_t freeHead = kNoSlot;
-    std::vector<HeapItem> heap;  ///< binary min-heap over (when, shard, seq)
+    /// The radix base: the time of the shard's last pop. Every pending
+    /// event is at or after it.
     Time now = 0;
+    List ready;  ///< the events at exactly `now`, in key order
+    std::uint64_t occupied = 0;  ///< bit b set: buckets[b] is non-empty
+    std::array<Bucket, kBuckets> buckets;
+    std::vector<std::uint64_t> sortKeys;  ///< scratch for an unsorted refill
     std::uint64_t nextSeq = 0;
     std::uint64_t processed = 0;
     std::uint64_t mailed = 0;  ///< cross-shard events sent
@@ -290,11 +320,9 @@ class Simulator {
 
   /// True when `a` fires after `b` — the exact ordering the engine promises.
   /// (shard, seq) pairs are unique, so comparing the combined key word is
-  /// decided by shard-then-seq among same-time events. Bitwise (not
-  /// short-circuit) ops: the outcome is a data-dependent coin-flip in the
-  /// heap walks, so flag arithmetic beats a mispredicted branch.
-  [[nodiscard]] static bool later(const HeapItem& a, const HeapItem& b) {
-    return (a.when > b.when) | ((a.when == b.when) & (a.seqSlot > b.seqSlot));
+  /// decided by shard-then-seq among same-time events.
+  [[nodiscard]] static bool later(const Event& a, const Event& b) {
+    return a.when > b.when || (a.when == b.when && a.key > b.key);
   }
 
   template <typename F>
@@ -336,15 +364,27 @@ class Simulator {
   }
 
   [[noreturn]] static void seqOverflow(int shard);
+  [[noreturn]] static void pastEvent(int shard, Time when, Time last);
 
   std::uint32_t acquireSlot(Shard& shard);
   void releaseSlot(Shard& shard, std::uint32_t idx);
-  void push(Shard& shard, Time when, std::uint64_t seqSlot);
-  HeapItem popTop(Shard& shard);
+  void push(Shard& shard, Time when, std::uint64_t key);
+  /// Append slot `idx` at the tail of `list`.
+  static void pushBack(Shard& shard, List& list, std::uint32_t idx);
+  /// Append slot `idx`, whose record holds `ev`, to bucket `b`.
+  static void append(Shard& shard, int b, std::uint32_t idx, const Event& ev);
+  /// Advance `now` to the lowest bucket's least time, moving that bucket's
+  /// events into `ready` (the ones at exactly `now`) or into lower buckets.
+  static void refill(Shard& shard);
+  /// The shard's least pending event, nullptr when it has none. A peek never
+  /// moves `now`, so a later push may still land before the event it shows.
+  [[nodiscard]] static const Event* peek(const Shard& shard);
+  /// Remove and return the shard's least pending event (there must be one).
+  static Event pop(Shard& shard);
   /// Execute one event on `shard` (the caller already popped `top`).
-  void dispatchItem(Shard& shard, int shardIdx, const HeapItem& top);
+  void dispatchItem(Shard& shard, int shardIdx, const Event& top);
 
-  /// Pull every mail addressed to `shard` into its heap (destination-side).
+  /// Pull every mail addressed to `shard` into its queue (destination-side).
   void drainInbox(int shard);
 
   Time runSerial(Time deadline);          // K==1 fast path / K-way merge

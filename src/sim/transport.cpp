@@ -130,11 +130,11 @@ std::uint64_t TransportManager::sendMessage(int src, int dst, std::int64_t bytes
   }
   // The pump reads the source NIC's queue, so it runs on the source host's
   // shard even when the caller is elsewhere (a top-level send is shard 0).
+  // Pump and timer events hold the flow itself: a std::map node never moves
+  // and no flow is ever erased.
   if (!flow.pumping) {
     flow.pumping = true;
-    sim_->scheduleOn(net_->hostShard(src), 0, [this, src, fid = flow.flowId]() {
-      rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-    });
+    sim_->scheduleOn(net_->hostShard(src), 0, [this, &flow]() { rdmaPump(flow); });
   }
   return id;
 }
@@ -149,16 +149,11 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
   // short and retry once the backlog should have drained.
   if (net_->hostQueueBytes(flow.src) > kNicBackpressureBytes) {
     const Time retry = Gbps{hostLineRateGbps_}.serializationNs(kNicBackpressureBytes);
-    sim_->schedule(std::max<Time>(retry, 500), [this, src = flow.src, fid = flow.flowId]() {
-      rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-    });
+    sim_->schedule(std::max<Time>(retry, 500), [this, &flow]() { rdmaPump(flow); });
     return;
   }
   if (now < flow.nextSendAt) {
-    sim_->schedule(flow.nextSendAt - now,
-                   [this, src = flow.src, fid = flow.flowId]() {
-                     rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-                   });
+    sim_->schedule(flow.nextSendAt - now, [this, &flow]() { rdmaPump(flow); });
     return;
   }
   RdmaPending& msg = flow.sendQueue.front();
@@ -181,10 +176,7 @@ void TransportManager::rdmaPump(RdmaFlow& flow) {
 
   // Pace at the DCQCN current rate.
   flow.nextSendAt = std::max(now, flow.nextSendAt) + Gbps{flow.rateGbps}.serializationNs(wire);
-  sim_->schedule(std::max<Time>(0, flow.nextSendAt - now),
-                 [this, src = flow.src, fid = flow.flowId]() {
-                   rdmaPump(lanes_[static_cast<std::size_t>(src)].rdmaFlows.at(fid));
-                 });
+  sim_->schedule(std::max<Time>(0, flow.nextSendAt - now), [this, &flow]() { rdmaPump(flow); });
 }
 
 void TransportManager::onRdmaData(const Packet& packet) {
@@ -236,15 +228,11 @@ void TransportManager::onCnp(RdmaFlow& flow) {
   flow.recoverySteps = 0;
   if (!flow.timerRunning) {
     flow.timerRunning = true;
-    sim_->schedule(kRateTimer, [this, fid = flow.flowId]() { rdmaTimer(fid); });
+    sim_->schedule(kRateTimer, [this, &flow]() { rdmaTimer(flow); });
   }
 }
 
-void TransportManager::rdmaTimer(std::uint64_t flowId) {
-  auto& flows = lanes_[static_cast<std::size_t>(rdmaFlowSrc(flowId))].rdmaFlows;
-  auto it = flows.find(flowId);
-  if (it == flows.end()) return;
-  RdmaFlow& flow = it->second;
+void TransportManager::rdmaTimer(RdmaFlow& flow) {
   const double lineRate = net_->hostLinkSpeed(flow.src).value;
 
   flow.alpha *= (1.0 - kDcqcnGain);
@@ -259,7 +247,7 @@ void TransportManager::rdmaTimer(std::uint64_t flowId) {
     flow.timerRunning = false;
     return;
   }
-  sim_->schedule(kRateTimer, [this, flowId]() { rdmaTimer(flowId); });
+  sim_->schedule(kRateTimer, [this, &flow]() { rdmaTimer(flow); });
 }
 
 // ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TransportManager {
   void rdmaPump(RdmaFlow& flow);
   void onRdmaData(const Packet& packet);
   void onCnp(RdmaFlow& flow);
-  void rdmaTimer(std::uint64_t flowId);
+  void rdmaTimer(RdmaFlow& flow);
   // TCP.
   void tcpPump(TcpFlow& flow);
   void onTcpData(TcpFlow& flow, const Packet& packet);
@@ -161,10 +161,6 @@ class TransportManager {
   /// `(host+1) << 40 | n`. Ids are opaque labels — nothing orders on them.
   static std::uint64_t hostTaggedId(int host, std::uint64_t n) {
     return (static_cast<std::uint64_t>(host) + 1) << 40 | n;
-  }
-  /// Recover the source host from an RDMA flow id (see rdmaFlowId()).
-  static int rdmaFlowSrc(std::uint64_t flowId) {
-    return static_cast<int>((flowId >> 22) & 0x3FFFF);
   }
 
   std::vector<HostLane> lanes_;  ///< indexed by host id
